@@ -54,7 +54,8 @@ def constant_reps(ctx: PrimeContext) -> tuple:
             continue
         reps.append(a)
         seen.update(ctx.fadd(a, y) for y in image)
-    assert len(reps) == ctx.p and reps[0] == 0
+    if len(reps) != ctx.p or reps[0] != 0:
+        raise InvariantViolation(f"constant representatives {reps} are not p cosets")
     return tuple(reps)
 
 

@@ -12,15 +12,13 @@ Subcommands:
                and polynomial fits as JSON
 
 Exit codes: 0 success, 1 failed invariant or internal inconsistency,
-2 usage error.  Output is byte-deterministic for fixed flags and seed,
-independent of the worker count.
+2 usage error.  Output is byte-deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -136,18 +134,6 @@ def _emit(text: str, path) -> None:
             fh.write(data)
 
 
-def _resolve_workers(flag) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("ASCOUNT_WORKERS", "")
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            raise ValueError(f"ASCOUNT_WORKERS={env!r} is not an integer")
-    return 0
-
-
 def _u_poly(coeffs) -> str:
     """Render a polynomial in u = q^(-s), low degree first on input."""
     parts = []
@@ -189,7 +175,9 @@ def cmd_count(args, parser) -> int:
         if args.degree is not None:
             if args.degree < 0:
                 parser.error("--degree must be non-negative")
-            value = global_count_by_degree(ctx, args.degree)
+            # the series coefficient; global_count_by_degree sums over all
+            # (q^(m+1)-1)/(q-1) divisors and stays the test-suite oracle
+            value = int(global_dirichlet(ctx, args.degree).coefficient(args.degree))
         else:
             value = global_count(ctx, parse_divisor(ctx, args.divisor))
     _emit(str(value), args.out)
@@ -206,7 +194,7 @@ def cmd_series(args, parser) -> int:
         parser.error("--max must be non-negative")
     ctx = make_context(args.p, args.n, args.r)
     if args.mode == "global":
-        series = global_dirichlet(ctx, args.max, _resolve_workers(args.workers))
+        series = global_dirichlet(ctx, args.max)
         rational = None
     else:
         rational = local_rational(ctx).reduced()
@@ -242,9 +230,9 @@ def cmd_series(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 # Each item: (suite, name, nominal cost in seconds, thunk).  Thunks return
-# None on success or a minimal counterexample string.  Nominal costs are
-# calibrated desk-scale estimates; the selection must not depend on wall
-# clocks or the report would stop being deterministic.
+# None or a _Passed note on success, or a minimal counterexample string.
+# Nominal costs are calibrated desk-scale estimates; the selection must not
+# depend on wall clocks or the report would stop being deterministic.
 
 _LOCAL_ORACLE_GRID = ((2, 1, 1), (2, 2, 1), (3, 1, 1),
                       (2, 1, 2), (2, 2, 2), (3, 1, 2))
@@ -301,9 +289,9 @@ def _check_nested_spots(seed: int):
     return None
 
 
-def _check_integrality(p: int, n: int, r: int, truncation: int, workers: int):
+def _check_integrality(p: int, n: int, r: int, truncation: int):
     ctx = make_context(p, n, r)
-    coeffs = global_dirichlet(ctx, truncation, workers).coefficients()
+    coeffs = global_dirichlet(ctx, truncation).coefficients()
     for m, c in enumerate(coeffs):
         if c.denominator != 1 or c < 0:
             return f"c_{m} = {c} is not a non-negative integer"
@@ -313,6 +301,11 @@ def _check_integrality(p: int, n: int, r: int, truncation: int, workers: int):
     return None
 
 
+class _Passed(str):
+    """What a check that passed has to report, as opposed to a
+    counterexample."""
+
+
 def _check_inequalities():
     from .asymptotics import verify_inequalities
     report = verify_inequalities(7, 6)
@@ -320,24 +313,20 @@ def _check_inequalities():
         for family, block in report.items():
             if family != "ok" and block["violations"]:
                 return f"{family}: {block['violations'][0]}"
-    labels = sorted({eq[0] for eq in report["zeta_abscissa_chain"]["equalities"]})
+    equalities = report["zeta_abscissa_chain"]["equalities"]
+    labels = sorted({eq[0] for eq in equalities})
     if labels != ["collapse j=p=2", "left equality"]:
         return f"unexpected equality cases {labels}"
-    return None
-
-
-def _inequality_detail() -> str:
-    from .asymptotics import verify_inequalities
-    report = verify_inequalities(7, 6)
     cases = {}
-    for label, p, r, j in report["zeta_abscissa_chain"]["equalities"]:
+    for label, p, r, j in equalities:
         cases.setdefault(f"{label} (j={j})", []).append(f"r={r}")
     listed = "; ".join(f"{k}: {', '.join(v)}" for k, v in sorted(cases.items()))
     single = len(report["single_block_bound"]["equalities"])
-    return f"equalities: {listed}; single-block all-(p-1) tuples: {single}"
+    return _Passed(
+        f"equalities: {listed}; single-block all-(p-1) tuples: {single}")
 
 
-def _verify_items(seed: int, workers: int) -> list:
+def _verify_items(seed: int) -> list:
     items = []
     for (p, n, r) in _LOCAL_ORACLE_GRID:
         items.append(("oracle", f"local ({p},{n},{r}) exponents <= 12", 1.0,
@@ -353,8 +342,7 @@ def _verify_items(seed: int, workers: int) -> list:
                   lambda: _check_nested_spots(seed)))
     for (p, n, r, M) in _INTEGRALITY_GRID:
         items.append(("integrality", f"global series ({p},{n},{r}) M={M}", 1.0,
-                      lambda p=p, n=n, r=r, M=M:
-                      _check_integrality(p, n, r, M, workers)))
+                      lambda p=p, n=n, r=r, M=M: _check_integrality(p, n, r, M)))
     items.append(("inequalities", "abscissa lemmas p <= 7, r <= 6", 1.0,
                   _check_inequalities))
     return items
@@ -363,8 +351,7 @@ def _verify_items(seed: int, workers: int) -> list:
 def cmd_verify(args, parser) -> int:
     if args.budget <= 0:
         parser.error("--budget must be positive")
-    workers = _resolve_workers(args.workers)
-    items = [it for it in _verify_items(args.seed, workers)
+    items = [it for it in _verify_items(args.seed)
              if args.suite in ("all", it[0])]
     if not items:
         parser.error(f"no items in suite {args.suite!r}")
@@ -382,15 +369,14 @@ def cmd_verify(args, parser) -> int:
             results.append({"suite": suite, "item": name, "status": "skipped",
                             "detail": f"estimated {cost:.0f}s over budget"})
             continue
-        counterexample = thunk()
-        if counterexample is None:
-            detail = _inequality_detail() if suite == "inequalities" else ""
+        outcome = thunk()
+        if outcome is None or isinstance(outcome, _Passed):
             results.append({"suite": suite, "item": name, "status": "ok",
-                            "detail": detail})
+                            "detail": str(outcome or "")})
         else:
             failed += 1
             results.append({"suite": suite, "item": name, "status": "fail",
-                            "detail": counterexample})
+                            "detail": outcome})
     for entry in results:
         line = f"[{entry['status']:>7}] {entry['suite']:<12} {entry['item']}"
         if entry["detail"]:
@@ -424,8 +410,7 @@ def cmd_asymptotics(args, parser) -> int:
     if args.fit_max is not None:
         if args.fit_max < 0:
             parser.error("--fit-max must be non-negative")
-        series = global_dirichlet(ctx, args.fit_max,
-                                  _resolve_workers(args.workers))
+        series = global_dirichlet(ctx, args.fit_max)
         coeffs = [int(c) for c in series.coefficients()]
     full = json.loads(report_json(ctx, coefficients=coeffs,
                                   precision=args.precision))
@@ -487,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest exponent / degree M")
     s.add_argument("--format", choices=("plain", "json", "tsv"),
                    default="plain")
-    s.add_argument("--workers", type=int,
-                   help="parallel Euler-factor workers (0 = serial; "
-                        "default from ASCOUNT_WORKERS)")
     s.add_argument("--out", help="output path (default stdout)")
     s.set_defaults(func=cmd_series)
 
@@ -506,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time budget in seconds (nominal estimates)")
     v.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled spot checks")
-    v.add_argument("--workers", type=int)
     v.add_argument("--out", help="write the JSON report here instead of "
                                  "stdout")
     v.set_defaults(func=cmd_verify)
@@ -523,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit the global coefficients up to this degree")
     a.add_argument("--precision", type=int, default=120,
                    help="working precision in bits for the constants")
-    a.add_argument("--workers", type=int)
     a.add_argument("--out", help="output path (default stdout)")
     a.set_defaults(func=cmd_asymptotics)
     return parser

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantViolation
 from .fields import PrimeContext
 
 
@@ -29,7 +30,8 @@ def gaussian_binomial(x: int, y: int, p: int) -> int:
     den = 1
     for i in range(1, y + 1):
         den *= p ** i - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolation(f"q-binomial quotient {num}/{den} is not exact")
     return num // den
 
 
@@ -183,8 +185,12 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
         if j > max_len:
             return
         weight = (p - 1) * p ** (r - j)
-        top = min(bound, remaining // weight)
-        for c in range(1, top + 1):
+        if j == max_len:
+            # the last entry has to use up the remainder exactly
+            if remaining % weight == 0 and remaining // weight <= bound:
+                found.append(tuple(prefix) + (remaining // weight,))
+            return
+        for c in range(1, min(bound, remaining // weight) + 1):
             prefix.append(c)
             rec(prefix, j + 1, remaining - weight * c, c)
             prefix.pop()

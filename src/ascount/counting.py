@@ -33,6 +33,8 @@ from .errors import InvariantViolation
 from .fields import Divisor, PrimeContext, Place, places, residue_field
 
 __all__ = [
+    "factor_coefficient",
+    "factor_coefficients",
     "local_factor_coefficient",
     "local_count",
     "global_count",
@@ -50,26 +52,31 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
-                       norm: int) -> int:
-    """Coefficient of the depth-f local factor at a place of the given norm.
+def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
+                        norms) -> list:
+    """Coefficient of the depth-f local factor at places of each given norm.
 
     Sums, over conductor chains of length at most f realizing the given
     discriminant exponent, the number of flagged subspace configurations
     with that chain.  Depth f is the number of ramified generators tracked;
-    the exponent-0 coefficient is 1 for every f.
+    the exponent-0 coefficient is 1 for every f.  The chains do not depend
+    on the norm, so they are enumerated once for all norms.
     """
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
-    total = 0
+    totals = [0] * len(norms)
     for chain in enumerate_chains(exponent, f, ctx):
         omega = run_composition(chain)
-        total += (
-            gaussian_binomial(f, len(chain), ctx.p)
-            * flag_count(omega, ctx.p)
-            * chain_term_count(chain, omega, norm, ctx)
-        )
-    return total
+        weight = gaussian_binomial(f, len(chain), ctx.p) * flag_count(omega, ctx.p)
+        for k, norm in enumerate(norms):
+            totals[k] += weight * chain_term_count(chain, omega, norm, ctx)
+    return totals
+
+
+def factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
+                       norm: int) -> int:
+    """factor_coefficients at a single norm."""
+    return factor_coefficients(ctx, f, exponent, (norm,))[0]
 
 
 def local_factor_coefficient(ctx: PrimeContext, f: int, exponent: int,

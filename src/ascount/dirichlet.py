@@ -10,9 +10,8 @@ this module; the asymptotics layer is the only consumer of floats.
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .compositions import (
     delsarte_weight,
@@ -22,7 +21,7 @@ from .compositions import (
     prefix_sums,
     structure_poly_value,
 )
-from .counting import factor_coefficient
+from .counting import factor_coefficient, factor_coefficients
 from .errors import InvariantViolation, TruncationError
 from .fields import PrimeContext, place_count
 
@@ -111,8 +110,27 @@ def poly_gcd(a, b) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(coeffs) -> tuple:
+    """(den, ints): the common denominator of the coefficients and their
+    numerators over it, so that coeffs[i] == ints[i] / den."""
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return 1, [c.numerator for c in coeffs]
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _nonzero(ints) -> list:
+    """(index, value) of the nonzero entries."""
+    return [(i, c) for i, c in enumerate(ints) if c]
+
+
 class TruncatedSeries:
     """Power series known exactly up to degree `truncation`.
+
+    Coefficients are stored as Fractions.  Products and powers scale each
+    operand by its common denominator, work on plain int lists (visiting
+    only the nonzero entries, since inflated per-degree factors are sparse)
+    and build Fractions once, at the end.
 
     Binary operations propagate the minimum truncation of the operands;
     asking for a coefficient past the horizon raises TruncationError rather
@@ -124,7 +142,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, truncation: int):
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > truncation + 1:
             raise ValueError("more coefficients than the truncation admits")
         cs.extend([ZERO] * (truncation + 1 - len(cs)))
@@ -134,6 +152,18 @@ class TruncatedSeries:
     @classmethod
     def one(cls, truncation: int) -> "TruncatedSeries":
         return cls([ONE], truncation)
+
+    @classmethod
+    def _from_ints(cls, ints, den: int) -> "TruncatedSeries":
+        """The series with coefficients ints[i] / den, truncated at
+        len(ints) - 1."""
+        series = cls.__new__(cls)
+        if den == 1:
+            series.coeffs = tuple(map(Fraction, ints))
+        else:
+            series.coeffs = tuple(Fraction(c, den) for c in ints)
+        series.truncation = len(ints) - 1
+        return series
 
     def coefficient(self, m: int) -> Fraction:
         if m < 0:
@@ -187,30 +217,53 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         m = min(self.truncation, other.truncation)
-        out = [ZERO] * (m + 1)
-        for i in range(m + 1):
-            ca = self.coeffs[i]
-            if ca == 0:
-                continue
-            for j in range(m + 1 - i):
-                cb = other.coeffs[j]
-                if cb != 0:
-                    out[i + j] += ca * cb
-        return TruncatedSeries(out, m)
+        den_a, a = _scaled(self.coeffs[:m + 1])
+        den_b, b = _scaled(other.coeffs[:m + 1])
+        out = [0] * (m + 1)
+        terms_b = _nonzero(b)
+        for i, ca in _nonzero(a):
+            for j, cb in terms_b:
+                if i + j > m:
+                    break
+                out[i + j] += ca * cb
+        return TruncatedSeries._from_ints(out, den_a * den_b)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+        b = a^n with a_0 != 0 satisfies
+            k a_0 b_k = sum_{j=1..k} ((n+1) j - k) a_j b_{k-j},
+        one O(M^2) pass on the integers of the scaled series, whose power
+        is integral, so every division is exact.  A zero constant term is
+        shifted out first."""
         if exponent < 0:
             raise ValueError("negative powers need inverse()")
-        result = TruncatedSeries.one(self.truncation)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        m = self.truncation
+        if exponent == 0:
+            return TruncatedSeries.one(m)
+        den, a = _scaled(self.coeffs)
+        valuation = next((v for v, c in enumerate(a) if c), m + 1)
+        out = [0] * (m + 1)
+        shift = valuation * exponent
+        if shift <= m:
+            width = m - shift + 1
+            a = a[valuation:valuation + width]
+            a0, terms = a[0], _nonzero(a)[1:]
+            b = [a0 ** exponent]
+            for k in range(1, width):
+                acc = 0
+                for j, aj in terms:
+                    if j > k:
+                        break
+                    acc += ((exponent + 1) * j - k) * aj * b[k - j]
+                bk, rem = divmod(acc, k * a0)
+                if rem:
+                    raise InvariantViolation(
+                        f"power recurrence inexact at degree {k}")
+                b.append(bk)
+            out[shift:] = b
+        return TruncatedSeries._from_ints(out, den ** exponent)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero."""
@@ -440,14 +493,27 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _integer_root(n: int, d: int) -> int:
+    """floor(n^(1/d)) for n >= 0, by integer Newton steps from above."""
+    if d == 2:
+        return isqrt(n)
+    if n < 2 or d == 1:
+        return n
+    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) > n^(1/d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
 def _rational_root(x: Fraction, d: int) -> Fraction:
     """Exact d-th root of a positive rational, or ValueError."""
     def iroot(n: int) -> int:
-        root = round(n ** (1.0 / d))
-        for cand in (root - 1, root, root + 1):
-            if cand > 0 and cand ** d == n:
-                return cand
-        raise ValueError(f"{n} has no integer {d}-th root")
+        root = _integer_root(n, d)
+        if root ** d != n:
+            raise ValueError(f"{n} has no integer {d}-th root")
+        return root
     return Fraction(iroot(x.numerator), iroot(x.denominator))
 
 
@@ -524,7 +590,9 @@ def nested_geometric_check(x, alphas, depth: int) -> bool:
 
     def power(exponent: Fraction) -> Fraction:
         scaled = exponent * denom
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise InvariantViolation(
+                f"exponent {exponent} is not a multiple of 1/{denom}")
         return root ** scaled.numerator
 
     closed = power(sum((count - i) * alphas[i - 1] for i in range(1, count + 1)))
@@ -556,7 +624,8 @@ def nested_geometric_check(x, alphas, depth: int) -> bool:
         else:
             degree += 1
     outer_ratio = power(alphas[0] + beta)
-    assert outer_ratio < 1  # guaranteed: alpha_1 + beta = max prefix sum < 0
+    if outer_ratio >= 1:  # alpha_1 + beta is the largest prefix sum, < 0
+        raise InvariantViolation(f"outer ratio {outer_ratio} is not below 1")
     tail_bound = coeff * _power_tail(degree, outer_ratio, depth)
     return abs(closed - observed) <= tail_bound
 
@@ -589,48 +658,51 @@ def zeta_shift(ctx: PrimeContext, a: int, b: int) -> RationalSeries:
 # ---------------------------------------------------------------------------
 
 
-def powered_place_factor(ctx: PrimeContext, f: int, degree: int,
+def powered_place_factor(ctx: PrimeContext, degree: int,
+                         factor: TruncatedSeries,
                          truncation: int) -> TruncatedSeries:
-    """All degree-d places at once: the degree-d Euler factor raised to the
-    number of such places, computed in u = t^d and then inflated."""
-    in_u = truncation // degree
-    factor = euler_factor_series(ctx, f, ctx.q ** degree, in_u)
+    """All degree-d places at once: the degree-d Euler factor, given in
+    u = t^d, raised to the number of such places and then inflated."""
     powered = factor ** place_count(ctx, degree)
     return powered.inflate(degree).truncate(truncation)
 
 
-def global_factor_series(ctx: PrimeContext, f: int, truncation: int,
-                         workers: int = 0) -> TruncatedSeries:
+def global_factor_series(ctx: PrimeContext, f: int,
+                         truncation: int) -> TruncatedSeries:
     """Product over all places of the depth-f Euler factor, aggregated per
-    degree; the reduction runs in fixed degree order regardless of how the
-    per-degree factors were scheduled."""
+    degree.
+
+    Exponents are the outer loop and degrees the inner one: the chains of
+    each exponent are enumerated once and evaluated at every norm q^d whose
+    factor still reaches that exponent (d * exponent <= truncation).  Each
+    degree-d factor is then powered and inflated, and the product is taken
+    in increasing degree order, the sparse factor first."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     if f == 0 or truncation == 0:
         return TruncatedSeries.one(truncation)
-    degrees = range(1, truncation + 1)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            factors = list(pool.map(
-                lambda d: powered_place_factor(ctx, f, d, truncation), degrees))
-    else:
-        factors = [powered_place_factor(ctx, f, d, truncation) for d in degrees]
+    norms = [ctx.q ** d for d in range(1, truncation + 1)]
+    in_u = [[] for _ in norms]  # in_u[d - 1]: the degree-d factor in u
+    for m in range(truncation + 1):
+        reach = truncation // m if m else truncation
+        values = factor_coefficients(ctx, f, m, norms[:reach])
+        for coeffs, value in zip(in_u, values):
+            coeffs.append(value)
     result = TruncatedSeries.one(truncation)
-    for factor in factors:
-        # sparse operand first: only multiples of its degree are nonzero
-        result = factor * result
+    for degree, coeffs in enumerate(in_u, start=1):
+        factor = TruncatedSeries(coeffs, len(coeffs) - 1)
+        result = powered_place_factor(ctx, degree, factor, truncation) * result
     return result
 
 
-def global_dirichlet(ctx: PrimeContext, truncation: int,
-                     workers: int = 0) -> TruncatedSeries:
+def global_dirichlet(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
     """Coefficient m counts the extensions of F_q(t) with discriminant
     degree m; the weighted sum over depths must be a nonnegative integer in
     every degree or the theory (or this code) is wrong."""
     total = TruncatedSeries([], truncation)
     for f in range(ctx.r + 1):
         weight = delsarte_weight(f, ctx)
-        total = total + global_factor_series(ctx, f, truncation, workers) * weight
+        total = total + global_factor_series(ctx, f, truncation) * weight
     bad = [m for m, c in enumerate(total.coefficients())
            if c.denominator != 1 or c < 0]
     if bad:
@@ -707,7 +779,9 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
     reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
     for m in range(start, truncation + 1):
         d_m = reduced.coefficient(m)
-        assert d_m.denominator == 1
+        if d_m.denominator != 1:
+            raise InvariantViolation(
+                f"reduced coefficient d_{m} = {d_m} is not an integer")
         lhs = abs(d_m.numerator) ** exponent.denominator
         rhs = q ** (exponent.numerator * m)
         if lhs > rhs:

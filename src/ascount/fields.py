@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
+from .errors import InvariantViolation
+
 Poly = tuple  # tuple of F_q codes, lowest degree first, no trailing zeros
 
 PZERO: Poly = ()
@@ -42,7 +44,8 @@ def _is_prime(m: int) -> bool:
 
 def mobius_int(m: int) -> int:
     """Number-theoretic Mobius function of a positive integer."""
-    assert m >= 1
+    if m < 1:
+        raise ValueError("Mobius function needs a positive integer")
     result = 1
     d = 2
     while d * d <= m:
@@ -236,7 +239,8 @@ class PrimeContext:
         return self._mul_table[a][b]
 
     def fpow(self, a: int, e: int) -> int:
-        assert e >= 0
+        if e < 0:
+            raise ValueError("negative exponent")
         result = 1
         while e:
             if e & 1:
@@ -268,7 +272,8 @@ class PrimeContext:
         return tuple(_decode_full(a, self.p, self.n))
 
     def element_from_coords(self, coords) -> int:
-        assert len(coords) == self.n
+        if len(coords) != self.n:
+            raise ValueError(f"need {self.n} coordinates, got {len(coords)}")
         return _encode(tuple(c % self.p for c in coords), self.p)
 
     @cached_property
@@ -513,7 +518,8 @@ def place_count(ctx: PrimeContext, d: int) -> int:
     if d < 1:
         raise ValueError("degree must be at least 1")
     total = sum(mobius_int(e) * ctx.q ** (d // e) for e in _divisors(d))
-    assert total % d == 0
+    if total % d:
+        raise InvariantViolation(f"necklace sum {total} not divisible by {d}")
     count = total // d
     return count + 1 if d == 1 else count
 

@@ -33,6 +33,17 @@ def test_count_global_degree(capsys):
     assert code == 0 and out == "6\n"
 
 
+def test_count_global_degree_beyond_divisor_sweep(capsys):
+    # degree 13 once recursed once per place through the divisor sweep and
+    # died of RecursionError; it is served from the series coefficient now
+    code, out, err = run(capsys, "count", "global", "--p", "2", "--r", "1",
+                         "--degree", "13")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, _ = run(capsys, "count", "global", "--p", "2", "--r", "2",
+                       "--degree", "8")
+    assert code == 0 and out == "24\n"
+
+
 def test_count_divisors(capsys):
     cases = (
         (("--p", "2", "--r", "1", "--divisor", "t^2"), "2"),
@@ -127,25 +138,6 @@ def test_series_out_file(tmp_path, capsys):
     assert target.read_text() == "1,0,6,0,24\n"
 
 
-def test_series_worker_independence(capsys, monkeypatch):
-    base = run(capsys, "series", "global", "--p", "2", "--r", "2",
-               "--max", "16")
-    flagged = run(capsys, "series", "global", "--p", "2", "--r", "2",
-                  "--max", "16", "--workers", "3")
-    monkeypatch.setenv("ASCOUNT_WORKERS", "4")
-    enved = run(capsys, "series", "global", "--p", "2", "--r", "2",
-                "--max", "16")
-    assert base == flagged == enved
-    assert base[0] == 0
-
-
-def test_bad_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("ASCOUNT_WORKERS", "plenty")
-    code, _, err = run(capsys, "series", "global", "--p", "2", "--r", "1",
-                       "--max", "4")
-    assert code == 2 and "ASCOUNT_WORKERS" in err
-
-
 def test_series_negative_max(capsys):
     code, _, _ = run(capsys, "series", "global", "--p", "2", "--r", "1",
                      "--max", "-1")
@@ -188,6 +180,21 @@ def test_verify_budget_shrinks_deterministically(capsys):
     again = run(capsys, "verify", "--suite", "oracle", "--budget", "3",
                 "--out", "-")
     assert again[1] == out
+
+
+def test_verify_runs_inequality_sweep_once(capsys, monkeypatch):
+    from ascount import asymptotics
+    calls = []
+    sweep = asymptotics.verify_inequalities
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(asymptotics, "verify_inequalities", counted)
+    code, out, _ = run(capsys, "verify", "--suite", "inequalities")
+    assert code == 0 and calls == [(7, 6)]
+    assert "single-block all-(p-1) tuples" in out
 
 
 def test_verify_never_drops_below_one_item(capsys):

@@ -8,6 +8,8 @@ from ascount.counting import (
     effective_divisors,
     enumerate_global,
     enumerate_local,
+    factor_coefficient,
+    factor_coefficients,
     global_count,
     global_count_by_degree,
     local_count,
@@ -69,6 +71,16 @@ def test_factor_coefficient_zero_exponent():
     for ctx in (CTX211, CTX212, CTX312):
         for f in range(ctx.r + 1):
             assert local_factor_coefficient(ctx, f, 0) == 1
+
+
+def test_factor_coefficients_match_per_norm():
+    for ctx in (CTX211, CTX221, CTX212, CTX312):
+        norms = [ctx.q ** d for d in range(1, 5)]
+        for f in range(ctx.r + 1):
+            for exponent in range(0, 30):
+                assert factor_coefficients(ctx, f, exponent, norms) == \
+                    [factor_coefficient(ctx, f, exponent, n) for n in norms]
+    assert factor_coefficients(CTX212, 2, 8, []) == []
 
 
 def test_global_anchors_degree_counts():

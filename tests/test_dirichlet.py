@@ -4,12 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ascount.dirichlet import (
     RationalSeries,
     TruncatedSeries,
+    _integer_root,
+    _rational_root,
     delta_exponents,
     delta_polynomial,
     euler_factor_series,
@@ -30,7 +32,7 @@ from ascount.dirichlet import (
     zeta_shift,
 )
 from ascount.errors import TruncationError
-from ascount.fields import make_context
+from ascount.fields import make_context, places
 
 CTX211 = make_context(2, 1, 1)
 CTX221 = make_context(2, 2, 1)
@@ -177,6 +179,77 @@ def test_local_rational_matches_direct_series():
         assert rational.series(40).coefficients() == direct.coefficients()
 
 
+def _schoolbook(a, b):
+    m = min(a.truncation, b.truncation)
+    out = [Fraction(0)] * (m + 1)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            out[i + j] += a.coefficient(i) * b.coefficient(j)
+    return TruncatedSeries(out, m)
+
+
+@st.composite
+def _series(draw, max_truncation=9):
+    """A truncated series with a random t-valuation; integral for den = 1."""
+    truncation = draw(st.integers(0, max_truncation))
+    den = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    valuation = draw(st.integers(0, 3))
+    body = draw(st.lists(st.integers(-5, 5), max_size=truncation + 1))
+    coeffs = [0] * valuation + [Fraction(c, den) for c in body]
+    return TruncatedSeries(coeffs[:truncation + 1], truncation)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series(), _series())
+def test_product_matches_schoolbook(a, b):
+    assert a * b == _schoolbook(a, b) == b * a
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series(), st.integers(0, 6))
+@example(TruncatedSeries((1, 2, -1, 0, 3), 4), 5)                  # integral
+@example(TruncatedSeries((Fraction(2, 3), 0, Fraction(-1, 2)), 2), 4)
+@example(TruncatedSeries((0, 0, Fraction(1, 2), 1, 0, 1), 5), 2)   # shifted
+@example(TruncatedSeries((0, 0, 1), 2), 2)                  # shifted past M
+@example(TruncatedSeries((0, 3, 1), 2), 0)                  # exponent 0
+@example(TruncatedSeries((), 3), 3)                         # zero series
+def test_power_matches_repeated_product(a, n):
+    expected = TruncatedSeries.one(a.truncation)
+    for _ in range(n):
+        expected = expected * a
+    assert a ** n == expected
+
+
+def test_power_with_place_count_sized_exponent():
+    # (1 + u)^n for n near the number of degree-70 places of F_2(t)
+    n = 2 ** 70 // 70
+    powered = TruncatedSeries((1, 1), 5) ** n
+    expected, binom = [], 1
+    for k in range(6):
+        expected.append(binom)
+        binom = binom * (n - k) // (k + 1)
+    assert powered.coefficients() == tuple(expected)
+
+
+def test_rational_root_is_integer_exact():
+    # both went through floats once: OverflowError, and a false "no root"
+    assert _rational_root(Fraction(3 ** 700), 7) == 3 ** 100
+    big = 10 ** 17 + 3
+    assert _rational_root(Fraction(big ** 2), 2) == big
+    assert _rational_root(Fraction(8, 3 ** 45), 3) == Fraction(2, 3 ** 15)
+    with pytest.raises(ValueError):
+        _rational_root(Fraction(big ** 2 + 1), 2)
+    with pytest.raises(ValueError):
+        _rational_root(Fraction(3 ** 700 - 1, 5 ** 7), 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 400), st.integers(1, 12))
+def test_integer_root_is_floor(n, d):
+    root = _integer_root(n, d)
+    assert root ** d <= n < (root + 1) ** d
+
+
 def test_local_rational_anchor_2_1_1():
     red = local_rational(CTX211).reduced()
     assert red.num == (1,)
@@ -232,10 +305,20 @@ def test_global_integrality_grid():
         assert coeffs[0] == (1 if ctx.r == 1 else 0)
 
 
-def test_global_workers_agree():
-    serial = global_dirichlet(CTX212, 24, workers=0).coefficients()
-    threaded = global_dirichlet(CTX212, 24, workers=3).coefficients()
-    assert serial == threaded
+def test_global_factor_series_matches_per_place_product():
+    # the per-degree aggregation (one chain enumeration per exponent, one
+    # Miller power per degree) against a product over the places one by one
+    for ctx, top in ((CTX211, 10), (CTX221, 6), (CTX212, 12), (CTX312, 14)):
+        one = TruncatedSeries.one(top)
+        for f in range(ctx.r + 1):
+            naive = one
+            for d in range(1, top + 1):
+                local = euler_factor_series(ctx, f, ctx.q ** d, top // d)
+                local = local.inflate(d).truncate(top)
+                if local != one:
+                    for _ in places(ctx, d):
+                        naive = naive * local
+            assert global_factor_series(ctx, f, top) == naive, (ctx, f)
 
 
 def test_global_factor_multiplicativity_spot():
