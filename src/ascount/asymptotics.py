@@ -29,13 +29,12 @@ from .compositions import compositions, delsarte_weight, prefix_sums
 from .dirichlet import (
     delta_exponents,
     delta_polynomial,
-    lambda_inverse,
     local_rational,
     poly_divmod,
     poly_gcd,
-    poly_mul,
     poly_trim,
     psi_polynomial,
+    zeta_factors,
 )
 from .errors import InvariantViolation
 from .fields import PrimeContext, place_count
@@ -66,28 +65,24 @@ class MainTermParams:
 
 
 def main_term_params(ctx: PrimeContext) -> MainTermParams:
-    """Main-term parameters for counting C_p^r-extensions of F_q(t)."""
+    """Main-term parameters for counting C_p^r-extensions of F_q(t).
+
+    The abscissa, local_modulus, prime_lcm and error_exponent are closed
+    formulas; the rest comes from the zeta factors of dirichlet.zeta_factors
+    that vanish at the abscissa: pole_order is their count, class_modulus
+    the lcm and constant_modulus the gcd of their degrees.
+    """
     p, r = ctx.p, ctx.r
     top = p * (p ** r - 1)
     abscissa = Fraction(1 + r * (p - 1), top)
-    prime_lcm = math.lcm(*range(2, p + 1))
-    if r == 1:
-        order, period = p - 1, (p - 1) * prime_lcm
-    elif r == p == 2:
-        order, period = 4, 12
-    else:
-        order, period = 1, top
-    if r == 1 and p != 2:
-        constant_period = p - 1
-    elif p == 2 and r <= 2:
-        constant_period = 2
-    else:
-        constant_period = top
+    vanishing = [degree for degree, shift in zeta_factors(ctx)
+                 for b in (shift, shift + 1) if b == abscissa * degree]
     error_exponent = Fraction(p * (1 + r * (p - 1)) - 1, p * top)
-    if period % constant_period or not error_exponent < abscissa:
+    if not error_exponent < abscissa:
         raise InvariantViolation("inconsistent main-term case split")
-    return MainTermParams(abscissa, order, period, top, constant_period,
-                          prime_lcm, error_exponent)
+    return MainTermParams(abscissa, len(vanishing), math.lcm(*vanishing),
+                          top, math.gcd(*vanishing),
+                          math.lcm(*range(2, p + 1)), error_exponent)
 
 
 @dataclass(frozen=True)
@@ -226,12 +221,11 @@ def _sample_cap(ctx: PrimeContext) -> int:
     Far enough out that the subleading pole family has decayed to about
     1e-4 relative to the main term, rounded up to whole residue classes.
     """
-    p, r = ctx.p, ctx.r
-    period = p * (p ** r - 1)
+    shift, period = delta_exponents(ctx, ctx.r)
     need = 60
-    if r > 1:
-        gap = (Fraction(r * (p - 1), period)
-               - Fraction((r - 1) * (p - 1), p * p * (p ** (r - 1) - 1)))
+    if ctx.r > 1:
+        gap = (Fraction(shift, period)
+               - Fraction(*delta_exponents(ctx, ctx.r - 1)))
         need = max(need, math.ceil(4 * math.log(10)
                                    / (float(gap) * math.log(ctx.q))))
     return period * math.ceil(need / period)
@@ -275,8 +269,8 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
     """
     if precision < 53:
         raise ValueError("precision below double precision")
-    p, r, q = ctx.p, ctx.r, ctx.q
-    period = p * (p ** r - 1)
+    r, q = ctx.r, ctx.q
+    top_shift, period = delta_exponents(ctx, r)
     if m_max is None:
         m_max = _sample_cap(ctx)
     if m_max < 2 * period:
@@ -285,7 +279,7 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
     weight = delsarte_weight(r, ctx)
     poly = psi_polynomial(ctx, r, q)
     with mpmath.workprec(precision):
-        radius = mpmath.power(q, -mpmath.mpf(r * (p - 1)) / period)
+        radius = mpmath.power(q, -mpmath.mpf(top_shift) / period)
         values = []
         for j in range(1, period + 1):
             alpha = radius * mpmath.expjpi(mpmath.mpf(-2 * j) / period)
@@ -316,7 +310,7 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
         zero_cut = mpmath.mpf(10) ** -25 * max(mpmath.mpf(1), top)
         if top < zero_cut:
             raise InvariantViolation("all leading constants vanish")
-        exponent = mpmath.mpf(r * (p - 1)) / period
+        exponent = mpmath.mpf(top_shift) / period
         errors = {}
         out = {}
         for cls in range(period):
@@ -366,56 +360,20 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
     return LocalConstants(period, out, errors, m_max)
 
 
-def _lambda_zeta_shifts(ctx: PrimeContext) -> tuple:
-    """(degree, shift) pairs so that the zeta-product comparison factor
-    expands as prod (1 - q^shift t^degree)(1 - q^(shift+1) t^degree),
-    matching dirichlet.lambda_inverse."""
-    p, r = ctx.p, ctx.r
-    if r == 1:
-        return tuple(((v + 1) * (p - 1), v) for v in range(1, p))
-    if r == 2 and p == 2:
-        return ((6, 2), (4, 1), (4, 1), (4, 1))
-    return ((p * (p ** r - 1), r * (p - 1)),)
-
-
 def global_pole_catalog(ctx: PrimeContext) -> tuple:
     """Pole lines of the F_q(t) counting series on its abscissa.
 
-    All entries share real part main_term_params(ctx).abscissa.  The
-    definite line carries the poles of order exactly pole_order, spaced by
-    1/constant_modulus; for parameter ranges where finer candidates exist
-    (r = 1 with p odd, and r = p = 2) a second line with the candidate
-    lattice 1/class_modulus and the order bound pole_order - 1 follows.
-    Points of the candidate lattice that lie on the definite lattice are
-    covered by the definite entry.
-
-    The stated order and spacing are verified exactly against the factors
-    of the zeta-product comparison polynomial that vanish at the real
-    abscissa point.
+    All entries share real part main_term_params(ctx).abscissa, and like
+    the rest of those parameters the lines come from the zeta factors of
+    dirichlet.zeta_factors that vanish there.  The definite line carries
+    the poles of order exactly pole_order, spaced by 1/constant_modulus;
+    for parameter ranges where finer candidates exist (r = 1 with p odd,
+    and r = p = 2) a second line with the candidate lattice
+    1/class_modulus and the order bound pole_order - 1 follows.  Points of
+    the candidate lattice that lie on the definite lattice are covered by
+    the definite entry.
     """
     params = main_term_params(ctx)
-    q = ctx.q
-    factors = []
-    for degree, shift in _lambda_zeta_shifts(ctx):
-        factors.append((degree, shift))
-        factors.append((degree, shift + 1))
-    product = (Fraction(1),)
-    for degree, shift in factors:
-        term = [ZERO] * (degree + 1)
-        term[0] = Fraction(1)
-        term[degree] = Fraction(-(q ** shift))
-        product = poly_mul(product, tuple(term))
-    if product != lambda_inverse(ctx):
-        raise InvariantViolation("zeta-product factorisation mismatch")
-    vanishing = [degree for degree, shift in factors
-                 if Fraction(shift) == params.abscissa * degree]
-    if len(vanishing) != params.pole_order:
-        raise InvariantViolation(
-            f"abscissa vanishing order {len(vanishing)} does not match the "
-            f"stated pole order {params.pole_order}")
-    if math.gcd(*vanishing) != params.constant_modulus:
-        raise InvariantViolation("angular period of the top-order poles "
-                                 "does not match constant_modulus")
     lines = [PoleLine(params.abscissa,
                       Fraction(1, params.constant_modulus),
                       params.pole_order, True)]

@@ -11,6 +11,7 @@ plus the two-level refinement used for the closed-form Euler factors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,14 +78,7 @@ def mobius_cpk(k: int, p: int) -> int:
 
 def aut_order(r: int, p: int) -> int:
     """|GL_r(F_p)|, the automorphism count of C_p^r."""
-    return _prod(p ** r - p ** i for i in range(r))
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return math.prod(p ** r - p ** i for i in range(r))
 
 
 def delsarte_weight(f: int, ctx: PrimeContext) -> Fraction:
@@ -138,22 +132,17 @@ def _validate_chain(chain):
         raise ValueError("chain entries must be non-increasing")
 
 
-def chain_term_count(chain, omega, norm: int, ctx: PrimeContext) -> int:
-    """Product of leading_term_count over a chain, blocks given by omega.
+def chain_term_count(chain, norm: int, ctx: PrimeContext) -> int:
+    """Product of leading_term_count over a chain, blocks of equal entries.
 
     Within a block of equal conductor exponents the j-th repetition must
     avoid the span of the j earlier leading coefficients, so j runs from 0
     to block length - 1 and resets at each new block.
     """
-    if tuple(omega) != run_composition(chain):
-        raise ValueError("omega does not match the chain's run structure")
     result = 1
-    pos = 0
-    for a_i in omega:
-        c = chain[pos]
-        for j in range(a_i):
+    for c, block in itertools.groupby(chain):
+        for j, _ in enumerate(block):
             result *= leading_term_count(c, j, norm, ctx.p)
-        pos += a_i
     return result
 
 

@@ -69,7 +69,7 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
         omega = run_composition(chain)
         weight = gaussian_binomial(f, len(chain), ctx.p) * flag_count(omega, ctx.p)
         for k, norm in enumerate(norms):
-            totals[k] += weight * chain_term_count(chain, omega, norm, ctx)
+            totals[k] += weight * chain_term_count(chain, norm, ctx)
     return totals
 
 
@@ -133,28 +133,24 @@ def counts_by_degree(tally: dict) -> dict:
 
 
 def effective_divisors(ctx: PrimeContext, degree: int) -> list:
-    """All effective divisors of exact degree m; there are (q^(m+1)-1)/(q-1)."""
+    """All effective divisors of exact degree m; there are (q^(m+1)-1)/(q-1).
+
+    An iterative sweep over the places of degree <= m: partial[k] holds the
+    divisors of degree k on the places seen so far, and each place of
+    degree d extends them with multiplicity e, taking degrees from m down
+    so that a place is never used twice.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    plist = []
+    partial = [[] for _ in range(degree + 1)]
+    partial[0].append(())
     for d in range(1, degree + 1):
-        plist.extend(places(ctx, d))
-    out = []
-
-    def rec(i, remaining, chosen):
-        if remaining == 0:
-            out.append(Divisor(tuple(chosen)))
-            return
-        if i == len(plist):
-            return
-        d = plist[i].degree
-        rec(i + 1, remaining, chosen)
-        for e in range(1, remaining // d + 1):
-            chosen.append((plist[i], e))
-            rec(i + 1, remaining - e * d, chosen)
-            chosen.pop()
-
-    rec(0, degree, [])
+        for place in places(ctx, d):
+            for k in range(degree, d - 1, -1):
+                for e in range(1, k // d + 1):
+                    partial[k].extend(pairs + ((place, e),)
+                                      for pairs in partial[k - e * d])
+    out = [Divisor(pairs) for pairs in partial[degree]]
     expected = (ctx.q ** (degree + 1) - 1) // (ctx.q - 1)
     if len(out) != expected:
         raise InvariantViolation(

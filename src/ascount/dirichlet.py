@@ -11,7 +11,8 @@ this module; the asymptotics layer is the only consumer of floats.
 import itertools
 import json
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import reduce
+from math import comb, factorial, isqrt, lcm
 
 from .compositions import (
     delsarte_weight,
@@ -534,16 +535,9 @@ def _power_sum(e: int, ratio: Fraction) -> Fraction:
         return 1 / (1 - ratio)
     total = ZERO
     for j in range(1, e + 1):
-        numer = _stirling2(e, j) * _factorial(j) * ratio ** j
+        numer = _stirling2(e, j) * factorial(j) * ratio ** j
         total += numer / (1 - ratio) ** (j + 1)
     return total
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _power_tail(e: int, ratio: Fraction, cutoff: int) -> Fraction:
@@ -551,15 +545,8 @@ def _power_tail(e: int, ratio: Fraction, cutoff: int) -> Fraction:
     shift = cutoff + 1
     total = ZERO
     for m in range(e + 1):
-        total += (_binomial(e, m) * shift ** (e - m)) * _power_sum(m, ratio)
+        total += (comb(e, m) * shift ** (e - m)) * _power_sum(m, ratio)
     return ratio ** shift * total
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def nested_geometric_check(x, alphas, depth: int) -> bool:
@@ -638,7 +625,7 @@ def nested_geometric_check(x, alphas, depth: int) -> bool:
 def zeta_p1(ctx: PrimeContext) -> RationalSeries:
     """Zeta of F_q(t): 1 / ((1 - t)(1 - q t)); coefficient of t^m counts the
     effective divisors of degree m."""
-    return RationalSeries((ONE,), poly_mul((1, -1), (1, -ctx.q)))
+    return zeta_shift(ctx, 1, 0)
 
 
 def zeta_shift(ctx: PrimeContext, a: int, b: int) -> RationalSeries:
@@ -651,6 +638,21 @@ def zeta_shift(ctx: PrimeContext, a: int, b: int) -> RationalSeries:
     factor2 = [Fraction(0)] * (a + 1)
     factor2[0], factor2[a] = ONE, Fraction(-ctx.q ** (b + 1))
     return RationalSeries((ONE,), poly_mul(factor1, factor2))
+
+
+def zeta_factors(ctx: PrimeContext) -> tuple:
+    """The (p, r) case split, written out once: (degree, shift) pairs whose
+    zeta_shift factors multiply to the zeta-product comparison function at
+    depth f = r.  r = 1 takes zeta((l+1)(p-1)s - l) for each fine value
+    l = 1..p-1, r = p = 2 takes zeta(6s-2) zeta(4s-1)^3, and every other
+    case the single factor zeta(p(p^r-1)s - r(p-1)).  The factors vanishing
+    at the abscissa fix the main-term pole order and angular periods."""
+    p, r = ctx.p, ctx.r
+    if r == 1:
+        return tuple(((ell + 1) * (p - 1), ell) for ell in range(1, p))
+    if r == 2 and p == 2:
+        return ((6, 2), (4, 1), (4, 1), (4, 1))
+    return ((p * (p ** r - 1), r * (p - 1)),)
 
 
 # ---------------------------------------------------------------------------
@@ -739,31 +741,11 @@ def local_direct_series(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
 
 def lambda_inverse(ctx: PrimeContext) -> tuple:
     """Inverse of the zeta-factor comparison function at depth f = r, as an
-    exact polynomial in t.  Over F_q(t) every zeta factor contributes
-    (1 - q^b t^a)(1 - q^(b+1) t^a); the case split mirrors the pole shape:
-    r = 1 takes one factor per fine value, r = p = 2 takes a cubed factor.
+    exact polynomial in t: the product of the zeta_shift denominators
+    (1 - q^b t^a)(1 - q^(b+1) t^a) over the (a, b) pairs of zeta_factors.
     """
-    p, r, q = ctx.p, ctx.r, ctx.q
-
-    def zeta_inv(a: int, b: int) -> tuple:
-        f1 = [Fraction(0)] * (a + 1)
-        f1[0], f1[a] = ONE, Fraction(-q ** b)
-        f2 = [Fraction(0)] * (a + 1)
-        f2[0], f2[a] = ONE, Fraction(-q ** (b + 1))
-        return poly_mul(f1, f2)
-
-    if r == 1:
-        result = (ONE,)
-        for ell in range(1, p):
-            result = poly_mul(result, zeta_inv((ell + 1) * (p - 1), ell))
-        return result
-    if r == 2 and p == 2:
-        result = zeta_inv(6, 2)
-        cube = zeta_inv(4, 1)
-        for _ in range(3):
-            result = poly_mul(result, cube)
-        return result
-    return zeta_inv(p * (p ** r - 1), r * (p - 1))
+    return reduce(poly_mul, (zeta_shift(ctx, degree, shift).den
+                             for degree, shift in zeta_factors(ctx)), (ONE,))
 
 
 def holomorphy_radius_check(ctx: PrimeContext, truncation: int,

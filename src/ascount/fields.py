@@ -60,70 +60,6 @@ def mobius_int(m: int) -> int:
     return result
 
 
-# ---------------------------------------------------------------------------
-# prime-field polynomial helpers, used only to select the F_q modulus
-# ---------------------------------------------------------------------------
-
-
-def _pf_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return tuple(a)
-
-
-def _pf_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
-
-
-def _pf_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        del a[-1]
-    return _pf_trim(a)
-
-
-def _pf_powmod(a, e, m, p):
-    result = (1,)
-    base = _pf_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pf_mod(_pf_mul(result, base, p), m, p)
-        base = _pf_mod(_pf_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pf_gcd(a, b, p):
-    while b:
-        a, b = b, _pf_mod(a, b, p)
-    return a
-
-
-def _pf_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _pf_trim(out)
-
-
 def _prime_factors(d: int) -> list:
     out, ell = [], 2
     while d > 1:
@@ -133,22 +69,6 @@ def _prime_factors(d: int) -> list:
                 d //= ell
         ell += 1
     return out
-
-
-def _pf_irreducible(f, p):
-    """Rabin test for a monic polynomial over the prime field F_p."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x = (0, 1)
-    xmod = _pf_mod(x, f, p)
-    if _pf_sub(_pf_powmod(x, p ** d, f, p), xmod, p) != ():
-        return False
-    for ell in _prime_factors(d):
-        g = _pf_gcd(f, _pf_sub(_pf_powmod(x, p ** (d // ell), f, p), xmod, p), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +98,28 @@ class PrimeContext:
         """
         if self.n == 1:
             return (0, 1)
+        prime = make_context(self.p, 1, 1)
         for coeffs in itertools.product(range(self.p), repeat=self.n):
             f = coeffs + (1,)
-            if _pf_irreducible(f, self.p):
+            if is_irreducible(prime, f):
                 return f
-        raise AssertionError("no irreducible modulus found")
+        raise InvariantViolation("no irreducible modulus found")
 
     # --- F_q arithmetic on integer codes -----------------------------------
 
     @cached_property
     def _mul_table(self):
         p, n, q = self.p, self.n, self.q
-        mod = self.modulus
+        if n == 1:
+            return [[a * b % p for b in range(q)] for a in range(q)]
+        prime = make_context(p, 1, 1)
+        polys = [ptrim(_decode_full(a, p, n)) for a in range(q)]
         table = [[0] * q for _ in range(q)]
         for a in range(q):
-            da = _decode(a, p, n)
             for b in range(a, q):
-                db = _decode(b, p, n)
-                prod = _pf_mod(_pf_mul(da, db, p), mod, p)
-                c = _encode(prod, p)
-                table[a][b] = c
-                table[b][a] = c
+                prod = pmod(prime, pmul(prime, polys[a], polys[b]),
+                            self.modulus)
+                table[a][b] = table[b][a] = _encode(prod, p)
         return table
 
     @cached_property
@@ -283,14 +204,6 @@ class PrimeContext:
     @cached_property
     def _residue_fields(self) -> dict:
         return {}
-
-
-def _decode(a: int, p: int, n: int):
-    out = []
-    while a:
-        out.append(a % p)
-        a //= p
-    return tuple(out)
 
 
 def _decode_full(a: int, p: int, n: int):

@@ -47,6 +47,10 @@ def test_main_term_params_frozen():
         (2, 1, 2): (Fraction(1, 2), 4, 12, 6, 2, 2, Fraction(5, 12)),
         (3, 1, 2): (Fraction(5, 24), 1, 24, 24, 24, 6, Fraction(7, 36)),
         (2, 1, 3): (Fraction(2, 7), 1, 14, 14, 14, 2, Fraction(1, 4)),
+        (7, 1, 1): (Fraction(1, 6), 6, 2520, 42, 6, 420, Fraction(8, 49)),
+        (3, 1, 3): (Fraction(7, 78), 1, 78, 78, 78, 6, Fraction(10, 117)),
+        (2, 1, 4): (Fraction(1, 6), 1, 30, 30, 30, 2, Fraction(3, 20)),
+        (5, 1, 2): (Fraction(3, 40), 1, 120, 120, 120, 60, Fraction(11, 150)),
     }
     for (p, n, r), expected in cases.items():
         got = main_term_params(make_context(p, n, r))

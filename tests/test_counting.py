@@ -136,6 +136,8 @@ def test_effective_divisor_census():
     assert len(effective_divisors(CTX211, 0)) == 1
     assert len(effective_divisors(CTX211, 3)) == 15
     assert len(effective_divisors(CTX311, 2)) == 13
+    # over 1000 places of degree <= 8: a sweep recursing per place overflows
+    assert len(effective_divisors(CTX311, 8)) == 9841
 
 
 def test_discriminant_divisor_consistency():

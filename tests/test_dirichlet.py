@@ -364,6 +364,10 @@ def test_lambda_inverse_cases():
             factor[a] = -(2 ** shift)
             expected22 = poly_mul(expected22, tuple(factor))
     assert lambda_inverse(CTX212) == tuple(expected22)
+    # generic case p = 3, r = 2: zeta(24s-4) alone
+    expected32 = poly_mul((1,) + (0,) * 23 + (-3 ** 4,),
+                          (1,) + (0,) * 23 + (-3 ** 5,))
+    assert lambda_inverse(CTX312) == tuple(expected32)
 
 
 def test_holomorphy_radius_easy_case():
