@@ -229,7 +229,7 @@ def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
     if rem:
         factors = _factor_monic(ctx, den)
         for (fpoly, e), h in _partial_fractions(ctx, rem, factors).items():
-            place = Place(fpoly)
+            place = Place(fpoly, ctx)
             digits = _base_digits(ctx, h, fpoly, e)
             field = residue_field(ctx, place)
             entries = {}

@@ -40,7 +40,9 @@ from .fields import INFINITY, Divisor, PrimeContext, finite_place, make_context
 # term(,term)*; term = poly or poly^e or inf^e.  Polynomials are comma-free
 # strings like t2+t+1 (digits after t give the exponent).  Over F_p the
 # coefficients are single digits; for n > 1 they are bracketed base-p
-# coordinate vectors in the power basis, constant digit first, e.g. [0,1]t+1.
+# coordinate vectors in the power basis, constant digit first, e.g. [0,1]t+1
+# (a digit is accepted for a coefficient in F_p).  fields.poly_str writes
+# this grammar, so parse_divisor(ctx, str(D)) == D for every divisor D.
 
 _MONOMIAL = re.compile(r"^(?:\[([0-9,]+)\]|(\d+))?(?:t(\d+)?)?$")
 

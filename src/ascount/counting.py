@@ -8,7 +8,6 @@ layer, so agreement is a meaningful check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .artin_schreier import (
@@ -85,12 +84,14 @@ def local_factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
     return factor_coefficient(ctx, f, exponent, ctx.q ** place_degree)
 
 
-def _weighted_total(ctx: PrimeContext, factor_values) -> int:
-    """Sum of delsarte_weight(f) * factor_values[f]; must come out a
-    non-negative integer when the factors are counts."""
-    total = Fraction(0)
-    for f in range(ctx.r + 1):
-        total += delsarte_weight(f, ctx) * factor_values[f]
+def _weights(ctx: PrimeContext) -> list:
+    return [delsarte_weight(f, ctx) for f in range(ctx.r + 1)]
+
+
+def _weighted_total(weights, factor_values) -> int:
+    """Sum of weights[f] * factor_values[f], the weights from _weights;
+    must come out a non-negative integer when the factors are counts."""
+    total = sum(w * v for w, v in zip(weights, factor_values))
     if total.denominator != 1 or total < 0:
         raise InvariantViolation(f"count came out {total}, not a natural number")
     return int(total)
@@ -100,27 +101,40 @@ def local_count(ctx: PrimeContext, exponent: int) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q((t)) whose
     discriminant exponent equals `exponent`."""
     values = [local_factor_coefficient(ctx, f, exponent) for f in range(ctx.r + 1)]
-    return _weighted_total(ctx, values)
+    return _weighted_total(_weights(ctx), values)
+
+
+def _divisor_count(ctx: PrimeContext, divisor: Divisor, weights: list,
+                   factors: dict) -> int:
+    """global_count with the weights and a {(f, exponent, place degree):
+    local factor coefficient} memo supplied by the caller."""
+    values = []
+    for f in range(ctx.r + 1):
+        prod_f = 1
+        for place, e in divisor.items():
+            key = (f, e, place.degree)
+            if key not in factors:
+                factors[key] = local_factor_coefficient(ctx, f, e, place.degree)
+            prod_f *= factors[key]
+            if prod_f == 0:
+                break
+        values.append(prod_f)
+    return _weighted_total(weights, values)
 
 
 def global_count(ctx: PrimeContext, divisor: Divisor) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q(t) whose
     discriminant is exactly the given effective divisor."""
-    values = []
-    for f in range(ctx.r + 1):
-        prod_f = 1
-        for place, e in divisor.items():
-            prod_f *= local_factor_coefficient(ctx, f, e, place.degree)
-            if prod_f == 0:
-                break
-        values.append(prod_f)
-    return _weighted_total(ctx, values)
+    return _divisor_count(ctx, divisor, _weights(ctx), {})
 
 
 def global_count_by_degree(ctx: PrimeContext, degree: int) -> int:
     """Total number of extensions of F_q(t) with discriminant degree exactly
-    `degree`, by direct enumeration of effective divisors (desk scale)."""
-    return sum(global_count(ctx, d) for d in effective_divisors(ctx, degree))
+    `degree`, by direct enumeration of effective divisors (desk scale).
+    The weights and each local factor coefficient are computed once."""
+    weights, factors = _weights(ctx), {}
+    return sum(_divisor_count(ctx, d, weights, factors)
+               for d in effective_divisors(ctx, degree))
 
 
 def counts_by_degree(tally: dict) -> dict:

@@ -12,7 +12,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .compositions import (
     delsarte_weight,
@@ -96,21 +96,6 @@ def poly_divmod(a, b):
     return poly_trim(quot), poly_trim(a)
 
 
-def poly_gcd(a, b) -> tuple:
-    """Monic gcd in Q[t]."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-
 def _scaled(coeffs) -> tuple:
     """(den, ints): the common denominator of the coefficients and their
     numerators over it, so that coeffs[i] == ints[i] / den."""
@@ -123,6 +108,40 @@ def _scaled(coeffs) -> tuple:
 def _nonzero(ints) -> list:
     """(index, value) of the nonzero entries."""
     return [(i, c) for i, c in enumerate(ints) if c]
+
+
+def _primitive_remainder(a, b) -> list:
+    """The primitive part of lead(b)^k (a mod b), some k >= 0, for integer
+    polynomials with b nonzero: each step scales a by lead(b) and cancels
+    its top term, visiting only the nonzero terms of b; the content of the
+    remainder is then divided out, which keeps the ints small."""
+    a, lead, top = list(a), b[-1], len(b) - 1
+    terms = _nonzero(b[:-1])
+    while len(a) > top:
+        c = a.pop()
+        if c:
+            shift = len(a) - top
+            a = [x * lead for x in a]
+            for i, bi in terms:
+                a[shift + i] -= c * bi
+    while a and not a[-1]:
+        a.pop()
+    content = gcd(*a)
+    return [x // content for x in a] if content > 1 else a
+
+
+def poly_gcd(a, b) -> tuple:
+    """Monic gcd in Q[t], by the primitive pseudo-remainder sequence over Z
+    on the inputs scaled to integer polynomials."""
+    a, b = (_scaled(poly_trim(x))[1] for x in (a, b))
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    return tuple(Fraction(c, a[-1]) for c in a)
+
+
+# ---------------------------------------------------------------------------
+# truncated power series
+# ---------------------------------------------------------------------------
 
 
 class TruncatedSeries:
@@ -319,28 +338,41 @@ class RationalSeries:
     Coefficients are produced by the linear recurrence the denominator
     induces, so expansion to any degree is exact and incremental:
         den[0]*c_m = num_m - sum_{k>=1} den[k]*c_{m-k}.
+    It runs on ints: on first use den is scaled to an integer polynomial
+    with constant term d, num to integers over one denominator N, and only
+    the nonzero terms of den are visited (a product of r binomials has at
+    most 2^r).  Then b_m = N d^(m+1) c_m is an integer with
+        b_m = d^m num_m - sum_{k>=1} den[k] d^(k-1) b_{m-k},
+    so no step divides; coefficient(m) returns b_m / (N d^(m+1)).
     """
 
-    __slots__ = ("num", "den", "_cache")
+    __slots__ = ("num", "den", "_recurrence")
 
     def __init__(self, num, den):
         self.num = poly_trim(num)
         self.den = poly_trim(den)
         if not self.den or self.den[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
-        self._cache = []
+        self._recurrence = None
 
     def coefficient(self, m: int) -> Fraction:
         if m < 0:
             raise ValueError("negative degree")
-        inv0 = 1 / self.den[0]
-        while len(self._cache) <= m:
-            k = len(self._cache)
-            acc = self.num[k] if k < len(self.num) else ZERO
-            for i in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[i] * self._cache[k - i]
-            self._cache.append(acc * inv0)
-        return self._cache[m]
+        if self._recurrence is None:
+            scale, den = _scaled(self.den)
+            unit, num = _scaled([c * scale for c in self.num])
+            d = den[0]
+            terms = [(k, c * d ** (k - 1)) for k, c in _nonzero(den)[1:]]
+            self._recurrence = num, unit, d, terms, []
+        num, unit, d, terms, b = self._recurrence
+        for k in range(len(b), m + 1):
+            acc = num[k] * d ** k if k < len(num) else 0
+            for j, w in terms:
+                if j > k:
+                    break
+                acc -= w * b[k - j]
+            b.append(acc)
+        return Fraction(b[m], unit * d ** (m + 1))
 
     def series(self, truncation: int) -> TruncatedSeries:
         return TruncatedSeries(

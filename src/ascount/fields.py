@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
@@ -109,18 +109,30 @@ class PrimeContext:
 
     @cached_property
     def _mul_table(self):
+        """a*b for all codes, by discrete logarithms: one primitive element
+        g is found, its powers are listed with O(q) polynomial products, and
+        a*b = g^(log a + log b) is an index lookup."""
         p, n, q = self.p, self.n, self.q
         if n == 1:
             return [[a * b % p for b in range(q)] for a in range(q)]
         prime = make_context(p, 1, 1)
-        polys = [ptrim(_decode_full(a, p, n)) for a in range(q)]
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                prod = pmod(prime, pmul(prime, polys[a], polys[b]),
-                            self.modulus)
-                table[a][b] = table[b][a] = _encode(prod, p)
-        return table
+        for g in range(2, q):
+            gen, power, antilog = ptrim(_decode_full(g, p, n)), PONE, [1]
+            while True:
+                power = pmod(prime, pmul(prime, power, gen), self.modulus)
+                if power == PONE:
+                    break
+                antilog.append(_encode(power, p))
+            if len(antilog) == q - 1:
+                break
+        else:
+            raise InvariantViolation("no primitive element found")
+        log = [0] * q
+        for k, a in enumerate(antilog):
+            log[a] = k
+        antilog += antilog
+        return [[0] * q] + [[0] + [antilog[log[a] + log[b]] for b in range(1, q)]
+                            for a in range(1, q)]
 
     @cached_property
     def _add_table(self):
@@ -450,10 +462,13 @@ def _divisors(d: int):
 class Place:
     """A place of F_q(t): a monic irreducible polynomial, or infinity.
 
-    poly is None exactly for the place at infinity (uniformiser 1/t).
+    poly is None exactly for the place at infinity (uniformiser 1/t).  ctx,
+    when given, only tells __str__ how to write coefficients of F_q (see
+    poly_str); it takes no part in equality or hashing.
     """
 
     poly: Optional[Poly]
+    ctx: Optional[PrimeContext] = field(default=None, compare=False, repr=False)
 
     @property
     def is_infinity(self) -> bool:
@@ -470,7 +485,7 @@ class Place:
         return (self.degree, 1, self.poly)
 
     def __str__(self) -> str:
-        return "inf" if self.poly is None else poly_str(self.poly)
+        return "inf" if self.poly is None else poly_str(self.poly, ctx=self.ctx)
 
 
 INFINITY = Place(None)
@@ -481,30 +496,41 @@ def finite_place(ctx: PrimeContext, poly: Poly) -> Place:
     if pdeg(poly) < 1 or poly[-1] != 1:
         raise ValueError("a finite place needs a monic polynomial of degree >= 1")
     if not is_irreducible(ctx, poly):
-        raise ValueError(f"{poly_str(poly)} is not irreducible")
-    return Place(poly)
+        raise ValueError(f"{poly_str(poly, ctx=ctx)} is not irreducible")
+    return Place(poly, ctx)
 
 
 def places(ctx: PrimeContext, d: int) -> list:
     """All places of degree d, deterministic order (infinity first at d=1)."""
     out = [INFINITY] if d == 1 else []
-    out.extend(Place(f) for f in irreducibles(ctx, d))
+    out.extend(Place(f, ctx) for f in irreducibles(ctx, d))
     return out
 
 
-def poly_str(a: Poly, var: str = "t") -> str:
-    """Human-readable form, e.g. t2+t+1 for t^2 + t + 1 (codes as digits)."""
+def poly_str(a: Poly, var: str = "t",
+             ctx: Optional[PrimeContext] = None) -> str:
+    """Human-readable form in the divisor grammar, e.g. t2+t+1 for
+    t^2 + t + 1.  A coefficient of F_p is a digit; any other coefficient
+    of F_q is its bracketed base-p coordinate vector in the power basis,
+    constant digit first, e.g. [0,1]t+1 over F_4.  Without ctx every code
+    is written as a digit, which is the same thing when n = 1."""
     if not a:
         return "0"
+
+    def coefficient(c: int) -> str:
+        if ctx is None or c < ctx.p:
+            return str(c)
+        return "[" + ",".join(map(str, ctx.element_coords(c))) + "]"
+
     parts = []
     for i in range(len(a) - 1, -1, -1):
         c = a[i]
         if c == 0:
             continue
         if i == 0:
-            parts.append(str(c))
+            parts.append(coefficient(c))
         else:
-            coeff = "" if c == 1 else str(c)
+            coeff = "" if c == 1 else coefficient(c)
             power = var if i == 1 else f"{var}{i}"
             parts.append(coeff + power)
     return "+".join(parts)

@@ -5,9 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ascount import cli
 from ascount.errors import InvariantViolation
+from ascount.fields import Divisor, make_context, places
 
 
 def run(capsys, *argv):
@@ -76,6 +79,23 @@ def test_divisor_grammar_errors(capsys):
                            "--divisor", spec)
         assert code == 2, spec
         assert "error" in err.lower(), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((2, 1, 1), (2, 2, 1), (3, 2, 1))),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(0, 10 ** 6),
+                          st.integers(1, 5)), max_size=4))
+@example((2, 2, 1), [(1, 3, 2)])    # t+[0,1]: printed as a code once
+@example((3, 2, 1), [(2, 0, 1)])    # a quadratic place over F_9
+def test_divisor_round_trip(pnr, picks):
+    ctx = make_context(*pnr)
+    chosen = {}
+    for degree, index, e in picks:
+        degree_places = places(ctx, degree)
+        chosen[degree_places[index % len(degree_places)]] = e
+    divisor = Divisor(chosen.items())
+    if divisor:
+        assert cli.parse_divisor(ctx, str(divisor)) == divisor
 
 
 def test_count_mode_flag_mismatch(capsys):

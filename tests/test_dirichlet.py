@@ -22,8 +22,12 @@ from ascount.dirichlet import (
     local_direct_series,
     local_rational,
     nested_geometric_check,
+    poly_divmod,
+    poly_gcd,
     poly_mul,
+    poly_scale,
     poly_to_series,
+    poly_trim,
     psi_closed_form,
     psi_polynomial,
     series_from_json,
@@ -80,6 +84,84 @@ def test_rational_series_reduced_and_recurrence():
     for m in range(2, 11):
         assert coeffs[m] == 2 * coeffs[m - 2]
     assert geo.evaluate(Fraction(1, 2)) == 2
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def _rational(draw):
+    """(num, den): den is dense or a sparse product of binomials 1 - c t^A,
+    scaled so that den[0] is often not +-1."""
+    num = draw(st.lists(_FRACTIONS, max_size=8))
+    if draw(st.booleans()):
+        den = draw(st.lists(_FRACTIONS, max_size=6))
+    else:
+        den = (1,)
+        for c, a in draw(st.lists(st.tuples(_FRACTIONS, st.integers(1, 12)),
+                                  max_size=3)):
+            den = poly_mul(den, (1,) + (0,) * (a - 1) + (-c,))
+    d0 = draw(st.sampled_from((1, -1, 2, -3, Fraction(2, 3), Fraction(-1, 4))))
+    return tuple(num), (d0,) + tuple(c * d0 for c in den[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational(), st.integers(0, 30))
+@example(((1, Fraction(1, 2)), (3, 0, 0, 0, 0, 0, 0, 0, -6)), 20)  # sparse
+@example(((), (2, 1)), 5)                                # zero numerator
+def test_rational_series_matches_series_division(rational, extra):
+    num, den = rational
+    truncation = max(len(num), len(den)) + extra
+    rat = RationalSeries(num, den)
+    rat.coefficient(truncation // 2)            # expansion is incremental
+    expected = (poly_to_series(num, truncation)
+                * poly_to_series(den, truncation).inverse())
+    assert rat.series(truncation) == expected
+    assert rat.coefficient(truncation) == expected.coefficient(truncation)
+
+
+def _naive_gcd(a, b):
+    """Monic gcd by Euclid over Q, the reference for poly_gcd."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+_POLYS = st.lists(st.integers(-4, 4), max_size=6).map(poly_trim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLYS, _POLYS, _POLYS, st.sampled_from((1, 2, Fraction(-3, 5))))
+@example((1, 0, 2), (1, 1), (2, 0, 1), Fraction(-3, 5))  # gcd 1 + 2u^2
+@example((), (1, 1), (), 1)                         # zero inputs
+def test_poly_gcd_matches_fraction_euclid(g, x, y, scale):
+    a = poly_scale(poly_mul(g, x), scale)
+    b = poly_mul(g, y)
+    gcd = poly_gcd(a, b)
+    assert gcd == _naive_gcd(a, b)
+    if gcd:
+        assert gcd[-1] == 1
+        assert all(not poly_divmod(p, gcd)[1] for p in (a, b))
+        cofactors = [poly_divmod(p, gcd)[0] for p in (a, b)]
+        assert len(_naive_gcd(*cofactors)) <= 1     # 1, or () for 0 and 0
+    else:
+        assert not a and not b
+
+
+def test_local_rational_gcd_frozen():
+    # (3,1,3): the numerator shares nothing with the denominator, so the
+    # reduced form keeps the full degree-204 product of three binomials
+    rat = local_rational(make_context(3, 1, 3))
+    red = rat.reduced()
+    assert len(red.den) - 1 == 204 and red.den == rat.den
+    assert sum(1 for c in red.den if c) == 8
+    # (2,2,2): a degree-2 gcd, 1 + 2u^2 up to scale
+    rat = local_rational(CTX222)
+    assert poly_gcd(rat.num, rat.den) == (Fraction(1, 2), 0, 1)
+    red = rat.reduced()
+    assert len(red.den) == len(rat.den) - 2 and red.den[0] == 1
+    assert red.series(60) == rat.series(60)
 
 
 # ---------------------------------------------------------------------------

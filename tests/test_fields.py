@@ -1,5 +1,7 @@
 """Field arithmetic, polynomial helpers, places, and divisors."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +165,11 @@ def test_places_ordering_and_str():
     assert [str(pl) for pl in one[1:]] == ["t", "t+1"]
     assert poly_str([1, 1, 1]) == "t2+t+1"
     assert poly_str([0, 2, 1], var="t") == "t2+2t"
+    # over F_4 and F_9 a coefficient outside F_p is a bracketed vector
+    assert poly_str([1, 2, 1], ctx=CTX4) == "t2+[0,1]t+1"
+    assert poly_str([1, 4, 1], ctx=CTX9) == "t2+[1,1]t+1"
+    assert poly_str([2, 1], ctx=CTX9) == "t+2"
+    assert str(Divisor([(finite_place(CTX4, [3, 1]), 2)])) == "t+[1,1]^2"
 
 
 def test_finite_place_rejects_bad_polys():
@@ -211,3 +218,34 @@ def test_residue_field_degree_two():
         assert fld.pth_root(fld.mul(a, a)) == a
     # the place polynomial reduces to zero
     assert fld.is_zero(fld.from_poly([1, 1, 1]))
+
+
+
+def _reference_mul_table(ctx):
+    """a*b for all codes by polynomial products modulo ctx.modulus."""
+    prime = make_context(ctx.p, 1, 1)
+    polys = [ptrim(ctx.element_coords(a)) for a in range(ctx.q)]
+
+    def code(poly):
+        return ctx.element_from_coords(tuple(poly) + (0,) * (ctx.n - len(poly)))
+
+    return [[code(pmod(prime, pmul(prime, a, b), ctx.modulus)) for b in polys]
+            for a in polys]
+
+
+def _first_rootless(p, n):
+    """The modulus by its convention, for n <= 3: the first monic degree-n
+    polynomial (coefficients compared low to high) without a root in F_p,
+    which for n <= 3 is the first irreducible one."""
+    for coeffs in itertools.product(range(p), repeat=n):
+        f = coeffs + (1,)
+        if all(sum(c * x ** i for i, c in enumerate(f)) % p for x in range(p)):
+            return f
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)])
+def test_mul_table_by_discrete_log(p, n):
+    ctx = make_context(p, n, 1)
+    if n > 1:
+        assert ctx.modulus == _first_rootless(p, n)
+    assert ctx._mul_table == _reference_mul_table(ctx)
