@@ -4,20 +4,34 @@ Closed-form counts come from summing weighted conductor chains; the brute
 force oracles enumerate subspaces of reduced representatives directly and
 tally the same discriminants.  The two paths share no code beyond the field
 layer, so agreement is a meaningful check.
+
+The oracles.  A C_p^r-extension is an r-dimensional subspace of
+Artin-Schreier classes; its discriminant is (p-1) times the sum of the
+conductors of its (p^r-1)/(p-1) lines.  A class is a vector of F_p digits
+packed into one int: digit 0 is the trace F_q -> F_p of the constant (the
+trace is linear with kernel {x^p - x}), then a block of n*deg digits per
+(place, index prime to p) holds the base-p digits of the principal-part
+coefficient, shallowest index first, so a vector's leading digit lies in
+its deepest block.  At every place p^(r-1) lines share the top conductor,
+so no line of a subspace within a budget B costs more than B // p^(r-1)
+alone; candidates are built against that cap.  _subspaces walks reduced
+row-echelon bases and drops a partial basis once one of its lines is no
+candidate or their costs pass B: costs are non-negative and those lines
+lie in every subspace containing it, so no subspace within B is lost.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import product
+from operator import itemgetter, xor
 
 from .artin_schreier import (
     chain_at_place,
-    conductor_exponent,
     constant_reps,
     disc_exponent_via_lines,
     line_reps,
     make_rep,
-    rep_scale,
 )
 from .compositions import (
     chain_disc_exponent,
@@ -29,7 +43,7 @@ from .compositions import (
     run_composition,
 )
 from .errors import InvariantViolation
-from .fields import Divisor, PrimeContext, Place, places, residue_field
+from .fields import Divisor, PrimeContext, places
 
 __all__ = [
     "factor_coefficient",
@@ -173,137 +187,191 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# local oracle: subspaces of truncated representative coordinates
+# brute-force oracles: one budget-pruned subspace search on packed F_p
+# coordinates
 # ---------------------------------------------------------------------------
 
 
-def _pfree_indices(p: int, cap: int) -> list:
-    return [i for i in range(1, cap + 1) if i % p]
+def _width(p: int) -> int:
+    """Bits per packed F_p digit: one for p = 2, where addition is XOR;
+    otherwise room for the sum of two digits, whose top bit flags >= p
+    once 2^(width-1) - p is added."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _rref_bases(p: int, dim: int, r: int):
-    """Row-reduced bases of all r-dimensional subspaces of F_p^dim."""
-    for pivots in combinations(range(dim), r):
-        pivot_set = set(pivots)
-        free = [(i, c) for i in range(r)
-                for c in range(pivots[i] + 1, dim) if c not in pivot_set]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[0] * dim for _ in range(r)]
-            for i in range(r):
-                rows[i][pivots[i]] = 1
-            for (i, c), v in zip(free, values):
-                rows[i][c] = v
-            yield tuple(tuple(row) for row in rows)
+def _adder(p: int, dim: int):
+    """Digit-wise addition mod p of packed vectors of at most dim digits."""
+    if p == 2:
+        return xor
+    w = _width(p)
+    ones = sum(1 << (w * k) for k in range(dim))
+    offset, flags = ((1 << (w - 1)) - p) * ones, ones << (w - 1)
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + offset) & flags) >> (w - 1)) * p
+    return add
 
 
-def _fp_lines(p: int, basis):
-    """One representative per line of the span, normalized the same way as
-    line_reps: row k plus arbitrary multiples of the later rows."""
-    r = len(basis)
-    dim = len(basis[0])
-    for k in range(r):
-        for lam in product(range(p), repeat=r - k - 1):
-            vec = list(basis[k])
-            for j, l in enumerate(lam):
-                if l:
-                    row = basis[k + 1 + j]
-                    for c in range(dim):
-                        vec[c] = (vec[c] + l * row[c]) % p
-            yield tuple(vec)
+def _principal_parts(p: int, blocks, digits: int) -> list:
+    """Every nonzero vector on the blocks [(index, digit offset)] of
+    `digits` digits each, indices ascending, as (vector, top index) pairs
+    with the top index non-decreasing."""
+    w = _width(p)
+    parts, below = [], [0]
+    for index, offset in blocks:
+        values = [sum(d << (w * (offset + k)) for k, d in enumerate(ds))
+                  for ds in product(range(p), repeat=digits)]  # zero first
+        parts.extend((v | low, index) for v in values[1:] for low in below)
+        below = [v | low for v in values for low in below]
+    return parts
 
 
-def _line_conductor(vec, n: int, indices) -> int:
-    # layout: slot 0 is the constant coordinate, then n slots per index
-    for k in range(len(indices) - 1, -1, -1):
-        if any(vec[1 + n * k : 1 + n * (k + 1)]):
-            return indices[k] + 1
-    return 0
+def _subspaces(p: int, r: int, cost: dict, budget: int):
+    """Yield (basis, lines, total) once for every r-dimensional subspace of
+    packed F_p vectors whose lines all lie in `cost`, a {vector: line cost}
+    dict closed under nonzero scaling, with total line cost <= budget.
+
+    The reduced row-echelon basis is chosen bottom-up: each row has leading
+    digit 1, its pivot above the earlier rows' and zeros at their pivots,
+    and adds the p^(k-1) lines row + s, s in the span so far.
+    """
+    w = _width(p)
+    groups: dict = {}
+    for v, c in sorted(cost.items(), key=itemgetter(1)):
+        pivot = (v.bit_length() - 1) // w
+        if v >> (w * pivot) == 1:
+            groups.setdefault(pivot, []).append((c, v))
+    if sum(map(len, groups.values())) * (p - 1) != len(cost):
+        raise InvariantViolation("candidate lines are not closed under scaling")
+    pivots = sorted(groups)
+    add = _adder(p, pivots[-1] + 1 if pivots else 0)
+    expected = (p ** r - 1) // (p - 1)
+
+    def extend(start, basis, span, lines, total, pivot_digits):
+        if len(basis) == r:
+            if len(set(lines)) != expected:
+                raise InvariantViolation(f"{len(set(lines))} distinct lines, "
+                                         f"expected {expected}")
+            yield basis, lines, total
+            return
+        for g in range(start, len(pivots)):
+            for c, row in groups[pivots[g]]:
+                if total + c > budget:
+                    break
+                if row & pivot_digits:
+                    continue
+                new, running = [], total
+                for s in span:
+                    line = add(row, s)
+                    line_cost = cost.get(line)
+                    if line_cost is None or running + line_cost > budget:
+                        break
+                    running += line_cost
+                    new.append(line)
+                else:
+                    grown = span + new
+                    for _ in range(p - 2):
+                        grown += [add(s, row) for s in grown[-len(span):]]
+                    yield from extend(
+                        g + 1, basis + [row], grown, lines + new, running,
+                        pivot_digits | (((1 << w) - 1) << (w * pivots[g])))
+
+    yield from extend(0, [], [0], [], 0, 0)
 
 
 def enumerate_local(ctx: PrimeContext, max_exponent: int) -> dict:
     """Brute-force local counts {exponent: count} for exponents <= max_exponent.
 
-    Enumerates every r-dimensional subspace of the representative space
-    truncated at the largest index a single line may reach; chains force at
-    least p^(r-1) lines to share the top conductor, so deeper indices cannot
-    appear in any subspace within the exponent bound.
+    A class of F_q((t)) has the coordinates of the module docstring at the
+    one place t; a line costs (p-1) * (top index + 1), and every vector
+    within the p^(r-1) cap is a candidate, which truncates the indices.
     """
     if max_exponent < 0:
         raise ValueError("max_exponent must be non-negative")
     p, n, r = ctx.p, ctx.n, ctx.r
-    cap = max_exponent // ((p - 1) * p ** (r - 1)) - 1
-    indices = _pfree_indices(p, cap)
-    dim = 1 + n * len(indices)
-    tally = {m: 0 for m in range(max_exponent + 1)}
-    seen = 0
-    for basis in _rref_bases(p, dim, r):
-        seen += 1
-        cond_sum = 0
-        for vec in _fp_lines(p, basis):
-            cond_sum += _line_conductor(vec, n, indices)
-        d = (p - 1) * cond_sum
-        if d <= max_exponent:
-            tally[d] += 1
-    if r <= dim and seen != gaussian_binomial(dim, r, p):
-        raise InvariantViolation("subspace enumeration miscounted")
+    cap = max_exponent // p ** (r - 1)
+    indices = [i for i in range(1, cap // (p - 1)) if i % p]
+    parts = _principal_parts(p, [(i, 1 + n * k) for k, i in enumerate(indices)], n)
+    cost = {c: 0 for c in range(1, p)}
+    cost.update({v | c: (p - 1) * (i + 1) for v, i in parts for c in range(p)})
+    tally = dict.fromkeys(range(max_exponent + 1), 0)
+    for _, _, total in _subspaces(p, r, cost, max_exponent):
+        tally[total] += 1
     return tally
 
 
-# ---------------------------------------------------------------------------
-# global oracle: budget-limited enumeration of representative subspaces
-# ---------------------------------------------------------------------------
-
-
-def _principal_options(ctx: PrimeContext, place: Place, budget: int) -> list:
-    """Nonzero reduced principal parts at the place whose single-line cost
-    (p-1) * (depth+1) * deg fits the budget, as (cost, part) pairs."""
+def _blocks(ctx: PrimeContext, max_degree: int) -> list:
+    """The (place, index, digit offset) blocks of candidate_vectors: n*deg
+    digits for each place and index prime to p that a single line of cost
+    <= max_degree reaches, shallowest index first after the constant's
+    digit 0, so a vector's pivot lies in its deepest block."""
     p = ctx.p
-    w = (p - 1) * place.degree
-    fld = residue_field(ctx, place)
-    elems = list(fld.elements())
-    nonzero = [z for z in elems if not fld.is_zero(z)]
-    out = []
-    for a in range(1, budget // w):
-        if a % p == 0:
-            continue
-        lower = [i for i in range(1, a) if i % p]
-        cost = w * (a + 1)
-        for top in nonzero:
-            for rest in product(elems, repeat=len(lower)):
-                part = {i: z for i, z in zip(lower, rest) if not fld.is_zero(z)}
-                part[a] = top
-                out.append((cost, part))
-    return out
+    pairs = [(i, place) for d in range(1, max_degree // (2 * (p - 1)) + 1)
+             for place in places(ctx, d)
+             for i in range(1, max_degree // ((p - 1) * d)) if i % p]
+    blocks, offset = [], 1
+    for i, place in sorted(pairs, key=itemgetter(0)):
+        blocks.append((place, i, offset))
+        offset += ctx.n * place.degree
+    return blocks
 
 
 def candidate_vectors(ctx: PrimeContext, max_degree: int) -> list:
-    """Reduced representatives whose own discriminant degree, as a single
-    line, is at most max_degree.  Any line of a subspace within the budget
-    must be on this list, which is what makes the oracle exhaustive."""
-    plist = []
-    for d in range(1, max_degree // (2 * (ctx.p - 1)) + 1):
-        plist.extend(places(ctx, d))
-    options = [(pl, _principal_options(ctx, pl, max_degree)) for pl in plist]
-    combos = []
+    """Every reduced class whose own discriminant degree, as a single line,
+    is at most max_degree, as (packed vector, ((place, conductor), ...)),
+    the zero class included.  In the blocks of _blocks a coefficient of
+    F_{q^d} is the base-p digits of its d codes.  Each place offers its
+    nonzero principal parts, cost (p-1) * deg * (top index + 1), and a
+    budget recursion ORs in at most one per place; no GlobalRep is built.
+    """
+    p, n = ctx.p, ctx.n
+    blocks = _blocks(ctx, max_degree)
+    options = []
+    for place in dict.fromkeys(pl for pl, _, _ in blocks):
+        parts = _principal_parts(p, [(i, off) for pl, i, off in blocks if pl == place],
+                                 n * place.degree)
+        weight = (p - 1) * place.degree
+        options.append([(weight * (i + 1), v, (place, i + 1)) for v, i in parts])
+    found = []
 
-    def rec(i, remaining, chosen):
-        if i == len(options):
-            combos.append(dict(chosen))
-            return
-        rec(i + 1, remaining, chosen)
-        place, opts = options[i]
-        for cost, part in opts:
-            if cost <= remaining:
-                chosen.append((place, part))
-                rec(i + 1, remaining - cost, chosen)
-                chosen.pop()
+    def rec(start, remaining, vec, conductors):
+        found.append((vec, conductors))
+        for k in range(start, len(options)):
+            for cost, part, cond in options[k]:
+                if cost > remaining:
+                    break
+                rec(k + 1, remaining - cost, vec | part, conductors + (cond,))
 
-    rec(0, max_degree, [])
-    vectors = []
-    for const in constant_reps(ctx):
-        for combo in combos:
-            vectors.append(make_rep(ctx, const, combo))
-    return vectors
+    rec(0, max_degree, 0, ())
+    return [(vec | c, conds) for c in range(p) for vec, conds in found]
+
+
+@lru_cache(maxsize=None)
+def _constants_by_trace(ctx: PrimeContext) -> tuple:
+    """constant_reps indexed by their trace to F_p."""
+    def trace(a):
+        return reduce(ctx.fadd, (ctx.fpow(a, ctx.p ** k) for k in range(ctx.n)))
+    reps = sorted(constant_reps(ctx), key=trace)
+    if [trace(a) for a in reps] != list(range(ctx.p)):
+        raise InvariantViolation(f"constants {reps} do not have traces 0..p-1")
+    return tuple(reps)
+
+
+def _decode(ctx: PrimeContext, blocks, vec: int):
+    """The GlobalRep with coordinates vec in the layout of _blocks."""
+    p, n, w = ctx.p, ctx.n, _width(ctx.p)
+
+    def digit(k):
+        return (vec >> (w * k)) & ((1 << w) - 1)
+
+    principal: dict = {}
+    for place, i, offset in blocks:
+        z = tuple(sum(digit(offset + n * j + k) * p ** k for k in range(n))
+                  for j in range(place.degree))
+        if any(z):
+            principal.setdefault(place, {})[i] = z
+    return make_rep(ctx, _constants_by_trace(ctx)[digit(0)], principal)
 
 
 def discriminant_divisor(ctx: PrimeContext, lines) -> Divisor:
@@ -319,50 +387,36 @@ def discriminant_divisor(ctx: PrimeContext, lines) -> Divisor:
     return Divisor(pairs)
 
 
-def line_discriminant(ctx: PrimeContext, rep) -> Divisor:
-    """Discriminant divisor of the single line spanned by one representative."""
-    pairs = []
-    for place in rep.support():
-        e = (ctx.p - 1) * conductor_exponent(rep, place)
-        if e > 0:
-            pairs.append((place, e))
-    return Divisor(pairs)
-
-
-def _span_key(ctx: PrimeContext, lines) -> frozenset:
-    # all nonzero elements of the span: canonical regardless of basis choice
-    return frozenset(
-        rep_scale(ctx, line, k) for line in lines for k in range(1, ctx.p))
-
-
 def enumerate_global(ctx: PrimeContext, max_degree: int, check: bool = False) -> dict:
     """Brute-force global tally {Divisor: count} up to discriminant degree.
 
-    Builds every candidate line representative within the budget, then every
-    r-dimensional subspace with all basis vectors on that list.  Since the
-    single-line cost is monotone under enlarging the subspace, no subspace
-    within the budget is missed.  With check=True the conductor multiset at
-    every ramified place is validated against the chain structure.
+    _subspaces searches the spans of the candidates within the p^(r-1) cap
+    of the module docstring; a divisor sums the coordinate conductors of
+    the lines place by place.  With check=True each basis is decoded to
+    GlobalReps, whose line_reps must give the same divisor and valid
+    conductor chains: the representative layer referees the coordinates.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    vectors = [v for v in candidate_vectors(ctx, max_degree) if not v.is_zero()]
+    p, cap = ctx.p, max_degree // ctx.p ** (ctx.r - 1)
+    conductors = dict(cand for cand in candidate_vectors(ctx, cap) if cand[0])
+    cost = {v: (p - 1) * sum(pl.degree * c for pl, c in conds)
+            for v, conds in conductors.items()}
+    blocks = _blocks(ctx, cap)
     tally: dict = {}
-    seen = set()
-    for combo in combinations(vectors, ctx.r):
-        try:
-            lines = line_reps(ctx, list(combo))
-        except ValueError:
-            continue
-        key = _span_key(ctx, lines)
-        if key in seen:
-            continue
-        seen.add(key)
-        disc = discriminant_divisor(ctx, lines)
-        if disc.degree() > max_degree:
-            continue
+    for basis, lines, _ in _subspaces(p, ctx.r, cost, max_degree):
+        sums: dict = {}
+        for line in lines:
+            for place, c in conductors[line]:
+                sums[place] = sums.get(place, 0) + c
+        disc = Divisor((place, (p - 1) * s) for place, s in sums.items())
         if check:
-            _check_chains(ctx, lines, disc)
+            reps = line_reps(ctx, [_decode(ctx, blocks, v) for v in basis])
+            if discriminant_divisor(ctx, reps) != disc:
+                raise InvariantViolation(
+                    f"coordinates give {disc}, representatives "
+                    f"{discriminant_divisor(ctx, reps)}")
+            _check_chains(ctx, reps, disc)
         tally[disc] = tally.get(disc, 0) + 1
     return tally
 

@@ -136,15 +136,15 @@ class PrimeContext:
 
     @cached_property
     def _add_table(self):
-        p, n, q = self.p, self.n, self.q
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = _decode_full(a, p, n)
-            for b in range(a, q):
-                db = _decode_full(b, p, n)
-                s = _encode([(x + y) % p for x, y in zip(da, db)], p)
-                table[a][b] = s
-                table[b][a] = s
+        """a+b for all codes, one base-p digit at a time: with a = a0 + p*a1
+        and b = b0 + p*b1, a+b = (a0+b0 mod p) + p*(a1+b1), the second term
+        read from the table of the higher digits."""
+        p = self.p
+        low = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
+        table = [[0]]
+        for _ in range(self.n):
+            table = [[p * t + s for t in upper for s in low[a0]]
+                     for upper in table for a0 in range(p)]
         return table
 
     @cached_property

@@ -75,8 +75,9 @@ def test_criterion_01_local_oracle():
     mismatches = []
     for p, n, r in LOCAL_GRID:
         ctx = _ctx(p, n, r)
-        brute = enumerate_local(ctx, 12)
-        for e in range(13):
+        top = 16 if r == 2 else 12
+        brute = enumerate_local(ctx, top)
+        for e in range(top + 1):
             if local_count(ctx, e) != brute.get(e, 0):
                 mismatches.append((p, n, r, e))
     anchors_ok = (
@@ -88,14 +89,16 @@ def test_criterion_01_local_oracle():
     ok = not mismatches and anchors_ok and elapsed < 300
     assert _verdict(1, ok,
                     f"local closed form == enumeration on 6 contexts, "
-                    f"exponents <= 12, anchors exact ({elapsed:.1f}s)")
+                    f"exponents <= 12 (r = 1) and <= 16 (r = 2), "
+                    f"anchors exact ({elapsed:.1f}s)")
     assert not mismatches and anchors_ok
 
 
 def test_criterion_02_global_oracle():
     start = time.monotonic()
     mismatches = []
-    for (p, n, r, top) in ((2, 1, 1, 8), (2, 1, 2, 6)):
+    for (p, n, r, top) in ((2, 1, 1, 8), (2, 1, 2, 10), (3, 1, 1, 8),
+                           (2, 2, 2, 6)):
         ctx = _ctx(p, n, r)
         brute = counts_by_degree(enumerate_global(ctx, top, check=True))
         coeffs = _global_coeffs(p, n, r, top)
@@ -109,7 +112,8 @@ def test_criterion_02_global_oracle():
     ok = not mismatches and anchors_ok and elapsed < 600
     assert _verdict(2, ok,
                     f"global series == closed form == enumeration, "
-                    f"(2,1,1) deg <= 8 and (2,1,2) deg <= 6 ({elapsed:.1f}s)")
+                    f"(2,1,1) and (3,1,1) deg <= 8, (2,1,2) deg <= 10, "
+                    f"(2,2,2) deg <= 6 ({elapsed:.1f}s)")
     assert not mismatches and anchors_ok
 
 

@@ -1,8 +1,20 @@
 """Closed-form counts against brute-force enumeration and frozen anchors."""
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ascount.compositions import gaussian_binomial
 from ascount.counting import (
+    _adder,
+    _blocks,
+    _constants_by_trace,
+    _decode,
+    _subspaces,
+    _width,
+    candidate_vectors,
     counts_by_degree,
     discriminant_divisor,
     effective_divisors,
@@ -15,7 +27,14 @@ from ascount.counting import (
     local_count,
     local_factor_coefficient,
 )
-from ascount.artin_schreier import line_reps, reduce_global
+from ascount.artin_schreier import (
+    conductor_exponent,
+    line_reps,
+    reduce_global,
+    rep_add,
+    rep_scale,
+)
+from ascount.errors import InvariantViolation
 from ascount.fields import Divisor, INFINITY, finite_place, make_context
 
 CTX211 = make_context(2, 1, 1)
@@ -157,3 +176,112 @@ def test_enumerate_local_input_validation():
         enumerate_local(CTX211, -1)
     with pytest.raises(ValueError):
         enumerate_global(CTX211, -2)
+
+
+# ---------------------------------------------------------------------------
+# the packed-coordinate subspace search behind both oracles
+# ---------------------------------------------------------------------------
+
+
+def _all_vectors(p, dim):
+    w = _width(p)
+    return [sum(d << (w * k) for k, d in enumerate(ds))
+            for ds in product(range(p), repeat=dim)]
+
+
+def _multiples(add, p, v):
+    out = [0]
+    for _ in range(p - 1):
+        out.append(add(out[-1], v))
+    return out
+
+
+@pytest.mark.parametrize("p, dim, r", [(2, 5, 2), (3, 3, 2), (2, 4, 3)])
+def test_unpruned_search_yields_every_subspace_once(p, dim, r):
+    # every cost zero and every vector a candidate: nothing can be pruned
+    cost = dict.fromkeys(_all_vectors(p, dim)[1:], 0)
+    found = list(_subspaces(p, r, cost, 0))
+    assert len(found) == gaussian_binomial(dim, r, p)
+    assert len({frozenset(lines) for _, lines, _ in found}) == len(found)
+    add = _adder(p, dim)
+    for basis, lines, total in found:
+        assert total == 0 and len(lines) == (p ** r - 1) // (p - 1)
+        span = {0}
+        for row in basis:
+            span = {add(s, m) for s in span for m in _multiples(add, p, row)}
+        assert len(span) == p ** r and set(lines) <= span
+
+
+def test_adder_is_digitwise_mod_p():
+    for p in (2, 3, 5):
+        vectors = _all_vectors(p, 3)
+        digits = {v: tuple((v >> (_width(p) * k)) % (1 << _width(p))
+                           for k in range(3)) for v in vectors}
+        add = _adder(p, 3)
+        for a in vectors:
+            for b in vectors:
+                assert digits[add(a, b)] == tuple(
+                    (x + y) % p for x, y in zip(digits[a], digits[b]))
+
+
+def test_search_rejects_candidates_not_closed_under_scaling():
+    # over F_3 the vector 1 is a candidate but its multiple 2 is not
+    with pytest.raises(InvariantViolation):
+        list(_subspaces(3, 1, {1: 0}, 0))
+
+
+CANDIDATE_BUDGETS = ((CTX211, 8), (CTX221, 4), (CTX311, 8), (CTX212, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CANDIDATE_BUDGETS), st.data())
+def test_candidate_coordinates_decode_consistently(case, data):
+    ctx, budget = case
+    candidates = candidate_vectors(ctx, budget)
+    blocks = _blocks(ctx, budget)
+    (u, conds), (v, _) = (data.draw(st.sampled_from(candidates)) for _ in range(2))
+    rep = _decode(ctx, blocks, u)
+    # the representative gives back the same coordinates
+    w = _width(ctx.p)
+    coords = _constants_by_trace(ctx).index(rep.constant)
+    for place, i, offset in blocks:
+        z = rep.principal_at(place).get(i, (0,) * place.degree)
+        digits = [d for code in z for d in ctx.element_coords(code)]
+        coords |= sum(d << (w * (offset + k)) for k, d in enumerate(digits))
+    assert coords == u
+    # the coordinate conductors are the representative's, place by place
+    assert dict(conds) == {place: conductor_exponent(rep, place)
+                           for place in rep.support()}
+    # the coordinates are F_p-linear, the trace of the constant included
+    add = _adder(ctx.p, max(u, v).bit_length() // w + 1)
+    assert _decode(ctx, blocks, add(u, v)) == \
+        rep_add(ctx, rep, _decode(ctx, blocks, v))
+    for k, multiple in enumerate(_multiples(add, ctx.p, u)):
+        assert _decode(ctx, blocks, multiple) == rep_scale(ctx, rep, k)
+
+
+# {str(Divisor): count} of enumerate_global, frozen from the enumeration over
+# r-subsets of candidate representatives that preceded the subspace search
+FROZEN_GLOBAL_TALLIES = {
+    (CTX212, 6): {"inf^4": 1, "t+1^4": 1, "t^4": 1},
+    (CTX221, 4): {
+        "1": 1, "inf^2": 6, "inf^2,t+1^2": 18, "inf^2,t+[0,1]^2": 18,
+        "inf^2,t+[1,1]^2": 18, "inf^2,t^2": 18, "inf^4": 24, "t+1^2": 6,
+        "t+1^2,t+[0,1]^2": 18, "t+1^2,t+[1,1]^2": 18, "t+1^4": 24,
+        "t+[0,1]^2": 6, "t+[0,1]^2,t+[1,1]^2": 18, "t+[0,1]^4": 24,
+        "t+[1,1]^2": 6, "t+[1,1]^4": 24, "t2+[0,1]t+1^2": 30,
+        "t2+[0,1]t+[0,1]^2": 30, "t2+[1,1]t+1^2": 30,
+        "t2+[1,1]t+[1,1]^2": 30, "t2+t+[0,1]^2": 30, "t2+t+[1,1]^2": 30,
+        "t^2": 6, "t^2,t+1^2": 18, "t^2,t+[0,1]^2": 18, "t^2,t+[1,1]^2": 18,
+        "t^4": 24},
+    (CTX311, 6): {"1": 1, "inf^4": 3, "inf^6": 9, "t+1^4": 3, "t+1^6": 9,
+                  "t+2^4": 3, "t+2^6": 9, "t^4": 3, "t^6": 9},
+}
+
+
+@pytest.mark.parametrize("case", list(FROZEN_GLOBAL_TALLIES),
+                         ids=["212-deg6", "221-deg4", "311-deg6"])
+def test_global_tallies_frozen(case):
+    ctx, degree = case
+    tally = enumerate_global(ctx, degree, check=True)
+    assert {str(d): c for d, c in tally.items()} == FROZEN_GLOBAL_TALLIES[case]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from ascount.fields import (
     INFINITY,
     Divisor,
+    _decode_full,
+    _encode,
     finite_place,
     irreducibles,
     is_irreducible,
@@ -249,3 +251,12 @@ def test_mul_table_by_discrete_log(p, n):
     if n > 1:
         assert ctx.modulus == _first_rootless(p, n)
     assert ctx._mul_table == _reference_mul_table(ctx)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)])
+def test_add_table_by_digits(p, n):
+    ctx = make_context(p, n, 1)
+    reference = [[_encode([(x + y) % p for x, y in zip(_decode_full(a, p, n),
+                                                        _decode_full(b, p, n))], p)
+                  for b in range(ctx.q)] for a in range(ctx.q)]
+    assert ctx._add_table == reference
