@@ -3,17 +3,18 @@
 The local and global counting series are rational, respectively
 zeta-comparable, in t = q^(-s), so coefficient growth is governed by the
 poles on the circle of convergence.  This module exposes the exact pole
-data (abscissa, angular spacing, orders, certainty), residue-based
-per-class leading constants, exact verification of the four abscissa
-comparison lemmas, and desk-scale least-squares fits of exact
-coefficients against the predicted main term.
+data (abscissa, angular spacing, orders, certainty), per-class local
+leading constants, exact verification of the four abscissa comparison
+lemmas, and desk-scale least-squares fits of exact coefficients against
+the predicted main term.
 
-Everything that can be exact is exact: pole positions, angular lattices
-and the inequality checks use Fraction arithmetic, and positivity of the
-numerator polynomial at the dominant pole is certified by rational
-interval bisection.  Floats appear only in the leading constants and the
-fits, computed with mpmath at twice double precision and cross-checked
-against exact coefficients.
+Everything that can be exact is exact.  The local constants are read off
+one partial-fraction split at the rightmost local pole circle, whose
+identity is checked on every coefficient up to a horizon that grows by
+whole periods until the 1% gate holds; positivity of the numerator at
+the dominant pole is certified by rational interval bisection.  Floats
+appear only in reported values (the constants, their relative errors and
+the fits) and in the first estimate of that horizon.
 """
 
 import itertools
@@ -25,15 +26,13 @@ from fractions import Fraction
 import mpmath
 import numpy
 
-from .compositions import compositions, delsarte_weight, prefix_sums
+from .compositions import compositions, prefix_sums
 from .dirichlet import (
     delta_exponents,
-    delta_polynomial,
-    local_rational,
     poly_divmod,
-    poly_gcd,
     poly_trim,
     psi_polynomial,
+    rightmost_split,
     zeta_factors,
 )
 from .errors import InvariantViolation
@@ -108,9 +107,11 @@ def local_pole_catalog(ctx: PrimeContext) -> tuple:
     The series is rational with denominator prod_j (1 - q^(j(p-1)) t^(A_j)),
     A_j = p^(r+1-j) (p^j - 1); line j lies at real part j(p-1)/A_j.  Only
     the rightmost line (j = r) is definite: the numerator provably keeps a
-    positive value there (see psi_lower_bound), which is verified here by
-    an exact gcd against the reduced denominator.  Lines with j < r may be
-    cancelled by the numerator and stay candidates.
+    positive value there (see psi_lower_bound).  It is certified here by
+    R != 0 in the exact split R/delta_r + S/D' of
+    dirichlet.rightmost_split: D' is coprime to delta_r, so R = 0 exactly
+    when delta_r divides the numerator.  Lines with j < r may be cancelled
+    by the numerator and stay candidates.
     """
     lines = []
     for j in range(ctx.r, 0, -1):
@@ -120,9 +121,7 @@ def local_pole_catalog(ctx: PrimeContext) -> tuple:
     for upper, lower in zip(lines, lines[1:]):
         if not upper.real_part > lower.real_part:
             raise InvariantViolation("local pole lines out of order")
-    reduced = local_rational(ctx).reduced()
-    rightmost = delta_polynomial(ctx, ctx.r, ctx.q)
-    if len(poly_gcd(reduced.den, rightmost)) < 2:
+    if not any(rightmost_split(ctx)[1]):
         raise InvariantViolation("rightmost local pole cancelled by the "
                                  "numerator")
     return tuple(lines)
@@ -207,16 +206,8 @@ def psi_lower_bound(ctx: PrimeContext, f: int) -> Fraction:
     return lower
 
 
-def _poly_eval_complex(poly, z):
-    """Horner evaluation of a Fraction polynomial at an mpmath number."""
-    total = mpmath.mpc(0)
-    for c in reversed(poly):
-        total = total * z + mpmath.mpf(c.numerator) / c.denominator
-    return total
-
-
 def _sample_cap(ctx: PrimeContext) -> int:
-    """Largest coefficient index used to validate the local constants.
+    """First coefficient horizon for validating the local constants.
 
     Far enough out that the subleading pole family has decayed to about
     1e-4 relative to the main term, rounded up to whole residue classes.
@@ -252,112 +243,74 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
                             tolerance: float = 1e-2) -> LocalConstants:
     """Leading constants of the local count per residue class mod p(p^r-1).
 
-    The count at discriminant exponent m behaves like
-    constant(m mod L) * q^(m r(p-1)/L) with L = p(p^r - 1).  The constants
-    come from summing the reciprocal-pole residues over the L equally
-    spaced poles on the circle of convergence: constant(m mod L) =
-    (e_r / L) * sum_j xi^(jm) * U(R xi^(-j)) where U(z) is the numerator
-    polynomial at depth r divided by the j < r denominator factors,
-    R = q^(-r(p-1)/L) and xi = exp(2 pi i / L).
+    With A = p(p^r - 1), a = r(p-1), c = q^a and the exact split
+    num/den = R/delta_r + S/D' of dirichlet.rightmost_split, the count at
+    m = Ai + k is c_m = R_k c^i + [S/D']_m, so it behaves like
+    constant(k) * q^(m a/A), constant(k) = R_k q^(-a k/A): the one float,
+    taken at precision bits.  A class is zero exactly when R_k is.
 
-    precision is the working precision in bits.  Each constant is
-    certified nonnegative;  classes with vanishing constant must carry
-    exactly zero coefficients, and for the others the constants are
-    validated against the exact coefficients of local_rational out to
-    m_max: the relative error at the largest sample must fall below
-    tolerance and must not grow across the trailing samples.
+    Validation is exact: R_k >= 0, not all zero; the identity for every
+    m <= m_max; zero coefficients on zero classes; on the others, the
+    relative errors |c_m - R_k c^i| / c_m over the positive suffix of the
+    last ten samples (reported as floats) end below tolerance and do not
+    grow.  A default m_max starts at max(_sample_cap(ctx), 2A) and grows
+    by up to four periods while a nonzero class has no positive sample or
+    misses the tolerance; an explicit m_max is kept as given.
     """
     if precision < 53:
         raise ValueError("precision below double precision")
-    r, q = ctx.r, ctx.q
-    top_shift, period = delta_exponents(ctx, r)
-    if m_max is None:
-        m_max = _sample_cap(ctx)
+    shift, period = delta_exponents(ctx, ctx.r)
+    c = ctx.q ** shift
+    extend = m_max is None
+    m_max = max(_sample_cap(ctx), 2 * period) if extend else m_max
     if m_max < 2 * period:
         raise ValueError("m_max leaves no room for validation samples")
-    rational = local_rational(ctx)
-    weight = delsarte_weight(r, ctx)
-    poly = psi_polynomial(ctx, r, q)
-    with mpmath.workprec(precision):
-        radius = mpmath.power(q, -mpmath.mpf(top_shift) / period)
-        values = []
-        for j in range(1, period + 1):
-            alpha = radius * mpmath.expjpi(mpmath.mpf(-2 * j) / period)
-            value = _poly_eval_complex(poly, alpha)
-            for i in range(1, r):
-                shift, degree = delta_exponents(ctx, i)
-                factor = 1 - q ** shift * alpha ** degree
-                # cannot vanish: the j < r pole circles are strictly larger
-                if abs(factor) < mpmath.mpf(2) ** (-(precision // 2)):
-                    raise InvariantViolation("hit a subleading pole while "
-                                             "evaluating residues")
-                value /= factor
-            values.append(value)
-        scale = mpmath.mpf(weight.numerator) / weight.denominator / period
-        constants = []
-        for cls in range(period):
-            total = mpmath.mpc(0)
-            for j in range(1, period + 1):
-                total += mpmath.expjpi(mpmath.mpf(2 * j * cls) / period) \
-                    * values[j - 1]
-            total *= scale
-            if abs(total.imag) > mpmath.mpf(2) ** (-(precision // 3)) \
-                    * max(mpmath.mpf(1), abs(total.real)):
-                raise InvariantViolation(
-                    f"constant for class {cls} has a nonreal component")
-            constants.append(total.real)
-        top = max(abs(c) for c in constants)
-        zero_cut = mpmath.mpf(10) ** -25 * max(mpmath.mpf(1), top)
-        if top < zero_cut:
-            raise InvariantViolation("all leading constants vanish")
-        exponent = mpmath.mpf(top_shift) / period
-        errors = {}
-        out = {}
-        for cls in range(period):
-            value = constants[cls]
-            if value < -zero_cut:
-                raise InvariantViolation(
-                    f"negative leading constant on class {cls}: {value}")
-            samples = [m for m in range(cls, m_max + 1, period) if m > 0]
-            if abs(value) < zero_cut:
-                bad = [m for m in samples if rational.coefficient(m) != 0]
-                if bad:
-                    raise InvariantViolation(
-                        f"class {cls} has vanishing constant but nonzero "
-                        f"coefficients at m = {bad[:4]}")
-                out[cls] = 0.0
-                continue
-            window = samples[-10:]
-            # early entries of a class may still be exact zeros (killed
-            # coefficient chains); only the maximal positive suffix is
-            # comparable against the main term
-            while window and rational.coefficient(window[0]) == 0:
-                window.pop(0)
-            if not window:
-                raise InvariantViolation(
-                    f"class {cls} has a nonzero constant but no positive "
-                    f"coefficients up to m = {m_max}")
-            trail = []
-            for m in window:
-                exact = rational.coefficient(m)
-                if exact <= 0:
-                    raise InvariantViolation(
-                        f"class {cls} expected positive coefficient at "
-                        f"m = {m}")
-                exact = mpmath.mpf(exact.numerator) / exact.denominator
-                main = value * mpmath.power(q, exponent * m)
-                trail.append((m, float(abs(exact - main) / exact)))
-            if trail[-1][1] >= tolerance:
-                raise InvariantViolation(
-                    f"class {cls} relative error {trail[-1][1]:.3g} at "
-                    f"m = {trail[-1][0]} exceeds {tolerance}")
-            # only meaningful while above float rounding noise
-            if trail[0][1] > 1e-20 and trail[-1][1] > trail[0][1]:
-                raise InvariantViolation(
-                    f"class {cls} error trend not decreasing: {trail}")
-            errors[cls] = tuple(trail)
-            out[cls] = float(value)
-    return LocalConstants(period, out, errors, m_max)
+    rational, head, rest = rightmost_split(ctx)
+    nonzero = [cls for cls in range(period) if head[cls]]
+    if not nonzero or min(head) < 0:
+        raise InvariantViolation(f"leading constants all zero or negative: "
+                                 f"smallest R_k = {min(head)}")
+
+    def trail(cls: int) -> list:
+        # early entries may still be exact zeros (killed coefficient
+        # chains); only the positive suffix is compared to the main term
+        window = list(range(cls or period, m_max + 1, period))[-10:]
+        while window and rational.coefficient(window[0]) == 0:
+            window.pop(0)
+        exact = [rational.coefficient(m) for m in window]
+        if any(e <= 0 for e in exact):
+            raise InvariantViolation(f"class {cls} expected positive "
+                                     f"coefficients at m = {window}")
+        return [(m, abs(e - head[cls] * c ** (m // period)) / e)
+                for m, e in zip(window, exact)]
+
+    for _ in range(4 if extend else 0):
+        if all(t and t[-1][1] < tolerance for t in map(trail, nonzero)):
+            break
+        m_max += period
+    for m in range(m_max + 1):
+        i, k = divmod(m, period)
+        exact = rational.coefficient(m)
+        if exact != head[k] * c ** i + rest.coefficient(m):
+            raise InvariantViolation(
+                f"partial fractions disagree with the series at m = {m}")
+        if m and exact and not head[k]:
+            raise InvariantViolation(f"class {k} has vanishing constant but "
+                                     f"nonzero coefficient at m = {m}")
+    constants, errors = dict.fromkeys(range(period), 0.0), {}
+    for cls in nonzero:
+        samples = trail(cls)
+        errors[cls] = tuple((m, float(err)) for m, err in samples)
+        if not samples or samples[-1][1] >= tolerance \
+                or samples[-1][1] > samples[0][1]:
+            raise InvariantViolation(
+                f"class {cls} fails validation up to m = {m_max}: relative "
+                f"errors {errors[cls]} must end below {tolerance} and not grow")
+        with mpmath.workprec(precision):
+            constants[cls] = float(
+                mpmath.mpf(head[cls].numerator) / head[cls].denominator
+                * mpmath.power(ctx.q, -mpmath.mpf(shift * cls) / period))
+    return LocalConstants(period, constants, errors, m_max)
 
 
 def global_pole_catalog(ctx: PrimeContext) -> tuple:
@@ -650,7 +603,7 @@ def klein_constant_check(ctx: PrimeContext, coefficients,
 
 def _encode(value):
     """JSON-friendly form: Fractions as 'num/den' strings, containers
-    recursively, mpmath floats as Python floats."""
+    recursively."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (tuple, list)):
@@ -662,8 +615,6 @@ def _encode(value):
                 "angular_step": str(value.angular_step),
                 "max_order": value.max_order,
                 "certainty": "definite" if value.definite else "candidate"}
-    if isinstance(value, mpmath.mpf):
-        return float(value)
     return value
 
 

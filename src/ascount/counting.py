@@ -391,34 +391,43 @@ def enumerate_global(ctx: PrimeContext, max_degree: int, check: bool = False) ->
     """Brute-force global tally {Divisor: count} up to discriminant degree.
 
     _subspaces searches the spans of the candidates within the p^(r-1) cap
-    of the module docstring; a divisor sums the coordinate conductors of
-    the lines place by place.  With check=True each basis is decoded to
-    GlobalReps, whose line_reps must give the same divisor and valid
-    conductor chains: the representative layer referees the coordinates.
+    of the module docstring; the conductors of the lines are summed on
+    place indices, one Divisor per distinct sum.  With check=True each
+    basis is decoded to GlobalReps, whose line_reps must give the same
+    divisor and valid conductor chains: the representative layer referees
+    the coordinates.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     p, cap = ctx.p, max_degree // ctx.p ** (ctx.r - 1)
-    conductors = dict(cand for cand in candidate_vectors(ctx, cap) if cand[0])
-    cost = {v: (p - 1) * sum(pl.degree * c for pl, c in conds)
-            for v, conds in conductors.items()}
     blocks = _blocks(ctx, cap)
+    found = list(dict.fromkeys(pl for pl, _, _ in blocks))
+    index = {place: k for k, place in enumerate(found)}
+    conductors = {v: [(index[pl], c) for pl, c in conds]
+                  for v, conds in candidate_vectors(ctx, cap) if v}
+    cost = {v: (p - 1) * sum(found[k].degree * c for k, c in conds)
+            for v, conds in conductors.items()}
+
+    def divisor(key) -> Divisor:
+        return Divisor((found[k], (p - 1) * s) for k, s in key)
+
     tally: dict = {}
     for basis, lines, _ in _subspaces(p, ctx.r, cost, max_degree):
         sums: dict = {}
         for line in lines:
-            for place, c in conductors[line]:
-                sums[place] = sums.get(place, 0) + c
-        disc = Divisor((place, (p - 1) * s) for place, s in sums.items())
+            for k, c in conductors[line]:
+                sums[k] = sums.get(k, 0) + c
+        key = tuple(sorted(sums.items()))
         if check:
+            disc = divisor(key)
             reps = line_reps(ctx, [_decode(ctx, blocks, v) for v in basis])
             if discriminant_divisor(ctx, reps) != disc:
                 raise InvariantViolation(
                     f"coordinates give {disc}, representatives "
                     f"{discriminant_divisor(ctx, reps)}")
             _check_chains(ctx, reps, disc)
-        tally[disc] = tally.get(disc, 0) + 1
-    return tally
+        tally[key] = tally.get(key, 0) + 1
+    return {divisor(key): count for key, count in tally.items()}
 
 
 def _check_chains(ctx: PrimeContext, lines, disc: Divisor) -> None:

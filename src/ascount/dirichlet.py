@@ -11,7 +11,7 @@ this module; the asymptotics layer is the only consumer of floats.
 import itertools
 import json
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial, gcd, isqrt, lcm
 
 from .compositions import (
@@ -201,9 +201,6 @@ class TruncatedSeries:
             raise TruncationError(
                 f"cannot extend truncation {self.truncation} to {truncation}")
         return TruncatedSeries(self.coeffs[:truncation + 1], truncation)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -759,6 +756,48 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
     for j in range(1, ctx.r + 1):
         denominator = poly_mul(denominator, delta_polynomial(ctx, j, norm))
     return RationalSeries(numerator, denominator)
+
+
+@lru_cache(maxsize=None)
+def rightmost_split(ctx: PrimeContext) -> tuple:
+    """(num/den, R, S/D') with num/den = local_rational(ctx) = R/delta_r +
+    S/D', where D' = prod_{j<r} delta_j and R is given by its A = A_r
+    coefficients; built once per context.
+
+    Modulo delta_r = 1 - c u^A, u^(Ai+k) folds to c^(-i) u^k, and
+    delta_j = 1 - x, x = q^(a_j) u^(A_j), has the inverse
+    (1 + x + ... + x^(L-1)) / (1 - lambda_j) for L = A / gcd(A_j, A),
+    x^L folding to the rational lambda_j.  lambda_j = 1 (delta_j vanishing
+    on the rightmost circle) and a remainder in (num - R D') / delta_r
+    raise InvariantViolation.
+    """
+    rational, q = local_rational(ctx), ctx.q
+    shift, period = delta_exponents(ctx, ctx.r)
+    c = q ** shift
+
+    def fold(terms) -> list:
+        out = [ZERO] * period
+        for m, coeff in terms:
+            out[m % period] += coeff / c ** (m // period)
+        return out
+
+    head, rest_den = fold(enumerate(rational.num)), (ONE,)
+    for j in range(1, ctx.r):
+        a, big_a = delta_exponents(ctx, j)
+        cycle = period // gcd(big_a, period)
+        lam = Fraction(q ** (a * cycle), c ** (big_a * cycle // period))
+        if lam == 1:
+            raise InvariantViolation(f"delta_{j} meets the rightmost circle")
+        head = fold((k + big_a * t, coeff * q ** (a * t) / (1 - lam))
+                    for t in range(cycle) for k, coeff in enumerate(head))
+        rest_den = poly_mul(rest_den, delta_polynomial(ctx, j, q))
+    # the expansion of (num - R D') / delta_r must terminate
+    rest = list(poly_add(rational.num, poly_scale(poly_mul(rest_den, head), -1)))
+    for m in range(period, len(rest)):
+        rest[m] += c * rest[m - period]
+    if any(rest[-period:]):
+        raise InvariantViolation("delta_r does not divide num - R D'")
+    return rational, tuple(head), RationalSeries(rest[:-period], rest_den)
 
 
 def local_direct_series(ctx: PrimeContext, truncation: int) -> TruncatedSeries:

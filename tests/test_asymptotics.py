@@ -19,6 +19,7 @@ from ascount.asymptotics import (
     verify_inequalities,
 )
 from ascount.dirichlet import global_dirichlet
+from ascount.errors import InvariantViolation
 from ascount.fields import make_context
 
 CTX211 = make_context(2, 1, 1)
@@ -157,6 +158,26 @@ def test_local_constants_frozen():
         (3, 1, 2): (24, 168, {0: 0.016667, 4: 0.024037, 6: 0.05,
                               10: 0.072112, 12: 0.15, 16: 0.056087,
                               18: 0.116667, 22: 0.168262}),
+        # the default m_max grows by one period past _sample_cap here
+        (3, 1, 3): (78, 546, {
+            0: 7.45179e-05, 4: 5.07279e-05, 6: 9.79198e-05,
+            10: 0.000209411, 12: 3.29447e-05, 16: 7.04855e-05,
+            18: 0.000178163, 22: 0.000309943, 24: 0.000785234,
+            28: 0.000521531, 30: 0.000995195, 34: 0.00212827,
+            36: 8.89584e-05, 40: 0.000190327, 42: 0.000477809,
+            46: 0.000263069, 48: 0.000666477, 52: 0.00142531,
+            54: 0.000135707, 58: 0.000280148, 60: 0.000706878,
+            64: 0.00151237, 66: 0.00378486, 70: 6.67481e-06,
+            72: 1.68719e-05, 76: 2.94132e-05}),
+        (5, 1, 2): (120, 360, {
+            0: 2.58065e-06, 8: 5.46908e-06, 12: 1.7803e-05,
+            16: 5.79522e-05, 20: 0.000188646, 28: 0.000399792,
+            32: 0.0013014, 36: 0.00423634, 40: 0.0137901, 48: 0.0002338,
+            52: 0.000761066, 56: 0.00247742, 60: 0.00806451,
+            68: 0.0170909, 72: 0.000445046, 76: 0.00144871,
+            80: 0.00471586, 88: 0.00999417, 92: 0.032533, 96: 0.0008405,
+            100: 0.002736, 108: 0.00579831, 112: 0.0188747,
+            116: 0.0614409}),
     }
     for (p, n, r), (modulus, m_max, nonzero) in cases.items():
         got = local_leading_constants(make_context(p, n, r))
@@ -181,6 +202,35 @@ def test_local_constants_rejects_bad_arguments():
         local_leading_constants(CTX211, precision=10)
     with pytest.raises(ValueError):
         local_leading_constants(CTX211, m_max=3)
+
+
+def test_local_constants_extend_only_a_default_horizon():
+    ctx = make_context(3, 1, 3)
+    assert local_leading_constants(ctx).m_max == 546
+    # an explicit m_max is kept: class 4 misses 1% up to m = 468
+    with pytest.raises(InvariantViolation, match="class 4"):
+        local_leading_constants(ctx, m_max=468)
+
+
+def test_local_report_builds_the_rational_form_once(capsys, monkeypatch):
+    from ascount import asymptotics, cli, dirichlet
+    calls = {"local_rational": 0, "psi_polynomial": 0}
+
+    def count(module, name):
+        original = getattr(dirichlet, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (dirichlet, asymptotics):
+        count(module, "psi_polynomial")
+    count(dirichlet, "local_rational")
+    dirichlet.rightmost_split.cache_clear()
+    assert cli.main(["asymptotics", "--p", "3", "--r", "2", "--local"]) == 0
+    capsys.readouterr()
+    assert calls == {"local_rational": 1, "psi_polynomial": 3}
 
 
 # ---------------------------------------------------------------------------

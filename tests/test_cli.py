@@ -1,5 +1,6 @@
 """CLI contract: grammar, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -255,6 +256,26 @@ def test_asymptotics_local_payload(capsys):
     assert set(payload["pole_catalog"]) == {"local"}
     assert payload["params"]["abscissa"] == "1"
     assert payload["constants"]["values"]["0"] == 1.0
+
+
+# SHA-256 of `asymptotics --local` stdout, recorded when the constants were
+# complex residue sums; the exact partial-fraction split reproduces them
+LOCAL_REPORT_SHA256 = {
+    (2, 1, 3): "6cf0b575e4559cd7c8cbcc390c7664d5eaab29695971f3adb945a09bad633979",
+    (3, 1, 2): "a28b05eb3dd624c08b216530914651e2f228f337c2cdf1585a97482dcbe18a16",
+    (2, 2, 2): "9e1a18fc3b726ba050dd98c1670bd8f7a4da931149de8af625b7893846d5474c",
+    (2, 1, 4): "063abc533f7b001beaf04ccce85db50553f5b13b249c4db94cdc5629247b8bac",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LOCAL_REPORT_SHA256))
+def test_asymptotics_local_bytes_frozen(capsys, spec):
+    p, n, r = map(str, spec)
+    code, out, _ = run(capsys, "asymptotics", "--p", p, "--n", n, "--r", r,
+                       "--local")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        LOCAL_REPORT_SHA256[spec]
 
 
 def test_asymptotics_fit(capsys):

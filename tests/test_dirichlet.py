@@ -30,6 +30,7 @@ from ascount.dirichlet import (
     poly_trim,
     psi_closed_form,
     psi_polynomial,
+    rightmost_split,
     series_from_json,
     series_to_json,
     zeta_p1,
@@ -466,3 +467,33 @@ def test_serialization_roundtrip():
     triple, series_back = series_from_json(text)
     assert triple == (2, 1, 2)
     assert series_back.coefficients() == series.coefficients()
+
+
+# ---------------------------------------------------------------------------
+# partial fractions at the rightmost local pole circle
+# ---------------------------------------------------------------------------
+
+
+def test_rightmost_split_frozen():
+    _, head, rest = rightmost_split(make_context(2, 1, 2))
+    assert head == (Fraction(1, 2), 0, 1, 0, 2, 0)
+    assert rest.den == delta_polynomial(make_context(2, 1, 2), 1, 2)
+    # class 8 has its first nonzero coefficient only at m = 248
+    _, head, _ = rightmost_split(make_context(5, 1, 2))
+    assert len(head) == 120 and head[8] == Fraction(12621, 978127504)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 1, 2),
+                                  (2, 2, 2), (3, 1, 2), (2, 1, 3)])
+def test_rightmost_split_identity(spec):
+    """c_m = R_(m mod A) c^(m div A) + [S/D']_m, with c = q^(a_r), against
+    the series summed term by term."""
+    ctx = make_context(*spec)
+    _, head, rest = rightmost_split(ctx)
+    shift, period = delta_exponents(ctx, ctx.r)
+    assert len(head) == period and min(head) >= 0
+    direct = local_direct_series(ctx, 3 * period)
+    for m in range(3 * period + 1):
+        i, k = divmod(m, period)
+        assert direct.coefficient(m) == \
+            head[k] * ctx.q ** (shift * i) + rest.coefficient(m), (spec, m)
