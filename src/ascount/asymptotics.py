@@ -11,10 +11,10 @@ the predicted main term.
 Everything that can be exact is exact.  The local constants are read off
 one partial-fraction split at the rightmost local pole circle, whose
 identity is checked on every coefficient up to a horizon that grows by
-whole periods until the 1% gate holds; positivity of the numerator at
-the dominant pole is certified by rational interval bisection.  Floats
-appear only in reported values (the constants, their relative errors and
-the fits) and in the first estimate of that horizon.
+whole periods until the 1% gate holds; local_pole_catalog certifies the
+dominant pole line by a nonzero numerator R in the split's term R/delta_r.
+Floats appear only in reported values (the constants, their relative
+errors and the fits) and in the first estimate of that horizon.
 """
 
 import itertools
@@ -563,12 +563,18 @@ def klein_constant_check(ctx: PrimeContext, coefficients,
     y_m = c_m q^(-m/2); the closed form multiplies (log X)^3 = (m log q)^3,
     so the comparison rescales by log(q)^3.
     """
+    return _klein_constant(ctx, main_term_fit(ctx, coefficients),
+                           max_place_degree)
+
+
+def _klein_constant(ctx: PrimeContext, fit: dict,
+                    max_place_degree: int = 40) -> dict:
+    """klein_constant_check on a main_term_fit already taken."""
     if ctx.p != 2 or ctx.r != 2:
         raise ValueError("closed form only covers p = 2, r = 2")
     if max_place_degree < 30:
         raise ValueError("need max_place_degree >= 30 for the tail bound")
     q = ctx.q
-    fit = main_term_fit(ctx, coefficients)
     with mpmath.workprec(120):
         log_product = mpmath.mpf(0)
         for d in range(1, max_place_degree + 1):
@@ -659,8 +665,7 @@ def report_json(ctx: PrimeContext, coefficients=None, precision: int = 120,
     if coefficients is not None:
         payload["fits"] = main_term_fit(ctx, coefficients)
         if ctx.p == 2 and ctx.r == 2:
-            payload["klein_constant"] = klein_constant_check(
-                ctx, coefficients)
+            payload["klein_constant"] = _klein_constant(ctx, payload["fits"])
     if inequality_grid is not None:
         payload["inequality_report"] = verify_inequalities(*inequality_grid)
     return json.dumps(_encode(payload), indent=2)

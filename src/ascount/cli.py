@@ -371,7 +371,10 @@ def cmd_verify(args, parser) -> int:
             results.append({"suite": suite, "item": name, "status": "skipped",
                             "detail": f"estimated {cost:.0f}s over budget"})
             continue
-        outcome = thunk()
+        try:
+            outcome = thunk()
+        except InvariantViolation as exc:  # that item fails, the run goes on
+            outcome = f"invariant violation: {exc}"
         if outcome is None or isinstance(outcome, _Passed):
             results.append({"suite": suite, "item": name, "status": "ok",
                             "detail": str(outcome or "")})
@@ -403,8 +406,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_asymptotics(args, parser) -> int:
-    if args.precision < 30:
-        parser.error("--precision must be at least 30")
+    if args.precision < 53:
+        parser.error("--precision must be at least 53 (double precision)")
     if args.local and args.fit_max is not None:
         parser.error("--fit-max fits the global series; drop --local")
     ctx = make_context(args.p, args.n, args.r)

@@ -147,42 +147,43 @@ def poly_gcd(a, b) -> tuple:
 class TruncatedSeries:
     """Power series known exactly up to degree `truncation`.
 
-    Coefficients are stored as Fractions.  Products and powers scale each
-    operand by its common denominator, work on plain int lists (visiting
-    only the nonzero entries, since inflated per-degree factors are sparse)
-    and build Fractions once, at the end.
+    One representation: integer numerators `nums` over one positive
+    integer denominator `den`, so coefficient m is nums[m] / den.  Every
+    operation works on these ints (products visit only the nonzero
+    entries, since inflated per-degree factors are sparse); Fractions are
+    built only where coefficients are read.  `den` is not kept minimal,
+    so equality cross-multiplies.
 
     Binary operations propagate the minimum truncation of the operands;
     asking for a coefficient past the horizon raises TruncationError rather
     than silently returning zero.
     """
 
-    __slots__ = ("coeffs", "truncation")
+    __slots__ = ("nums", "den", "truncation")
 
     def __init__(self, coeffs, truncation: int):
+        """coeffs: ints or Fractions, zero-padded out to the truncation."""
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(cs) > truncation + 1:
+        den, nums = _scaled(list(coeffs))
+        if len(nums) > truncation + 1:
             raise ValueError("more coefficients than the truncation admits")
-        cs.extend([ZERO] * (truncation + 1 - len(cs)))
-        self.coeffs = tuple(cs)
-        self.truncation = truncation
+        nums.extend([0] * (truncation + 1 - len(nums)))
+        self.nums, self.den, self.truncation = tuple(nums), den, truncation
 
     @classmethod
     def one(cls, truncation: int) -> "TruncatedSeries":
-        return cls([ONE], truncation)
+        return cls([1], truncation)
 
     @classmethod
-    def _from_ints(cls, ints, den: int) -> "TruncatedSeries":
-        """The series with coefficients ints[i] / den, truncated at
-        len(ints) - 1."""
+    def _from_ints(cls, nums, den: int) -> "TruncatedSeries":
+        """The series with coefficients nums[m] / den, truncated at
+        len(nums) - 1; den must be positive."""
+        if den <= 0 or not nums:
+            raise ValueError("a series needs a coefficient and den > 0")
         series = cls.__new__(cls)
-        if den == 1:
-            series.coeffs = tuple(map(Fraction, ints))
-        else:
-            series.coeffs = tuple(Fraction(c, den) for c in ints)
-        series.truncation = len(ints) - 1
+        series.nums, series.den = tuple(nums), den
+        series.truncation = len(series.nums) - 1
         return series
 
     def coefficient(self, m: int) -> Fraction:
@@ -191,59 +192,50 @@ class TruncatedSeries:
         if m > self.truncation:
             raise TruncationError(
                 f"coefficient {m} requested past truncation {self.truncation}")
-        return self.coeffs[m]
+        return Fraction(self.nums[m], self.den)
 
     def coefficients(self) -> tuple:
-        return self.coeffs
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     def truncate(self, truncation: int) -> "TruncatedSeries":
         if truncation > self.truncation:
             raise TruncationError(
                 f"cannot extend truncation {self.truncation} to {truncation}")
-        return TruncatedSeries(self.coeffs[:truncation + 1], truncation)
+        if truncation < 0:
+            raise ValueError("truncation must be non-negative")
+        return TruncatedSeries._from_ints(self.nums[:truncation + 1], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.truncation))
+        return self.truncation == other.truncation and all(
+            a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        m = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(m + 1)], m)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        m = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(m + 1)], m)
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.truncation)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return TruncatedSeries._from_ints(
+            [a * sa + b * sb for a, b in zip(self.nums, other.nums)], den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs],
-                                   self.truncation)
+            return TruncatedSeries._from_ints(
+                [c * other.numerator for c in self.nums],
+                self.den * other.denominator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         m = min(self.truncation, other.truncation)
-        den_a, a = _scaled(self.coeffs[:m + 1])
-        den_b, b = _scaled(other.coeffs[:m + 1])
         out = [0] * (m + 1)
-        terms_b = _nonzero(b)
-        for i, ca in _nonzero(a):
+        terms_b = _nonzero(other.nums[:m + 1])
+        for i, ca in _nonzero(self.nums[:m + 1]):
             for j, cb in terms_b:
                 if i + j > m:
                     break
                 out[i + j] += ca * cb
-        return TruncatedSeries._from_ints(out, den_a * den_b)
+        return TruncatedSeries._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -251,15 +243,15 @@ class TruncatedSeries:
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
         b = a^n with a_0 != 0 satisfies
             k a_0 b_k = sum_{j=1..k} ((n+1) j - k) a_j b_{k-j},
-        one O(M^2) pass on the integers of the scaled series, whose power
-        is integral, so every division is exact.  A zero constant term is
-        shifted out first."""
+        one O(M^2) pass on the numerators, whose power is integral, so
+        every division is exact; the denominator becomes den^n.  A zero
+        constant term is shifted out first."""
         if exponent < 0:
             raise ValueError("negative powers need inverse()")
         m = self.truncation
         if exponent == 0:
             return TruncatedSeries.one(m)
-        den, a = _scaled(self.coeffs)
+        a = self.nums
         valuation = next((v for v, c in enumerate(a) if c), m + 1)
         out = [0] * (m + 1)
         shift = valuation * exponent
@@ -280,20 +272,22 @@ class TruncatedSeries:
                         f"power recurrence inexact at degree {k}")
                 b.append(bk)
             out[shift:] = b
-        return TruncatedSeries._from_ints(out, den ** exponent)
+        return TruncatedSeries._from_ints(out, self.den ** exponent)
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse in plain Fractions (the reference for
+        RationalSeries); the constant term must be nonzero."""
+        coeffs = self.coefficients()
+        if coeffs[0] == 0:
             raise ZeroDivisionError("series has no inverse: constant term 0")
         m = self.truncation
-        inv0 = 1 / self.coeffs[0]
+        inv0 = 1 / coeffs[0]
         out = [inv0] + [ZERO] * m
         for k in range(1, m + 1):
             acc = ZERO
             for i in range(1, k + 1):
-                if self.coeffs[i] != 0:
-                    acc += self.coeffs[i] * out[k - i]
+                if coeffs[i] != 0:
+                    acc += coeffs[i] * out[k - i]
             out[k] = -inv0 * acc
         return TruncatedSeries(out, m)
 
@@ -304,14 +298,12 @@ class TruncatedSeries:
             raise ValueError("inflation step must be positive")
         if d == 1:
             return self
-        m = d * (self.truncation + 1) - 1
-        out = [ZERO] * (m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d * i] = c
-        return TruncatedSeries(out, m)
+        out = [0] * (d * (self.truncation + 1))
+        out[::d] = self.nums
+        return TruncatedSeries._from_ints(out, self.den)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
+        head = ", ".join(str(Fraction(c, self.den)) for c in self.nums[:8])
         tail = ", ..." if self.truncation >= 8 else ""
         return f"TruncatedSeries([{head}{tail}], M={self.truncation})"
 
@@ -340,7 +332,8 @@ class RationalSeries:
     the nonzero terms of den are visited (a product of r binomials has at
     most 2^r).  Then b_m = N d^(m+1) c_m is an integer with
         b_m = d^m num_m - sum_{k>=1} den[k] d^(k-1) b_{m-k},
-    so no step divides; coefficient(m) returns b_m / (N d^(m+1)).
+    so no step divides; coefficient(m) returns b_m / (N d^(m+1)), and
+    series(M) hands over b_m d^(M-m) over N d^(M+1) as ints.
     """
 
     __slots__ = ("num", "den", "_recurrence")
@@ -372,8 +365,12 @@ class RationalSeries:
         return Fraction(b[m], unit * d ** (m + 1))
 
     def series(self, truncation: int) -> TruncatedSeries:
-        return TruncatedSeries(
-            [self.coefficient(m) for m in range(truncation + 1)], truncation)
+        self.coefficient(truncation)  # expands b through b_truncation
+        _, unit, d, _, b = self._recurrence
+        sign = -1 if d < 0 and truncation % 2 == 0 else 1  # of d^(M+1)
+        return TruncatedSeries._from_ints(
+            [sign * b[m] * d ** (truncation - m) for m in range(truncation + 1)],
+            unit * abs(d) ** (truncation + 1))
 
     def recurrence(self) -> tuple:
         """Weights (w_1, ..., w_k): for m > deg num,
@@ -428,9 +425,8 @@ def euler_factor_series(ctx: PrimeContext, f: int, norm: int,
     place of the given norm, truncated at the given u-degree."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
-    return TruncatedSeries(
-        [factor_coefficient(ctx, f, m, norm) for m in range(truncation + 1)],
-        truncation)
+    return TruncatedSeries._from_ints(
+        [factor_coefficient(ctx, f, m, norm) for m in range(truncation + 1)], 1)
 
 
 def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
@@ -447,8 +443,7 @@ def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
     series = euler_factor_series(ctx, f, norm, horizon)
     for j in range(1, f + 1):
         series = series * poly_to_series(delta_polynomial(ctx, j, norm), horizon)
-    tail = [m for m in range(degree_bound + 1, horizon + 1)
-            if series.coefficient(m) != 0]
+    tail = [m for m in range(degree_bound + 1, horizon + 1) if series.nums[m]]
     if tail:
         raise InvariantViolation(
             f"Euler numerator not a polynomial: nonzero at degrees {tail}")
@@ -721,7 +716,7 @@ def global_factor_series(ctx: PrimeContext, f: int,
             coeffs.append(value)
     result = TruncatedSeries.one(truncation)
     for degree, coeffs in enumerate(in_u, start=1):
-        factor = TruncatedSeries(coeffs, len(coeffs) - 1)
+        factor = TruncatedSeries._from_ints(coeffs, 1)
         result = powered_place_factor(ctx, degree, factor, truncation) * result
     return result
 
@@ -734,8 +729,7 @@ def global_dirichlet(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
     for f in range(ctx.r + 1):
         weight = delsarte_weight(f, ctx)
         total = total + global_factor_series(ctx, f, truncation) * weight
-    bad = [m for m, c in enumerate(total.coefficients())
-           if c.denominator != 1 or c < 0]
+    bad = [m for m, c in enumerate(total.nums) if c % total.den or c < 0]
     if bad:
         raise InvariantViolation(
             f"global coefficients not in Z>=0 at degrees {bad}")
@@ -831,13 +825,11 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
     series = global_dirichlet(ctx, truncation)
     reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
     for m in range(start, truncation + 1):
-        d_m = reduced.coefficient(m)
-        if d_m.denominator != 1:
-            raise InvariantViolation(
-                f"reduced coefficient d_{m} = {d_m} is not an integer")
-        lhs = abs(d_m.numerator) ** exponent.denominator
-        rhs = q ** (exponent.numerator * m)
-        if lhs > rhs:
+        d_m, rem = divmod(reduced.nums[m], reduced.den)
+        if rem:
+            raise InvariantViolation(f"reduced coefficient d_{m} = "
+                                     f"{reduced.coefficient(m)} is not an integer")
+        if abs(d_m) ** exponent.denominator > q ** (exponent.numerator * m):
             return False
     return True
 

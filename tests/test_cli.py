@@ -218,6 +218,28 @@ def test_verify_runs_inequality_sweep_once(capsys, monkeypatch):
     assert "single-block all-(p-1) tuples" in out
 
 
+def test_verify_reports_an_item_that_raises(capsys, monkeypatch):
+    def boom(ctx, truncation):
+        if ctx.r == 2:
+            raise InvariantViolation("synthetic failure")
+        return series(ctx, truncation)
+
+    series = cli.global_dirichlet
+    monkeypatch.setattr(cli, "global_dirichlet", boom)
+    code, out, err = run(capsys, "verify", "--suite", "integrality")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[6] == "6 of 6 items run, 3 failed"
+    failed = [line for line in lines[:6] if line.startswith("[   fail]")]
+    assert len(failed) == 3
+    assert all(line.endswith(":: invariant violation: synthetic failure")
+               for line in failed)
+    report = json.loads(out[out.index("{"):])
+    assert report["ok"] is False
+    assert [r["status"] for r in report["results"]] == \
+        ["ok", "ok", "ok", "fail", "fail", "fail"]
+
+
 def test_verify_never_drops_below_one_item(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "inequalities",
                        "--budget", "0.01")
@@ -295,6 +317,33 @@ def test_asymptotics_flag_conflicts(capsys):
     code, _, _ = run(capsys, "asymptotics", "--p", "2", "--r", "1",
                      "--precision", "10")
     assert code == 2
+    # the library needs double precision, so the parser asks for it too
+    code, _, err = run(capsys, "asymptotics", "--p", "2", "--r", "1",
+                       "--local", "--precision", "40")
+    assert code == 2
+    assert "--precision must be at least 53" in err
+
+
+# SHA-256 of `asymptotics --p 2 --r 2 --fit-max 96` stdout, recorded when
+# the Klein constant check took a second fit of its own
+FIT_REPORT_SHA256 = \
+    "5a251e671eae03def68bee31347a52f788cfa04221c6705d862989f9a03afd1a"
+
+
+def test_asymptotics_klein_report_fits_once(capsys, monkeypatch):
+    from ascount import asymptotics
+    calls = []
+    fit = asymptotics.main_term_fit
+
+    def counted(*args):
+        calls.append(args[0])
+        return fit(*args)
+
+    monkeypatch.setattr(asymptotics, "main_term_fit", counted)
+    code, out, _ = run(capsys, "asymptotics", "--p", "2", "--r", "2",
+                       "--fit-max", "96")
+    assert code == 0 and len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == FIT_REPORT_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,17 @@ def _schoolbook(a, b):
 
 @st.composite
 def _series(draw, max_truncation=9):
-    """A truncated series with a random t-valuation; integral for den = 1."""
+    """A truncated series with a random t-valuation; integral for den = 1.
+    Sometimes its stored denominator is a multiple of the least one."""
     truncation = draw(st.integers(0, max_truncation))
     den = draw(st.sampled_from((1, 1, 2, 3, 6)))
     valuation = draw(st.integers(0, 3))
     body = draw(st.lists(st.integers(-5, 5), max_size=truncation + 1))
     coeffs = [0] * valuation + [Fraction(c, den) for c in body]
-    return TruncatedSeries(coeffs[:truncation + 1], truncation)
+    series = TruncatedSeries(coeffs[:truncation + 1], truncation)
+    blow = draw(st.sampled_from((1, 1, 4)))
+    return TruncatedSeries._from_ints([c * blow for c in series.nums],
+                                      series.den * blow)
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,7 +303,7 @@ def test_product_matches_schoolbook(a, b):
 def test_power_matches_repeated_product(a, n):
     expected = TruncatedSeries.one(a.truncation)
     for _ in range(n):
-        expected = expected * a
+        expected = _schoolbook(expected, a)
     assert a ** n == expected
 
 
@@ -312,6 +316,49 @@ def test_power_with_place_count_sized_exponent():
         expected.append(binom)
         binom = binom * (n - k) // (k + 1)
     assert powered.coefficients() == tuple(expected)
+
+
+_SCALARS = st.sampled_from((0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series(), _series(), _SCALARS)
+@example(TruncatedSeries((Fraction(1, 2), 1), 1),
+         TruncatedSeries((Fraction(1, 3), Fraction(-2, 3), 5), 2), 0)
+def test_sum_and_scalar_product_match_fractions(a, b, c):
+    fa, fb = a.coefficients(), b.coefficients()
+    total = a + b
+    assert total.truncation == min(a.truncation, b.truncation)
+    assert total.coefficients() == tuple(x + y for x, y in zip(fa, fb))
+    assert (a * c).coefficients() == tuple(x * c for x in fa)
+    assert c * a == a * c
+
+
+def test_equality_across_stored_denominators():
+    a = TruncatedSeries((1, Fraction(-1, 2), 0, 3), 3)
+    b = a * Fraction(3, 2) * Fraction(2, 3)
+    assert (a.den, b.den) == (2, 12)
+    assert a == b and b == a
+    assert b != a * Fraction(2, 3)
+    assert a.truncate(2) != a
+    assert TruncatedSeries((2, 4), 1) == TruncatedSeries((1, 2), 1) * 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series(), st.integers(1, 4), st.integers(0, 9))
+def test_inflate_and_truncate_match_coefficient_lists(a, d, keep):
+    coeffs = a.coefficients()
+    spread = [Fraction(0)] * (d * len(coeffs))
+    spread[::d] = coeffs
+    inflated = a.inflate(d)
+    assert inflated.truncation == len(spread) - 1
+    assert inflated.coefficients() == tuple(spread)
+    keep = min(keep, a.truncation)
+    cut = a.truncate(keep)
+    assert cut.truncation == keep
+    assert cut.coefficients() == coeffs[:keep + 1]
+    with pytest.raises(TruncationError):
+        a.truncate(a.truncation + 1)
 
 
 def test_rational_root_is_integer_exact():
