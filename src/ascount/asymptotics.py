@@ -418,13 +418,18 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
         <= the depth-j comparison axis < the zeta abscissa, except that
         j = p = 2 collapses (outer terms equal, comparison axis below);
         left equality holds exactly for p = 2, j = 3.
-      - single_block_bound: for a single run of h equal outer values and
-        non-increasing inner values in [1, p-1], the growth exponent stays
-        strictly below the comparison axis except at the all-(p-1) tuple,
-        which lands exactly on the zeta abscissa.
-      - multi_block_bound: with at least two outer runs (outer block sizes
-        b_i, h = sum b_i <= min(r, 5)) the bound is strict for every
-        admissible inner assignment.
+      - single_block_bound: the one-part case of the block sweep below.
+        For a single run of h <= r equal outer values and non-increasing
+        inner values in [1, p-1], the growth exponent stays strictly below
+        the comparison axis except at the all-(p-1) tuple, which lands
+        exactly on the zeta abscissa.
+      - multi_block_bound: the other cases of that sweep.  With at least
+        two outer runs (outer block sizes b_i, h = sum b_i <= min(r, 5))
+        the bound is strict for every admissible inner assignment.
+
+    Both block families come from one loop over the compositions of h
+    and compare in integers; a Fraction is built only to report a
+    violation.
 
     Returns a report mapping family name to counts, equality witnesses and
     violations; all violations lists are expected to stay empty.
@@ -479,41 +484,22 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
                                      "equalities": equalities,
                                      "violations": violations}
 
-    checked, equalities, violations = 0, [], []
+    # the bound num/den (extra terms vanish for one part) against mid and
+    # edge, cross-multiplied
+    single = {"checked": 0, "equalities": [], "violations": []}
+    multi = {"checked": 0, "equalities": [], "violations": []}
     for p in primes:
         for r in range(2, r_max + 1):
+            weights = [(p - 1) * p ** (r - i) for i in range(1, r + 1)]
             for h in range(2, r + 1):
                 mid = _mid_abscissa(p, r, h)
-                edge = Fraction(1 + h * (p - 1),
-                                p ** (r + 1 - h) * (p ** h - 1))
-                for ell in _nonincreasing_tuples(h, p - 1):
-                    value = Fraction(
-                        1 + sum(ell),
-                        (p - 1) * sum(p ** (r - i) * (v + 1)
-                                      for i, v in enumerate(ell, start=1)))
-                    checked += 1
-                    if all(v == p - 1 for v in ell):
-                        if value == edge:
-                            equalities.append((p, r, h, ell))
-                        else:
-                            violations.append((p, r, h, ell,
-                                               "edge equality broken"))
-                    elif not value < mid:
-                        violations.append((p, r, h, ell, str(value)))
-    report["single_block_bound"] = {"checked": checked,
-                                    "equalities": equalities,
-                                    "violations": violations}
-
-    checked, equalities, violations = 0, [], []
-    for p in primes:
-        for r in range(2, r_max + 1):
-            for h in range(2, min(r, 5) + 1):
-                mid = _mid_abscissa(p, r, h)
-                for outer in compositions(h):
-                    if len(outer) < 2:
-                        continue
-                    bounds = prefix_sums(outer)
+                edge_num = 1 + h * (p - 1)
+                edge_den = p ** (r + 1 - h) * (p ** h - 1)
+                for outer in compositions(h) if h <= 5 else [(h,)]:
                     spread = len(outer)
+                    family = single if spread == 1 else multi
+                    where = (p, r, h) if spread == 1 else (p, r, h, outer)
+                    bounds = prefix_sums(outer)
                     extra_num = (p - 1) * sum(
                         (spread - i) * outer[i - 1]
                         for i in range(1, spread))
@@ -526,19 +512,21 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
                     pools = [_nonincreasing_tuples(b, p - 1) for b in outer]
                     for pieces in itertools.product(*pools):
                         ell = tuple(itertools.chain.from_iterable(pieces))
-                        value = Fraction(
-                            1 + sum(ell) + extra_num,
-                            (p - 1) * sum(p ** (r - i) * (v + 1)
-                                          for i, v in enumerate(ell,
-                                                                start=1))
-                            + extra_den)
-                        checked += 1
-                        if not value < mid:
-                            violations.append((p, r, h, outer, ell,
-                                               str(value)))
-    report["multi_block_bound"] = {"checked": checked,
-                                   "equalities": equalities,
-                                   "violations": violations}
+                        num = 1 + sum(ell) + extra_num
+                        den = extra_den + sum(
+                            w * (v + 1) for w, v in zip(weights, ell))
+                        family["checked"] += 1
+                        if spread == 1 and all(v == p - 1 for v in ell):
+                            if num * edge_den == edge_num * den:
+                                family["equalities"].append(where + (ell,))
+                            else:
+                                family["violations"].append(
+                                    where + (ell, "edge equality broken"))
+                        elif num * mid.denominator >= mid.numerator * den:
+                            family["violations"].append(
+                                where + (ell, str(Fraction(num, den))))
+    report["single_block_bound"] = single
+    report["multi_block_bound"] = multi
 
     report["ok"] = all(not fam["violations"] for fam in report.values()
                        if isinstance(fam, dict))
@@ -624,15 +612,15 @@ def _encode(value):
     return value
 
 
-def report_json(ctx: PrimeContext, coefficients=None, precision: int = 120,
-                inequality_grid=None) -> str:
+def report_json(ctx: PrimeContext, coefficients=None,
+                precision: int = 120) -> str:
     """Full asymptotics report for one context as a JSON document.
 
     Includes the main-term parameters, both pole catalogs and the local
-    leading constants; fits (and for p = r = 2 the Klein constant
-    comparison) when exact coefficients are supplied; and the inequality
-    report when inequality_grid = (p_max, r_max) is given.  Output is
-    deterministic.
+    leading constants, and fits (and for p = r = 2 the Klein constant
+    comparison) when exact coefficients are supplied.  The inequality
+    lemmas are not per context; verify_inequalities reports them.  Output
+    is deterministic.
     """
     params = main_term_params(ctx)
     constants = local_leading_constants(ctx, precision)
@@ -660,12 +648,9 @@ def report_json(ctx: PrimeContext, coefficients=None, precision: int = 120,
             "m_max": constants.m_max,
         },
         "fits": None,
-        "inequality_report": None,
     }
     if coefficients is not None:
         payload["fits"] = main_term_fit(ctx, coefficients)
         if ctx.p == 2 and ctx.r == 2:
             payload["klein_constant"] = _klein_constant(ctx, payload["fits"])
-    if inequality_grid is not None:
-        payload["inequality_report"] = verify_inequalities(*inequality_grid)
     return json.dumps(_encode(payload), indent=2)

@@ -153,11 +153,6 @@ def _u_poly(coeffs) -> str:
     return " ".join([head] + parts[1:])
 
 
-def _rational_str(c) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else str(c)
-
-
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -204,20 +199,20 @@ def cmd_series(args, parser) -> int:
     coeffs = series.coefficients()
 
     if args.format == "tsv":
-        text = "\n".join(f"{m}\t{_rational_str(c)}" for m, c in enumerate(coeffs))
+        text = "\n".join(f"{m}\t{c}" for m, c in enumerate(coeffs))
     elif args.format == "json":
         payload = json.loads(series_to_json(ctx, series))
         if rational is not None:
-            payload["numerator"] = [_rational_str(c) for c in rational.num]
-            payload["denominator"] = [_rational_str(c) for c in rational.den]
-            payload["recurrence"] = [_rational_str(w) for w in rational.recurrence()]
+            payload["numerator"] = [str(c) for c in rational.num]
+            payload["denominator"] = [str(c) for c in rational.den]
+            payload["recurrence"] = [str(w) for w in rational.recurrence()]
         text = json.dumps(payload, indent=2)
     else:
-        lines = [",".join(_rational_str(c) for c in coeffs)]
+        lines = [",".join(map(str, coeffs))]
         if rational is not None:
             lines.append(f"numerator: {_u_poly(rational.num)}")
             lines.append(f"denominator: {_u_poly(rational.den)}")
-            terms = [f"{_rational_str(w)}*c[m-{k}]"
+            terms = [f"{w}*c[m-{k}]"
                      for k, w in enumerate(rational.recurrence(), start=1) if w]
             lines.append("recurrence: c[m] = "
                          + (" + ".join(terms) if terms else "0")
@@ -264,7 +259,7 @@ def _check_global_oracle(p: int, n: int, r: int, max_deg: int):
         got = brute.get(d, 0)
         if closed != got or coeffs[d] != got:
             return (f"degree {d}: closed form {closed}, series "
-                    f"{_rational_str(coeffs[d])}, enumeration {got}")
+                    f"{coeffs[d]}, enumeration {got}")
     return None
 
 
@@ -299,7 +294,7 @@ def _check_integrality(p: int, n: int, r: int, truncation: int):
             return f"c_{m} = {c} is not a non-negative integer"
     expected0 = 1 if r == 1 else 0
     if coeffs[0] != expected0:
-        return f"c_0 = {_rational_str(coeffs[0])}, expected {expected0}"
+        return f"c_0 = {coeffs[0]}, expected {expected0}"
     return None
 
 
@@ -424,8 +419,6 @@ def cmd_asymptotics(args, parser) -> int:
         payload["pole_catalog"] = {"local": full["pole_catalog"]["local"]}
         payload["constants"] = full["constants"]
         full = payload
-    else:
-        full.pop("inequality_report", None)  # owned by `verify`
     _emit(json.dumps(full, indent=2), args.out)
     return 0
 
@@ -464,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--degree", type=int, help="global discriminant degree")
     what.add_argument("--divisor", help="explicit discriminant divisor")
     c.add_argument("--out", help="output path (default stdout)")
-    c.set_defaults(func=cmd_count)
+    c.set_defaults(func=cmd_count, parser=c)
 
     s = commands.add_parser(
         "series", help="Dirichlet-series coefficients",
@@ -478,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("plain", "json", "tsv"),
                    default="plain")
     s.add_argument("--out", help="output path (default stdout)")
-    s.set_defaults(func=cmd_series)
+    s.set_defaults(func=cmd_series, parser=s)
 
     v = commands.add_parser(
         "verify", help="run invariant suites",
@@ -495,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the sampled spot checks")
     v.add_argument("--out", help="write the JSON report here instead of "
                                  "stdout")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, parser=v)
 
     a = commands.add_parser(
         "asymptotics", help="pole data, constants, and fits",
@@ -510,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--precision", type=int, default=120,
                    help="working precision in bits for the constants")
     a.add_argument("--out", help="output path (default stdout)")
-    a.set_defaults(func=cmd_asymptotics)
+    a.set_defaults(func=cmd_asymptotics, parser=a)
     return parser
 
 
@@ -518,7 +511,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # errors name the subcommand
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -4,8 +4,13 @@ Everything here is exact rational arithmetic: truncated power series with
 hard truncation horizons, rational functions with recurrence-based
 expansion, the Euler factors of the counting series and their polynomial
 closed forms, zeta factors of the rational function field, and the global
-coefficient series assembled place by place.  Floating point is banned from
-this module; the asymptotics layer is the only consumer of floats.
+coefficient series assembled place by place.  Integer data stays int: the
+delta factors, both Euler numerators Psi_f and the zeta-factor
+polynomials have int coefficients.  Fractions appear only where a value
+is rational: the Delsarte weights and what they reach (the local
+numerator and its reductions, recurrence weights, the rightmost split).
+Floating point is banned from this module; the asymptotics layer is the
+only consumer of floats.
 """
 
 import itertools
@@ -27,23 +32,26 @@ from .errors import InvariantViolation, TruncationError
 from .fields import PrimeContext, place_count
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # polynomials over Q (dense coefficient tuples, index = power of t)
+#
+# The helpers keep the type of the numbers they are given: int
+# coefficients give int results and a Fraction operand gives Fractions.
+# Only division needs a field, so poly_divmod divides by a Fraction.
 # ---------------------------------------------------------------------------
 
 
 def poly_trim(a) -> tuple:
-    a = [Fraction(c) for c in a]
+    a = list(a)
     while a and a[-1] == 0:
         a.pop()
     return tuple(a)
 
 
 def poly_add(a, b) -> tuple:
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -55,7 +63,7 @@ def poly_mul(a, b) -> tuple:
     a, b = poly_trim(a), poly_trim(b)
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -65,12 +73,11 @@ def poly_mul(a, b) -> tuple:
 
 
 def poly_scale(a, c) -> tuple:
-    c = Fraction(c)
     return poly_trim(x * c for x in a)
 
 
-def poly_eval(a, x: Fraction) -> Fraction:
-    result = Fraction(0)
+def poly_eval(a, x):
+    result = 0
     for c in reversed(poly_trim(a)):
         result = result * x + c
     return result
@@ -81,8 +88,8 @@ def poly_divmod(a, b):
     a, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / Fraction(b[-1])
     while len(a) >= len(b):
         c = a[-1] * inv_lead
         d = len(a) - len(b)
@@ -375,21 +382,21 @@ class RationalSeries:
     def recurrence(self) -> tuple:
         """Weights (w_1, ..., w_k): for m > deg num,
         c_m = w_1 c_{m-1} + ... + w_k c_{m-k}."""
-        inv0 = 1 / self.den[0]
+        inv0 = 1 / Fraction(self.den[0])
         return tuple(-c * inv0 for c in self.den[1:])
 
     def evaluate(self, t: Fraction) -> Fraction:
         den = poly_eval(self.den, t)
         if den == 0:
             raise ZeroDivisionError(f"pole at t = {t}")
-        return poly_eval(self.num, t) / den
+        return Fraction(poly_eval(self.num, t)) / den
 
     def reduced(self) -> "RationalSeries":
         """Cancel the numerator/denominator gcd (denominator kept den(0)=1)."""
         g = poly_gcd(self.num, self.den)
         num, _ = poly_divmod(self.num, g)
         den, _ = poly_divmod(self.den, g)
-        scale = 1 / den[0]
+        scale = 1 / Fraction(den[0])
         return RationalSeries(poly_scale(num, scale), poly_scale(den, scale))
 
     def __repr__(self):
@@ -413,9 +420,8 @@ def delta_exponents(ctx: PrimeContext, j: int):
 def delta_polynomial(ctx: PrimeContext, j: int, norm: int) -> tuple:
     """1 - norm^(j(p-1)) u^(A_j) as a polynomial in u."""
     a, big_a = delta_exponents(ctx, j)
-    poly = [Fraction(0)] * (big_a + 1)
-    poly[0] = ONE
-    poly[big_a] = Fraction(-norm ** a)
+    poly = [0] * (big_a + 1)
+    poly[0], poly[big_a] = 1, -norm ** a
     return tuple(poly)
 
 
@@ -447,7 +453,7 @@ def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
     if tail:
         raise InvariantViolation(
             f"Euler numerator not a polynomial: nonzero at degrees {tail}")
-    return poly_trim(series.coefficients()[:degree_bound + 1])
+    return poly_trim(series.nums[:degree_bound + 1])  # both factors: den 1
 
 
 def _ell_assignments(theta, p: int):
@@ -470,7 +476,7 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
         raise ValueError(f"f = {f} outside [0, r]")
     p, r = ctx.p, ctx.r
     deltas = {j: delta_polynomial(ctx, j, norm) for j in range(1, f + 1)}
-    result = (ONE,)
+    result = (1,)
     for j in range(1, f + 1):
         result = poly_mul(result, deltas[j])
     for h in range(1, f + 1):
@@ -481,15 +487,15 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
                 continue
             gamma = flag_count(theta.flattened, p)
             outer_prefix = theta.outer_prefix
-            base = (Fraction(binom * gamma * g_val),)
+            base = (binom * gamma * g_val,)
             for j in range(1, f + 1):
                 if j not in outer_prefix:
                     base = poly_mul(base, deltas[j])
             # one monomial norm^(B(p-1)) u^(A_B) per outer prefix except the last
             for b_prefix in outer_prefix[:-1]:
                 a, big_a = delta_exponents(ctx, b_prefix)
-                mono = [Fraction(0)] * (big_a + 1)
-                mono[big_a] = Fraction(norm ** a)
+                mono = [0] * (big_a + 1)
+                mono[big_a] = norm ** a
                 base = poly_mul(base, mono)
             # weights of the fine-value monomials per inner block
             flat = theta.flattened
@@ -501,12 +507,12 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
                                    for pos in range(start + 1, inner_prefix[i] + 1)))
             ell_sum = ()
             for ells in _ell_assignments(theta, p):
-                coeff = ONE
+                coeff = 1
                 degree = 0
                 for a_i, w_i, ell in zip(flat, weights, ells):
                     coeff *= norm ** (a_i * (ell - 1))
                     degree += (p - 1) * w_i * (ell + 1)
-                mono = [Fraction(0)] * (degree + 1)
+                mono = [0] * (degree + 1)
                 mono[degree] = coeff
                 ell_sum = poly_add(ell_sum, mono)
             result = poly_add(result, poly_mul(base, ell_sum))
@@ -623,7 +629,7 @@ def nested_geometric_check(x, alphas, depth: int) -> bool:
         sum(ratios[0] ** k for k in range(depth + 1))
 
     # fold a bound C * x^(beta k) * k^e for the inner levels, innermost out
-    coeff, beta, degree = ONE, ZERO, 0
+    coeff, beta, degree = Fraction(1), ZERO, 0
     for i in range(count, 1, -1):
         g = alphas[i - 1] + beta
         if g < 0:
@@ -657,11 +663,11 @@ def zeta_shift(ctx: PrimeContext, a: int, b: int) -> RationalSeries:
     1 / ((1 - q^b t^a)(1 - q^(b+1) t^a))."""
     if a < 1:
         raise ValueError("the s-coefficient must be positive")
-    factor1 = [Fraction(0)] * (a + 1)
-    factor1[0], factor1[a] = ONE, Fraction(-ctx.q ** b)
-    factor2 = [Fraction(0)] * (a + 1)
-    factor2[0], factor2[a] = ONE, Fraction(-ctx.q ** (b + 1))
-    return RationalSeries((ONE,), poly_mul(factor1, factor2))
+    factor1 = [0] * (a + 1)
+    factor1[0], factor1[a] = 1, -ctx.q ** b
+    factor2 = [0] * (a + 1)
+    factor2[0], factor2[a] = 1, -ctx.q ** (b + 1)
+    return RationalSeries((1,), poly_mul(factor1, factor2))
 
 
 def zeta_factors(ctx: PrimeContext) -> tuple:
@@ -746,7 +752,7 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
         for j in range(f + 1, ctx.r + 1):
             term = poly_mul(term, delta_polynomial(ctx, j, norm))
         numerator = poly_add(numerator, term)
-    denominator = (ONE,)
+    denominator = (1,)
     for j in range(1, ctx.r + 1):
         denominator = poly_mul(denominator, delta_polynomial(ctx, j, norm))
     return RationalSeries(numerator, denominator)
@@ -772,10 +778,10 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
     def fold(terms) -> list:
         out = [ZERO] * period
         for m, coeff in terms:
-            out[m % period] += coeff / c ** (m // period)
+            out[m % period] += Fraction(coeff, c ** (m // period))
         return out
 
-    head, rest_den = fold(enumerate(rational.num)), (ONE,)
+    head, rest_den = fold(enumerate(rational.num)), (1,)
     for j in range(1, ctx.r):
         a, big_a = delta_exponents(ctx, j)
         cycle = period // gcd(big_a, period)
@@ -810,7 +816,7 @@ def lambda_inverse(ctx: PrimeContext) -> tuple:
     (1 - q^b t^a)(1 - q^(b+1) t^a) over the (a, b) pairs of zeta_factors.
     """
     return reduce(poly_mul, (zeta_shift(ctx, degree, shift).den
-                             for degree, shift in zeta_factors(ctx)), (ONE,))
+                             for degree, shift in zeta_factors(ctx)), (1,))
 
 
 def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
@@ -839,12 +845,6 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
 # ---------------------------------------------------------------------------
 
 
-def _encode_rational(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _decode_rational(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/")
@@ -861,7 +861,7 @@ def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
         "r": ctx.r,
         "variable": "q^-s",
         "truncation": series.truncation,
-        "coefficients": [_encode_rational(c) for c in series.coefficients()],
+        "coefficients": [str(c) for c in series.coefficients()],
     }
     return json.dumps(obj, indent=2)
 

@@ -656,16 +656,6 @@ class ResidueField:
             e >>= 1
         return result
 
-    def basis(self) -> list:
-        """F_p-basis, deterministic order: slot-major, then power basis of F_q."""
-        out = []
-        for j in range(self.degree):
-            for k in range(self.ctx.n):
-                vec = [0] * self.degree
-                vec[j] = self.ctx.p ** k
-                out.append(tuple(vec))
-        return out
-
     def elements(self) -> Iterator[tuple]:
         for coeffs in itertools.product(range(self.ctx.q), repeat=self.degree):
             yield coeffs

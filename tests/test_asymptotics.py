@@ -272,26 +272,39 @@ def test_klein_constant_report():
 # ---------------------------------------------------------------------------
 
 
-def test_verify_inequalities_full_grid():
-    report = verify_inequalities(7, 6)
-    assert report["ok"]
-    for family in ("local_abscissa_chain", "zeta_abscissa_chain",
-                   "single_block_bound", "multi_block_bound"):
-        assert report[family]["violations"] == []
-    assert report["local_abscissa_chain"]["checked"] == 60
-    assert report["zeta_abscissa_chain"]["checked"] == 60
-    assert report["single_block_bound"]["checked"] == 2184
-    assert report["multi_block_bound"]["checked"] == 121062
+_FAMILIES = ("local_abscissa_chain", "zeta_abscissa_chain",
+             "single_block_bound", "multi_block_bound")
 
+
+# checked counts per family, in _FAMILIES order, recorded when the single-
+# and multi-block families were still swept by two separate loops
+@pytest.mark.parametrize("p_max, r_max, checked", [
+    (7, 6, (60, 60, 2184, 121062)),
+    (5, 5, (30, 30, 276, 9458)),
+    (11, 4, (30, 30, 1754, 45623)),
+    (3, 6, (30, 30, 80, 947)),
+], ids=("7-6", "5-5", "11-4", "3-6"))
+def test_verify_inequalities_full_grid(p_max, r_max, checked):
+    report = verify_inequalities(p_max, r_max)
+    assert report["ok"]
+    for family in _FAMILIES:
+        assert report[family]["violations"] == []
+    assert tuple(report[family]["checked"] for family in _FAMILIES) == checked
+
+    # p = 2 is in every grid: one collapse per r >= 2, one left equality
+    # per r >= 3
     zeta_eq = report["zeta_abscissa_chain"]["equalities"]
-    assert len(zeta_eq) == 9
+    assert len(zeta_eq) == 2 * r_max - 3
     assert ("collapse j=p=2", 2, 2, 2) in zeta_eq
     assert ("left equality", 2, 3, 3) in zeta_eq
     assert all(label in ("collapse j=p=2", "left equality")
                for label, *_ in zeta_eq)
 
+    # the all-(p-1) tuple, once per (p, r, h) with 2 <= h <= r
+    primes = sum(1 for v in range(2, p_max + 1)
+                 if all(v % d for d in range(2, v)))
     single_eq = report["single_block_bound"]["equalities"]
-    assert len(single_eq) == 60
+    assert len(single_eq) == primes * r_max * (r_max - 1) // 2
     assert (2, 2, 2, (1, 1)) in single_eq
     assert all(all(v == p - 1 for v in ell) for p, _, _, ell in single_eq)
     assert report["multi_block_bound"]["equalities"] == []
@@ -312,7 +325,7 @@ def test_report_json_deterministic():
     assert payload["params"]["error_exponent"] == "3/4"
     assert payload["pole_catalog"]["local"][0]["certainty"] == "definite"
     assert payload["constants"]["values"]["0"] == 1.0
-    assert payload["fits"] is None and payload["inequality_report"] is None
+    assert payload["fits"] is None and "inequality_report" not in payload
     assert "klein_constant" not in payload
 
 

@@ -100,14 +100,14 @@ def test_divisor_round_trip(pnr, picks):
 
 
 def test_count_mode_flag_mismatch(capsys):
-    code, _, _ = run(capsys, "count", "local", "--p", "2", "--r", "1",
-                     "--degree", "2")
-    assert code == 2
-    code, _, _ = run(capsys, "count", "global", "--p", "2", "--r", "1",
-                     "--exp", "2")
-    assert code == 2
-    code, _, _ = run(capsys, "count", "local", "--p", "2", "--r", "1")
-    assert code == 2
+    code, _, err = run(capsys, "count", "local", "--p", "2", "--r", "1",
+                       "--degree", "2")
+    assert code == 2 and err.startswith("usage: ascount count")
+    code, _, err = run(capsys, "count", "global", "--p", "2", "--r", "1",
+                       "--exp", "2")
+    assert code == 2 and err.startswith("usage: ascount count")
+    code, _, err = run(capsys, "count", "local", "--p", "2", "--r", "1")
+    assert code == 2 and err.startswith("usage: ascount count")
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,9 @@ def test_series_out_file(tmp_path, capsys):
 
 
 def test_series_negative_max(capsys):
-    code, _, _ = run(capsys, "series", "global", "--p", "2", "--r", "1",
-                     "--max", "-1")
-    assert code == 2
+    code, _, err = run(capsys, "series", "global", "--p", "2", "--r", "1",
+                       "--max", "-1")
+    assert code == 2 and err.startswith("usage: ascount series")
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +311,16 @@ def test_asymptotics_fit(capsys):
 
 
 def test_asymptotics_flag_conflicts(capsys):
-    code, _, _ = run(capsys, "asymptotics", "--p", "2", "--r", "1",
-                     "--local", "--fit-max", "10")
-    assert code == 2
-    code, _, _ = run(capsys, "asymptotics", "--p", "2", "--r", "1",
-                     "--precision", "10")
-    assert code == 2
+    code, _, err = run(capsys, "asymptotics", "--p", "2", "--r", "1",
+                       "--local", "--fit-max", "10")
+    assert code == 2 and err.startswith("usage: ascount asymptotics")
+    code, _, err = run(capsys, "asymptotics", "--p", "2", "--r", "1",
+                       "--precision", "10")
+    assert code == 2 and err.startswith("usage: ascount asymptotics")
     # the library needs double precision, so the parser asks for it too
     code, _, err = run(capsys, "asymptotics", "--p", "2", "--r", "1",
                        "--local", "--precision", "40")
-    assert code == 2
+    assert code == 2 and err.startswith("usage: ascount asymptotics")
     assert "--precision must be at least 53" in err
 
 

@@ -126,7 +126,7 @@ def _naive_gcd(a, b):
     a, b = poly_trim(a), poly_trim(b)
     while b:
         a, b = b, poly_divmod(a, b)[1]
-    return tuple(c / a[-1] for c in a) if a else ()
+    return tuple(Fraction(c) / a[-1] for c in a) if a else ()
 
 
 _POLYS = st.lists(st.integers(-4, 4), max_size=6).map(poly_trim)
@@ -544,3 +544,37 @@ def test_rightmost_split_identity(spec):
         i, k = divmod(m, period)
         assert direct.coefficient(m) == \
             head[k] * ctx.q ** (shift * i) + rest.coefficient(m), (spec, m)
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: int for integer data, exact everywhere
+# ---------------------------------------------------------------------------
+
+
+def _types(*polys) -> set:
+    return {type(c) for poly in polys for c in poly}
+
+
+def test_no_float_leaves_dirichlet():
+    """Delta factors, both Euler numerators and the zeta-factor polynomial
+    keep int coefficients; what the Delsarte weights reach is int or
+    Fraction, never float, and so is every division the module makes."""
+    from ascount.cli import _PSI_GRID
+    for p, r_max in _PSI_GRID:
+        for r in range(1, r_max + 1):
+            ctx = make_context(p, 1, r)
+            ints = [lambda_inverse(ctx)]
+            for f in range(1, r + 1):
+                for norm in (p, p * p, p ** 3):
+                    ints += [delta_polynomial(ctx, f, norm),
+                             psi_polynomial(ctx, f, norm),
+                             psi_closed_form(ctx, f, norm)]
+            assert _types(*ints) == {int}, ctx
+            rational = local_rational(ctx)
+            reduced = rational.reduced()
+            _, head, rest = rightmost_split(ctx)
+            assert _types(rational.num, rational.den, reduced.num,
+                          reduced.den, rational.recurrence(), head,
+                          rest.num, rest.den) <= {int, Fraction}, ctx
+    assert _types(*poly_divmod((1, 0, 1), (1, 2))) <= {int, Fraction}
+    assert type(RationalSeries((1,), (2, 1)).evaluate(1)) is Fraction
