@@ -44,30 +44,26 @@ from .fields import (
 
 
 @lru_cache(maxsize=None)
-def constant_reps(ctx: PrimeContext) -> tuple:
-    """Transversal of F_q modulo the additive subgroup {x^p - x}: one code
-    per coset, the smallest in each, ascending.  Always starts with 0."""
+def _constant_rep_table(ctx: PrimeContext) -> tuple:
+    """For each code, the canonical representative of its coset of F_q
+    modulo the additive subgroup {x^p - x}: the smallest code in it."""
     image = {ctx.fsub(ctx.fpow(x, ctx.p), x) for x in range(ctx.q)}
-    reps, seen = [], set()
+    table = [None] * ctx.q
     for a in range(ctx.q):
-        if a in seen:
-            continue
-        reps.append(a)
-        seen.update(ctx.fadd(a, y) for y in image)
-    if len(reps) != ctx.p or reps[0] != 0:
-        raise InvariantViolation(f"constant representatives {reps} are not p cosets")
-    return tuple(reps)
+        if table[a] is None:
+            for y in image:
+                table[ctx.fadd(a, y)] = a
+    if len(set(table)) != ctx.p:
+        raise InvariantViolation(
+            f"constant representatives {sorted(set(table))} are not p cosets")
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _constant_rep_table(ctx: PrimeContext) -> tuple:
-    """For each code, the canonical representative of its coset."""
-    image = {ctx.fsub(ctx.fpow(x, ctx.p), x) for x in range(ctx.q)}
-    table = [None] * ctx.q
-    for rep in constant_reps(ctx):
-        for y in image:
-            table[ctx.fadd(rep, y)] = rep
-    return tuple(table)
+def constant_reps(ctx: PrimeContext) -> tuple:
+    """Transversal of F_q modulo the additive subgroup {x^p - x}: one code
+    per coset, the smallest in each, ascending.  Always starts with 0."""
+    return tuple(a for a, rep in enumerate(_constant_rep_table(ctx)) if rep == a)
 
 
 @dataclass(frozen=True)

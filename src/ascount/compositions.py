@@ -5,7 +5,10 @@ the distinct per-step conductor exponents of a wildly ramified C_p^r
 extension at one place, with h <= r.  The counting formulas attach to each
 chain a composition (its runs of equal values), a flag count, and a signed
 coefficient count; this module provides those pieces as exact integers,
-plus the two-level refinement used for the closed-form Euler factors.
+plus the two-level refinement used for the closed-form Euler factors, and
+the weighting step every count goes through: weighted_counts, Delsarte's
+inclusion-exclusion over subgroups, with one checked exact division by
+|GL_r(F_p)| per count.
 """
 
 from __future__ import annotations
@@ -89,6 +92,24 @@ def delsarte_weight(f: int, ctx: PrimeContext) -> Fraction:
     p, r = ctx.p, ctx.r
     num = p ** f * gaussian_binomial(r, f, p) * mobius_cpk(r - f, p)
     return Fraction(num, aut_order(r, p))
+
+
+def weighted_counts(ctx: PrimeContext, rows) -> list:
+    """Column m is sum_f delsarte_weight(f) * rows[f][m] over the depth
+    rows f = 0..r, as one exact division of int sums by |GL_r(F_p)|.  A
+    remainder or a negative count raises InvariantViolation; a wrong
+    number of rows or rows of unequal length raise ValueError."""
+    order = aut_order(ctx.r, ctx.p)
+    weights = [int(delsarte_weight(f, ctx) * order) for f in range(ctx.r + 1)]
+    scaled = [[w * v for v in row] for w, row in zip(weights, rows, strict=True)]
+    out = []
+    for m, column in enumerate(zip(*scaled, strict=True)):
+        count, rem = divmod(sum(column), order)
+        if rem or count < 0:
+            raise InvariantViolation(f"count {m} came out "
+                                     f"{Fraction(sum(column), order)}")
+        out.append(count)
+    return out
 
 
 def free_index_count(c: int, p: int) -> int:

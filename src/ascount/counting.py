@@ -36,11 +36,11 @@ from .artin_schreier import (
 from .compositions import (
     chain_disc_exponent,
     chain_term_count,
-    delsarte_weight,
     enumerate_chains,
     flag_count,
     gaussian_binomial,
     run_composition,
+    weighted_counts,
 )
 from .errors import InvariantViolation
 from .fields import Divisor, PrimeContext, places
@@ -98,29 +98,16 @@ def local_factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
     return factor_coefficient(ctx, f, exponent, ctx.q ** place_degree)
 
 
-def _weights(ctx: PrimeContext) -> list:
-    return [delsarte_weight(f, ctx) for f in range(ctx.r + 1)]
-
-
-def _weighted_total(weights, factor_values) -> int:
-    """Sum of weights[f] * factor_values[f], the weights from _weights;
-    must come out a non-negative integer when the factors are counts."""
-    total = sum(w * v for w, v in zip(weights, factor_values))
-    if total.denominator != 1 or total < 0:
-        raise InvariantViolation(f"count came out {total}, not a natural number")
-    return int(total)
-
-
 def local_count(ctx: PrimeContext, exponent: int) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q((t)) whose
     discriminant exponent equals `exponent`."""
-    values = [local_factor_coefficient(ctx, f, exponent) for f in range(ctx.r + 1)]
-    return _weighted_total(_weights(ctx), values)
+    rows = [[local_factor_coefficient(ctx, f, exponent)] for f in range(ctx.r + 1)]
+    return weighted_counts(ctx, rows)[0]
 
 
-def _divisor_count(ctx: PrimeContext, divisor: Divisor, weights: list,
-                   factors: dict) -> int:
-    """global_count with the weights and a {(f, exponent, place degree):
+def _depth_values(ctx: PrimeContext, divisor: Divisor, factors: dict) -> list:
+    """For f = 0..r, the product over the places of the divisor of the
+    depth-f local factor coefficients, with a {(f, exponent, place degree):
     local factor coefficient} memo supplied by the caller."""
     values = []
     for f in range(ctx.r + 1):
@@ -133,22 +120,23 @@ def _divisor_count(ctx: PrimeContext, divisor: Divisor, weights: list,
             if prod_f == 0:
                 break
         values.append(prod_f)
-    return _weighted_total(weights, values)
+    return values
 
 
 def global_count(ctx: PrimeContext, divisor: Divisor) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q(t) whose
     discriminant is exactly the given effective divisor."""
-    return _divisor_count(ctx, divisor, _weights(ctx), {})
+    return weighted_counts(ctx, [[v] for v in _depth_values(ctx, divisor, {})])[0]
 
 
 def global_count_by_degree(ctx: PrimeContext, degree: int) -> int:
     """Total number of extensions of F_q(t) with discriminant degree exactly
     `degree`, by direct enumeration of effective divisors (desk scale).
-    The weights and each local factor coefficient are computed once."""
-    weights, factors = _weights(ctx), {}
-    return sum(_divisor_count(ctx, d, weights, factors)
-               for d in effective_divisors(ctx, degree))
+    Each local factor coefficient is computed once, and the depth values
+    of all divisors are weighted in one weighted_counts call."""
+    factors: dict = {}
+    columns = [_depth_values(ctx, d, factors) for d in effective_divisors(ctx, degree)]
+    return sum(weighted_counts(ctx, list(zip(*columns))))
 
 
 def counts_by_degree(tally: dict) -> dict:

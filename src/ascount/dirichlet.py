@@ -6,9 +6,11 @@ expansion, the Euler factors of the counting series and their polynomial
 closed forms, zeta factors of the rational function field, and the global
 coefficient series assembled place by place.  Integer data stays int: the
 delta factors, both Euler numerators Psi_f and the zeta-factor
-polynomials have int coefficients.  Fractions appear only where a value
-is rational: the Delsarte weights and what they reach (the local
-numerator and its reductions, recurrence weights, the rightmost split).
+polynomials have int coefficients, and the counting series are weighted
+over depths by compositions.weighted_counts, in ints.  Fractions appear
+only where a value is rational: the local numerator, which carries the
+Delsarte weights, and its reductions, recurrence weights, the rightmost
+split.
 Floating point is banned from this module; the asymptotics layer is the
 only consumer of floats.
 """
@@ -26,6 +28,7 @@ from .compositions import (
     gaussian_binomial,
     prefix_sums,
     structure_poly_value,
+    weighted_counts,
 )
 from .counting import factor_coefficient, factor_coefficients
 from .errors import InvariantViolation, TruncationError
@@ -219,19 +222,7 @@ class TruncatedSeries:
         return self.truncation == other.truncation and all(
             a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
 
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return TruncatedSeries._from_ints(
-            [a * sa + b * sb for a, b in zip(self.nums, other.nums)], den)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries._from_ints(
-                [c * other.numerator for c in self.nums],
-                self.den * other.denominator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         m = min(self.truncation, other.truncation)
@@ -243,8 +234,6 @@ class TruncatedSeries:
                     break
                 out[i + j] += ca * cb
         return TruncatedSeries._from_ints(out, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
@@ -727,19 +716,21 @@ def global_factor_series(ctx: PrimeContext, f: int,
     return result
 
 
+def _counting_series(ctx: PrimeContext, depths) -> TruncatedSeries:
+    """weighted_counts degree by degree over the depth-f series f = 0..r,
+    which are built from ints and so must have denominator 1."""
+    if any(series.den != 1 for series in depths):
+        raise InvariantViolation("a depth series has a denominator")
+    return TruncatedSeries._from_ints(
+        weighted_counts(ctx, [series.nums for series in depths]), 1)
+
+
 def global_dirichlet(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
     """Coefficient m counts the extensions of F_q(t) with discriminant
     degree m; the weighted sum over depths must be a nonnegative integer in
     every degree or the theory (or this code) is wrong."""
-    total = TruncatedSeries([], truncation)
-    for f in range(ctx.r + 1):
-        weight = delsarte_weight(f, ctx)
-        total = total + global_factor_series(ctx, f, truncation) * weight
-    bad = [m for m, c in enumerate(total.nums) if c % total.den or c < 0]
-    if bad:
-        raise InvariantViolation(
-            f"global coefficients not in Z>=0 at degrees {bad}")
-    return total
+    return _counting_series(ctx, [global_factor_series(ctx, f, truncation)
+                                  for f in range(ctx.r + 1)])
 
 
 def local_rational(ctx: PrimeContext) -> RationalSeries:
@@ -802,12 +793,10 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
 
 def local_direct_series(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
     """The same local series summed term by term, bypassing the rational
-    closed form; agreement with local_rational is a theorem."""
-    total = TruncatedSeries([], truncation)
-    for f in range(ctx.r + 1):
-        series = euler_factor_series(ctx, f, ctx.q, truncation)
-        total = total + series * delsarte_weight(f, ctx)
-    return total
+    closed form; agreement with local_rational is a theorem.  Every
+    coefficient must come out a natural number."""
+    return _counting_series(ctx, [euler_factor_series(ctx, f, ctx.q, truncation)
+                                  for f in range(ctx.r + 1)])
 
 
 def lambda_inverse(ctx: PrimeContext) -> tuple:

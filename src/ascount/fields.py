@@ -188,13 +188,9 @@ class PrimeContext:
         return self.fpow(a, self.q - 2)
 
     def fsmul(self, k: int, a: int) -> int:
-        """Scalar multiple by k in F_p (k an integer, reduced mod p)."""
-        k %= self.p
-        result = 0
-        while k:
-            result = self.fadd(result, a)
-            k -= 1
-        return result
+        """Scalar multiple by k in F_p (k an integer, reduced mod p): codes
+        0..p-1 are the prime-field elements, so one product."""
+        return self.fmul(k % self.p, a)
 
     def pth_root(self, a: int) -> int:
         """The unique x in F_q with x^p = a."""

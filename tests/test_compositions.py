@@ -28,7 +28,9 @@ from ascount.compositions import (
     run_composition,
     structure_poly_value,
     two_level_of,
+    weighted_counts,
 )
+from ascount.errors import InvariantViolation
 from ascount.fields import make_context
 
 CTX211 = make_context(2, 1, 1)
@@ -138,6 +140,31 @@ def test_delsarte_weight_sums():
             ctx = make_context(p, 1, r)
             total = sum(delsarte_weight(f, ctx) for f in range(r + 1))
             assert total == (1 if r == 1 else 0)
+
+
+def test_weighted_counts_divides_exactly():
+    # (2,1,2): e_f |GL_2(F_2)| = (2, -6, 4) over 6; the columns are the
+    # depth-f local factor coefficients at exponents 0, 8 and 10, so
+    # 2 - 6 + 4 = 0, (-6 * 2 + 4 * 6) / 6 = 2 and 4 * 6 / 6 = 4
+    rows = [[1, 0, 0], [1, 2, 0], [1, 6, 6]]
+    assert weighted_counts(CTX212, rows) == [0, 2, 4]
+
+
+def test_weighted_counts_rejects_a_remainder():
+    with pytest.raises(InvariantViolation):
+        weighted_counts(CTX212, [[0], [0], [1]])  # 4 / 6
+
+
+def test_weighted_counts_rejects_a_negative_count():
+    with pytest.raises(InvariantViolation):
+        weighted_counts(CTX212, [[0], [1], [0]])  # -6 / 6
+
+
+def test_weighted_counts_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        weighted_counts(CTX212, [[1, 0], [1], [1, 6]])
+    with pytest.raises(ValueError):
+        weighted_counts(CTX212, [[1], [1]])  # r + 1 = 3 rows needed
 
 
 def abelian_elements(orders):

@@ -36,7 +36,8 @@ from ascount.dirichlet import (
     zeta_p1,
     zeta_shift,
 )
-from ascount.errors import TruncationError
+from ascount import dirichlet
+from ascount.errors import InvariantViolation, TruncationError
 from ascount.fields import make_context, places
 
 CTX211 = make_context(2, 1, 1)
@@ -318,30 +319,32 @@ def test_power_with_place_count_sized_exponent():
     assert powered.coefficients() == tuple(expected)
 
 
-_SCALARS = st.sampled_from((0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 6)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_series(), _series(), _SCALARS)
-@example(TruncatedSeries((Fraction(1, 2), 1), 1),
-         TruncatedSeries((Fraction(1, 3), Fraction(-2, 3), 5), 2), 0)
-def test_sum_and_scalar_product_match_fractions(a, b, c):
-    fa, fb = a.coefficients(), b.coefficients()
-    total = a + b
-    assert total.truncation == min(a.truncation, b.truncation)
-    assert total.coefficients() == tuple(x + y for x, y in zip(fa, fb))
-    assert (a * c).coefficients() == tuple(x * c for x in fa)
-    assert c * a == a * c
-
-
 def test_equality_across_stored_denominators():
     a = TruncatedSeries((1, Fraction(-1, 2), 0, 3), 3)
-    b = a * Fraction(3, 2) * Fraction(2, 3)
+    b = TruncatedSeries._from_ints([6 * c for c in a.nums], 6 * a.den)
     assert (a.den, b.den) == (2, 12)
     assert a == b and b == a
-    assert b != a * Fraction(2, 3)
+    assert b != TruncatedSeries._from_ints([4 * c for c in a.nums], 6 * a.den)
     assert a.truncate(2) != a
-    assert TruncatedSeries((2, 4), 1) == TruncatedSeries((1, 2), 1) * 2
+    assert TruncatedSeries((2, 4), 1) == TruncatedSeries._from_ints((4, 8), 2)
+
+
+def test_local_direct_series_rejects_a_non_count(monkeypatch):
+    # one depth-r coefficient off by one adds e_r = 2/3 to a count
+    ctx, honest = make_context(2, 1, 2), dirichlet.euler_factor_series
+
+    def perturbed(ctx, f, norm, truncation):
+        series = honest(ctx, f, norm, truncation)
+        if f < ctx.r:
+            return series
+        nums = list(series.nums)
+        nums[4] += 1
+        return TruncatedSeries._from_ints(nums, 1)
+
+    assert local_direct_series(ctx, 8).coefficient(4) == 1
+    monkeypatch.setattr(dirichlet, "euler_factor_series", perturbed)
+    with pytest.raises(InvariantViolation):
+        local_direct_series(ctx, 8)
 
 
 @settings(max_examples=80, deadline=None)

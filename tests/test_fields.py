@@ -260,3 +260,14 @@ def test_add_table_by_digits(p, n):
                                                         _decode_full(b, p, n))], p)
                   for b in range(ctx.q)] for a in range(ctx.q)]
     assert ctx._add_table == reference
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 1)])
+def test_fsmul_is_repeated_addition(p, n):
+    ctx = make_context(p, n, 1)
+    for a in range(ctx.q):
+        for k in range(-2 * p, 2 * p):
+            expected = 0
+            for _ in range(k % p):
+                expected = ctx.fadd(expected, a)
+            assert ctx.fsmul(k, a) == expected
