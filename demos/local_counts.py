@@ -32,7 +32,7 @@ print("recurrence weights:", rational.recurrence())
 # den = 1 - 2u^2, so c_m = 2 c_{m-2} once past the numerator degree
 
 series = rational.series(16)
-print("series to u^16:", [int(c) for c in series.coefficients()])
+print("series to u^16:", list(series.coefficients()))
 print("matches the direct expansion:",
       series == local_direct_series(ctx, 16))
 

@@ -362,7 +362,7 @@ def main_term_fit(ctx: PrimeContext, coefficients) -> dict:
     with mpmath.workprec(120):
         for cls in range(period):
             points = list(range(cls, top + 1, period))
-            exact = [int(coefficients[m]) for m in points]
+            exact = [coefficients[m] for m in points]
             if all(c == 0 for c in exact):
                 classes[cls] = {"degree": order - 1,
                                 "coefficients": (0.0,) * order,

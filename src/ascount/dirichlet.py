@@ -1,22 +1,24 @@
 """Exact Dirichlet-series machinery in the variable t = q^(-s).
 
-Everything here is exact rational arithmetic: truncated power series with
-hard truncation horizons, rational functions with recurrence-based
-expansion, the Euler factors of the counting series and their polynomial
-closed forms, zeta factors of the rational function field, and the global
+Everything here is exact: truncated power series of ints with hard
+truncation horizons, rational functions with recurrence-based expansion,
+the Euler factors of the counting series and their polynomial closed
+forms, zeta factors of the rational function field, and the global
 coefficient series assembled place by place.  Integer data stays int: the
 delta factors, both Euler numerators Psi_f and the zeta-factor
 polynomials have int coefficients, and the counting series are weighted
-over depths by compositions.weighted_counts, in ints.  Fractions appear
-only where a value is rational: the local numerator, which carries the
-Delsarte weights, and its reductions, recurrence weights, the rightmost
-split.
+over depths by compositions.weighted_counts, in ints, so a truncated
+series holds ints only.  Fractions appear only where a value is
+rational: the local numerator, which carries the Delsarte weights, and
+its reductions, recurrence weights, the rightmost split and the
+coefficients RationalSeries.coefficient reads from them.
 Floating point is banned from this module; the asymptotics layer is the
 only consumer of floats.
 """
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, gcd, isqrt, lcm
@@ -155,58 +157,58 @@ def poly_gcd(a, b) -> tuple:
 
 
 class TruncatedSeries:
-    """Power series known exactly up to degree `truncation`.
+    """Power series with int coefficients, known exactly up to degree
+    `truncation`.
 
-    One representation: integer numerators `nums` over one positive
-    integer denominator `den`, so coefficient m is nums[m] / den.  Every
-    operation works on these ints (products visit only the nonzero
-    entries, since inflated per-degree factors are sparse); Fractions are
-    built only where coefficients are read.  `den` is not kept minimal,
-    so equality cross-multiplies.
+    Every series the library builds is integral: the counting series,
+    their Euler factors and the integer polynomials multiplied into them.
+    `nums` is the tuple of coefficients, and every operation works on
+    these ints (products visit only the nonzero entries, since inflated
+    per-degree factors are sparse).
 
     Binary operations propagate the minimum truncation of the operands;
     asking for a coefficient past the horizon raises TruncationError rather
     than silently returning zero.
     """
 
-    __slots__ = ("nums", "den", "truncation")
+    __slots__ = ("nums", "truncation")
 
     def __init__(self, coeffs, truncation: int):
-        """coeffs: ints or Fractions, zero-padded out to the truncation."""
+        """coeffs: ints, zero-padded out to the truncation; anything else
+        raises TypeError."""
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
-        den, nums = _scaled(list(coeffs))
+        nums = [operator.index(c) for c in coeffs]
         if len(nums) > truncation + 1:
             raise ValueError("more coefficients than the truncation admits")
         nums.extend([0] * (truncation + 1 - len(nums)))
-        self.nums, self.den, self.truncation = tuple(nums), den, truncation
+        self.nums, self.truncation = tuple(nums), truncation
 
     @classmethod
     def one(cls, truncation: int) -> "TruncatedSeries":
         return cls([1], truncation)
 
     @classmethod
-    def _from_ints(cls, nums, den: int) -> "TruncatedSeries":
-        """The series with coefficients nums[m] / den, truncated at
-        len(nums) - 1; den must be positive."""
-        if den <= 0 or not nums:
-            raise ValueError("a series needs a coefficient and den > 0")
+    def _from_ints(cls, nums) -> "TruncatedSeries":
+        """The series with int coefficients nums, truncated at
+        len(nums) - 1."""
+        if not nums:
+            raise ValueError("a series needs a coefficient")
         series = cls.__new__(cls)
-        series.nums, series.den = tuple(nums), den
+        series.nums = tuple(nums)
         series.truncation = len(series.nums) - 1
         return series
 
-    def coefficient(self, m: int) -> Fraction:
+    def coefficient(self, m: int) -> int:
         if m < 0:
             raise ValueError("negative degree")
         if m > self.truncation:
             raise TruncationError(
                 f"coefficient {m} requested past truncation {self.truncation}")
-        return Fraction(self.nums[m], self.den)
+        return self.nums[m]
 
     def coefficients(self) -> tuple:
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.nums)
+        return self.nums
 
     def truncate(self, truncation: int) -> "TruncatedSeries":
         if truncation > self.truncation:
@@ -214,13 +216,12 @@ class TruncatedSeries:
                 f"cannot extend truncation {self.truncation} to {truncation}")
         if truncation < 0:
             raise ValueError("truncation must be non-negative")
-        return TruncatedSeries._from_ints(self.nums[:truncation + 1], self.den)
+        return TruncatedSeries._from_ints(self.nums[:truncation + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.truncation == other.truncation and all(
-            a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
+        return self.nums == other.nums
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -233,17 +234,16 @@ class TruncatedSeries:
                 if i + j > m:
                     break
                 out[i + j] += ca * cb
-        return TruncatedSeries._from_ints(out, self.den * other.den)
+        return TruncatedSeries._from_ints(out)
 
     def __pow__(self, exponent: int):
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
         b = a^n with a_0 != 0 satisfies
             k a_0 b_k = sum_{j=1..k} ((n+1) j - k) a_j b_{k-j},
-        one O(M^2) pass on the numerators, whose power is integral, so
-        every division is exact; the denominator becomes den^n.  A zero
-        constant term is shifted out first."""
+        one O(M^2) pass on the ints, whose power is integral, so every
+        division is exact.  A zero constant term is shifted out first."""
         if exponent < 0:
-            raise ValueError("negative powers need inverse()")
+            raise ValueError("negative power of a series")
         m = self.truncation
         if exponent == 0:
             return TruncatedSeries.one(m)
@@ -268,24 +268,7 @@ class TruncatedSeries:
                         f"power recurrence inexact at degree {k}")
                 b.append(bk)
             out[shift:] = b
-        return TruncatedSeries._from_ints(out, self.den ** exponent)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse in plain Fractions (the reference for
-        RationalSeries); the constant term must be nonzero."""
-        coeffs = self.coefficients()
-        if coeffs[0] == 0:
-            raise ZeroDivisionError("series has no inverse: constant term 0")
-        m = self.truncation
-        inv0 = 1 / coeffs[0]
-        out = [inv0] + [ZERO] * m
-        for k in range(1, m + 1):
-            acc = ZERO
-            for i in range(1, k + 1):
-                if coeffs[i] != 0:
-                    acc += coeffs[i] * out[k - i]
-            out[k] = -inv0 * acc
-        return TruncatedSeries(out, m)
+        return TruncatedSeries._from_ints(out)
 
     def inflate(self, d: int) -> "TruncatedSeries":
         """Substitute u -> t^d.  Knowing coefficients up to u^M pins every
@@ -296,10 +279,10 @@ class TruncatedSeries:
             return self
         out = [0] * (d * (self.truncation + 1))
         out[::d] = self.nums
-        return TruncatedSeries._from_ints(out, self.den)
+        return TruncatedSeries._from_ints(out)
 
     def __repr__(self):
-        head = ", ".join(str(Fraction(c, self.den)) for c in self.nums[:8])
+        head = ", ".join(map(str, self.nums[:8]))
         tail = ", ..." if self.truncation >= 8 else ""
         return f"TruncatedSeries([{head}{tail}], M={self.truncation})"
 
@@ -329,7 +312,8 @@ class RationalSeries:
     most 2^r).  Then b_m = N d^(m+1) c_m is an integer with
         b_m = d^m num_m - sum_{k>=1} den[k] d^(k-1) b_{m-k},
     so no step divides; coefficient(m) returns b_m / (N d^(m+1)), and
-    series(M) hands over b_m d^(M-m) over N d^(M+1) as ints.
+    series(M) divides each b_m by N d^(m+1) exactly, since the series it
+    hands over counts extensions (a remainder raises InvariantViolation).
     """
 
     __slots__ = ("num", "den", "_recurrence")
@@ -363,10 +347,15 @@ class RationalSeries:
     def series(self, truncation: int) -> TruncatedSeries:
         self.coefficient(truncation)  # expands b through b_truncation
         _, unit, d, _, b = self._recurrence
-        sign = -1 if d < 0 and truncation % 2 == 0 else 1  # of d^(M+1)
-        return TruncatedSeries._from_ints(
-            [sign * b[m] * d ** (truncation - m) for m in range(truncation + 1)],
-            unit * abs(d) ** (truncation + 1))
+        out, scale = [], unit * d  # scale = N d^(m+1)
+        for m in range(truncation + 1):
+            c, rem = divmod(b[m], scale)
+            if rem:
+                raise InvariantViolation(f"series coefficient {m} is "
+                                         f"{Fraction(b[m], scale)}, not an int")
+            out.append(c)
+            scale *= d
+        return TruncatedSeries._from_ints(out)
 
     def recurrence(self) -> tuple:
         """Weights (w_1, ..., w_k): for m > deg num,
@@ -421,7 +410,7 @@ def euler_factor_series(ctx: PrimeContext, f: int, norm: int,
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     return TruncatedSeries._from_ints(
-        [factor_coefficient(ctx, f, m, norm) for m in range(truncation + 1)], 1)
+        [factor_coefficient(ctx, f, m, norm) for m in range(truncation + 1)])
 
 
 def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
@@ -711,18 +700,15 @@ def global_factor_series(ctx: PrimeContext, f: int,
             coeffs.append(value)
     result = TruncatedSeries.one(truncation)
     for degree, coeffs in enumerate(in_u, start=1):
-        factor = TruncatedSeries._from_ints(coeffs, 1)
+        factor = TruncatedSeries._from_ints(coeffs)
         result = powered_place_factor(ctx, degree, factor, truncation) * result
     return result
 
 
 def _counting_series(ctx: PrimeContext, depths) -> TruncatedSeries:
-    """weighted_counts degree by degree over the depth-f series f = 0..r,
-    which are built from ints and so must have denominator 1."""
-    if any(series.den != 1 for series in depths):
-        raise InvariantViolation("a depth series has a denominator")
+    """weighted_counts degree by degree over the depth-f series f = 0..r."""
     return TruncatedSeries._from_ints(
-        weighted_counts(ctx, [series.nums for series in depths]), 1)
+        weighted_counts(ctx, [series.nums for series in depths]))
 
 
 def global_dirichlet(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
@@ -820,10 +806,7 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
     series = global_dirichlet(ctx, truncation)
     reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
     for m in range(start, truncation + 1):
-        d_m, rem = divmod(reduced.nums[m], reduced.den)
-        if rem:
-            raise InvariantViolation(f"reduced coefficient d_{m} = "
-                                     f"{reduced.coefficient(m)} is not an integer")
+        d_m = reduced.coefficient(m)
         if abs(d_m) ** exponent.denominator > q ** (exponent.numerator * m):
             return False
     return True
@@ -834,16 +817,9 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
 # ---------------------------------------------------------------------------
 
 
-def _decode_rational(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
     """Schema: {"p", "n", "r", "variable": "q^-s", "truncation",
-    "coefficients": [decimal strings, rationals as "num/den"]}."""
+    "coefficients": [truncation + 1 decimal strings]}."""
     obj = {
         "p": ctx.p,
         "n": ctx.n,
@@ -856,8 +832,12 @@ def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
 
 
 def series_from_json(text: str):
-    """Inverse of series_to_json; returns ((p, n, r), TruncatedSeries)."""
+    """Inverse of series_to_json; returns ((p, n, r), TruncatedSeries).
+    ValueError unless there are exactly truncation + 1 decimal strings."""
     obj = json.loads(text)
-    coeffs = [_decode_rational(s) for s in obj["coefficients"]]
+    coeffs, truncation = obj["coefficients"], obj["truncation"]
+    if len(coeffs) != truncation + 1 or not all(isinstance(c, str) for c in coeffs):
+        raise ValueError(f"truncation {truncation} needs {truncation + 1} "
+                         "coefficients, each a decimal string")
     return ((obj["p"], obj["n"], obj["r"]),
-            TruncatedSeries(coeffs, obj["truncation"]))
+            TruncatedSeries([int(c) for c in coeffs], truncation))

@@ -257,8 +257,9 @@ def test_verify_seed_is_recorded(capsys):
 
 
 def test_verify_bad_flags(capsys):
-    code, _, _ = run(capsys, "verify", "--budget", "0")
-    assert code == 2
+    for budget in ("0", "nan", "inf"):
+        code, _, _ = run(capsys, "verify", "--budget", budget)
+        assert code == 2, budget
     code, _, _ = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
 

@@ -57,18 +57,39 @@ GRID = (CTX211, CTX221, CTX311, CTX212, CTX222, CTX312)
 
 
 def test_truncated_series_arithmetic():
-    a = TruncatedSeries((Fraction(1), Fraction(2), Fraction(3)), 2)
-    b = TruncatedSeries((Fraction(1), Fraction(-2)), 1)
+    a = TruncatedSeries((1, 2, 3), 2)
+    b = TruncatedSeries((1, -2), 1)
     prod = a * b
     assert prod.truncation == 1           # min of the truncations
     assert prod.coefficients() == (1, 0)
+    assert prod == TruncatedSeries((1,), 1) != TruncatedSeries((1,), 2)
+    assert a.truncate(1) != a
     with pytest.raises(TruncationError):
         prod.coefficient(2)               # beyond truncation is an error
 
 
+def test_truncated_series_holds_ints_only():
+    with pytest.raises(TypeError):
+        TruncatedSeries((Fraction(1, 2),), 0)
+    with pytest.raises(TypeError):
+        TruncatedSeries((1, 2.0), 1)
+
+
+def _inverse(coeffs, truncation: int) -> tuple:
+    """1/a to degree `truncation` in plain Fractions, the reference for
+    RationalSeries; a[0] must be nonzero."""
+    a = (list(coeffs) + [0] * truncation)[:truncation + 1]
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0]
+    for k in range(1, truncation + 1):
+        out.append(-inv0 * sum(a[i] * out[k - i] for i in range(1, k + 1)))
+    return tuple(out)
+
+
 def test_series_inverse_and_inflate():
-    one = poly_to_series((1, -2), 8).inverse()
-    assert one.coefficients() == tuple(2 ** k for k in range(9))
+    assert _inverse((1, -2), 8) == tuple(2 ** k for k in range(9))
+    assert _inverse((2, -1), 3) == tuple(Fraction(1, 2 ** (k + 1))
+                                         for k in range(4))
     # u -> t^2 pins everything below t^(2*(3+1)), so the horizon widens
     inflated = poly_to_series((1, 1), 3).inflate(2)
     assert inflated.truncation == 7
@@ -116,10 +137,25 @@ def test_rational_series_matches_series_division(rational, extra):
     truncation = max(len(num), len(den)) + extra
     rat = RationalSeries(num, den)
     rat.coefficient(truncation // 2)            # expansion is incremental
-    expected = (poly_to_series(num, truncation)
-                * poly_to_series(den, truncation).inverse())
-    assert rat.series(truncation) == expected
-    assert rat.coefficient(truncation) == expected.coefficient(truncation)
+    inverse = _inverse(den, truncation)
+    expected = [sum(c * inverse[m - i] for i, c in enumerate(num[:m + 1]))
+                for m in range(truncation + 1)]
+    assert [rat.coefficient(m) for m in range(truncation + 1)] == expected
+    if all(c.denominator == 1 for c in expected):
+        assert rat.series(truncation).coefficients() == tuple(expected)
+    else:
+        with pytest.raises(InvariantViolation):
+            rat.series(truncation)
+
+
+def test_rational_series_hands_over_ints_only():
+    # 1/(2 - t) = 1/2 + t/4 + ...: not a counting series
+    with pytest.raises(InvariantViolation):
+        RationalSeries((1,), (2, -1)).series(3)
+    # (2 - 2t)/(2 - 4t) = 1 + t + 2t^2 + 4t^3 + ... is one, over den[0] = 2
+    series = RationalSeries((2, -2), (2, -4)).series(4)
+    assert series.coefficients() == (1, 1, 2, 4, 8)
+    assert {type(c) for c in series.coefficients()} == {int}
 
 
 def _naive_gcd(a, b):
@@ -265,7 +301,7 @@ def test_local_rational_matches_direct_series():
 
 def _schoolbook(a, b):
     m = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (m + 1)
+    out = [0] * (m + 1)
     for i in range(m + 1):
         for j in range(m + 1 - i):
             out[i + j] += a.coefficient(i) * b.coefficient(j)
@@ -274,17 +310,12 @@ def _schoolbook(a, b):
 
 @st.composite
 def _series(draw, max_truncation=9):
-    """A truncated series with a random t-valuation; integral for den = 1.
-    Sometimes its stored denominator is a multiple of the least one."""
+    """A truncated series of ints with a random t-valuation."""
     truncation = draw(st.integers(0, max_truncation))
-    den = draw(st.sampled_from((1, 1, 2, 3, 6)))
     valuation = draw(st.integers(0, 3))
     body = draw(st.lists(st.integers(-5, 5), max_size=truncation + 1))
-    coeffs = [0] * valuation + [Fraction(c, den) for c in body]
-    series = TruncatedSeries(coeffs[:truncation + 1], truncation)
-    blow = draw(st.sampled_from((1, 1, 4)))
-    return TruncatedSeries._from_ints([c * blow for c in series.nums],
-                                      series.den * blow)
+    coeffs = [0] * valuation + body
+    return TruncatedSeries(coeffs[:truncation + 1], truncation)
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,9 +326,9 @@ def test_product_matches_schoolbook(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(_series(), st.integers(0, 6))
-@example(TruncatedSeries((1, 2, -1, 0, 3), 4), 5)                  # integral
-@example(TruncatedSeries((Fraction(2, 3), 0, Fraction(-1, 2)), 2), 4)
-@example(TruncatedSeries((0, 0, Fraction(1, 2), 1, 0, 1), 5), 2)   # shifted
+@example(TruncatedSeries((1, 2, -1, 0, 3), 4), 5)
+@example(TruncatedSeries((-2, 0, 3), 2), 4)                 # a_0 not +-1
+@example(TruncatedSeries((0, 0, 2, 1, 0, 1), 5), 2)         # shifted
 @example(TruncatedSeries((0, 0, 1), 2), 2)                  # shifted past M
 @example(TruncatedSeries((0, 3, 1), 2), 0)                  # exponent 0
 @example(TruncatedSeries((), 3), 3)                         # zero series
@@ -319,16 +350,6 @@ def test_power_with_place_count_sized_exponent():
     assert powered.coefficients() == tuple(expected)
 
 
-def test_equality_across_stored_denominators():
-    a = TruncatedSeries((1, Fraction(-1, 2), 0, 3), 3)
-    b = TruncatedSeries._from_ints([6 * c for c in a.nums], 6 * a.den)
-    assert (a.den, b.den) == (2, 12)
-    assert a == b and b == a
-    assert b != TruncatedSeries._from_ints([4 * c for c in a.nums], 6 * a.den)
-    assert a.truncate(2) != a
-    assert TruncatedSeries((2, 4), 1) == TruncatedSeries._from_ints((4, 8), 2)
-
-
 def test_local_direct_series_rejects_a_non_count(monkeypatch):
     # one depth-r coefficient off by one adds e_r = 2/3 to a count
     ctx, honest = make_context(2, 1, 2), dirichlet.euler_factor_series
@@ -339,7 +360,7 @@ def test_local_direct_series_rejects_a_non_count(monkeypatch):
             return series
         nums = list(series.nums)
         nums[4] += 1
-        return TruncatedSeries._from_ints(nums, 1)
+        return TruncatedSeries._from_ints(nums)
 
     assert local_direct_series(ctx, 8).coefficient(4) == 1
     monkeypatch.setattr(dirichlet, "euler_factor_series", perturbed)
@@ -351,7 +372,7 @@ def test_local_direct_series_rejects_a_non_count(monkeypatch):
 @given(_series(), st.integers(1, 4), st.integers(0, 9))
 def test_inflate_and_truncate_match_coefficient_lists(a, d, keep):
     coeffs = a.coefficients()
-    spread = [Fraction(0)] * (d * len(coeffs))
+    spread = [0] * (d * len(coeffs))
     spread[::d] = coeffs
     inflated = a.inflate(d)
     assert inflated.truncation == len(spread) - 1
@@ -434,7 +455,7 @@ def test_global_integrality_grid():
         top = 40 if ctx.q == 2 else 24
         coeffs = global_dirichlet(ctx, top).coefficients()
         for m, c in enumerate(coeffs):
-            assert c.denominator == 1 and c >= 0, (ctx.p, ctx.n, ctx.r, m, c)
+            assert type(c) is int and c >= 0, (ctx.p, ctx.n, ctx.r, m, c)
         assert coeffs[0] == (1 if ctx.r == 1 else 0)
 
 
@@ -516,7 +537,18 @@ def test_serialization_roundtrip():
     assert payload["coefficients"][4] == "3"
     triple, series_back = series_from_json(text)
     assert triple == (2, 1, 2)
-    assert series_back.coefficients() == series.coefficients()
+    assert series_back == series
+    # exactly truncation + 1 decimal strings: no padding, no rationals
+    payload["truncation"] = 14
+    with pytest.raises(ValueError):
+        series_from_json(json.dumps(payload))
+    payload["truncation"] = 12
+    payload["coefficients"][4] = "1/2"
+    with pytest.raises(ValueError):
+        series_from_json(json.dumps(payload))
+    payload["coefficients"][4] = 3
+    with pytest.raises(ValueError):
+        series_from_json(json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------
