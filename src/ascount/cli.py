@@ -427,6 +427,17 @@ def cmd_asymptotics(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes -1e3, -inf and -nan for a flag's value, so they reach the
+    range and type checks; argparse alone reads them as unknown flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def _add_context_flags(sub) -> None:
     sub.add_argument("--p", type=int, required=True,
                      help="residue characteristic (prime)")
@@ -437,7 +448,7 @@ def _add_context_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ascount",
         description="Exact counts of wildly ramified C_p^r-extensions of "
                     "F_q((t)) and F_q(t) by discriminant.")

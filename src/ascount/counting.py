@@ -3,7 +3,10 @@
 Closed-form counts come from summing weighted conductor chains; the brute
 force oracles enumerate subspaces of reduced representatives directly and
 tally the same discriminants.  The two paths share no code beyond the field
-layer, so agreement is a meaningful check.
+layer, so agreement is a meaningful check.  The chains and their flag
+counts depend on neither n, the depth nor the norm, so _chain_table
+enumerates them once per (p, r, exponent) and every closed-form count
+reads that one table.
 
 The oracles.  A C_p^r-extension is an r-dimensional subspace of
 Artin-Schreier classes; its discriminant is (p-1) times the sum of the
@@ -43,7 +46,7 @@ from .compositions import (
     weighted_counts,
 )
 from .errors import InvariantViolation
-from .fields import Divisor, PrimeContext, places
+from .fields import Divisor, PrimeContext, make_context, places
 
 __all__ = [
     "factor_coefficient",
@@ -65,6 +68,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _chain_table(p: int, r: int, exponent: int) -> tuple:
+    """The chains of length at most r with the given discriminant exponent,
+    grouped by run composition as (length, flag_count, chains), shortest
+    first.  Nothing here depends on n, the depth or the norm, so one table
+    per (p, r, exponent) serves every context, depth and norm."""
+    groups: dict = {}
+    for chain in enumerate_chains(exponent, r, make_context(p, 1, r)):
+        groups.setdefault(run_composition(chain), []).append(chain)
+    # the chains come sorted by length, so the groups are too
+    return tuple((sum(omega), flag_count(omega, p), tuple(chains))
+                 for omega, chains in groups.items())
+
+
 def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
                         norms) -> list:
     """Coefficient of the depth-f local factor at places of each given norm.
@@ -72,17 +89,23 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
     Sums, over conductor chains of length at most f realizing the given
     discriminant exponent, the number of flagged subspace configurations
     with that chain.  Depth f is the number of ramified generators tracked;
-    the exponent-0 coefficient is 1 for every f.  The chains do not depend
-    on the norm, so they are enumerated once for all norms.
+    the exponent-0 coefficient is 1 for every f.  The chains come from
+    _chain_table, enumerated once per (p, r, exponent) for every depth,
+    norm and call; only chain_term_count is evaluated per norm.
     """
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
+    if not 0 <= f <= ctx.r:
+        raise ValueError(f"depth f = {f} outside [0, r]")
+    binomials = [gaussian_binomial(f, k, ctx.p) for k in range(f + 1)]
     totals = [0] * len(norms)
-    for chain in enumerate_chains(exponent, f, ctx):
-        omega = run_composition(chain)
-        weight = gaussian_binomial(f, len(chain), ctx.p) * flag_count(omega, ctx.p)
+    for length, flags, chains in _chain_table(ctx.p, ctx.r, exponent):
+        if length > f:
+            break
+        weight = binomials[length] * flags
         for k, norm in enumerate(norms):
-            totals[k] += weight * chain_term_count(chain, norm, ctx)
+            totals[k] += weight * sum(chain_term_count(chain, norm, ctx)
+                                      for chain in chains)
     return totals
 
 

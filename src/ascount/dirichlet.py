@@ -683,10 +683,10 @@ def global_factor_series(ctx: PrimeContext, f: int,
     degree.
 
     Exponents are the outer loop and degrees the inner one: the chains of
-    each exponent are enumerated once and evaluated at every norm q^d whose
-    factor still reaches that exponent (d * exponent <= truncation).  Each
-    degree-d factor is then powered and inflated, and the product is taken
-    in increasing degree order, the sparse factor first."""
+    each exponent, shared by all depths, are evaluated at every norm q^d
+    whose factor still reaches that exponent (d * exponent <= truncation).
+    Each degree-d factor is then powered and inflated, and the product is
+    taken in increasing degree order, the sparse factor first."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     if f == 0 or truncation == 0:

@@ -110,6 +110,15 @@ def test_count_mode_flag_mismatch(capsys):
     assert code == 2 and err.startswith("usage: ascount count")
 
 
+def test_count_negative_exponent(capsys):
+    code, _, err = run(capsys, "count", "local", "--p", "2", "--r", "1",
+                       "--exp", "-1")
+    assert code == 2 and "--exp must be non-negative" in err
+    code, _, err = run(capsys, "count", "local", "--p", "2", "--r", "1",
+                       "--exp", "-1e3")
+    assert code == 2 and "argument --exp: invalid int value: '-1e3'" in err
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
@@ -163,6 +172,11 @@ def test_series_negative_max(capsys):
     code, _, err = run(capsys, "series", "global", "--p", "2", "--r", "1",
                        "--max", "-1")
     assert code == 2 and err.startswith("usage: ascount series")
+    assert "--max must be non-negative" in err
+    # -1e3 is a value, not an unknown flag: it reaches the int check
+    code, _, err = run(capsys, "series", "global", "--p", "2", "--r", "1",
+                       "--max", "-1e3")
+    assert code == 2 and "argument --max: invalid int value: '-1e3'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +271,10 @@ def test_verify_seed_is_recorded(capsys):
 
 
 def test_verify_bad_flags(capsys):
-    for budget in ("0", "nan", "inf"):
-        code, _, _ = run(capsys, "verify", "--budget", budget)
+    for budget in ("0", "nan", "inf", "-1", "-1e3", "-inf", "-nan", "-.5"):
+        code, _, err = run(capsys, "verify", "--budget", budget)
         assert code == 2, budget
+        assert "--budget must be positive and finite" in err, budget
     code, _, _ = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
 

@@ -1,12 +1,20 @@
 """Closed-form counts against brute-force enumeration and frozen anchors."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascount.compositions import gaussian_binomial
+from ascount import counting
+from ascount.compositions import (
+    chain_term_count,
+    enumerate_chains,
+    flag_count,
+    gaussian_binomial,
+    run_composition,
+)
 from ascount.counting import (
     _adder,
     _blocks,
@@ -34,6 +42,7 @@ from ascount.artin_schreier import (
     rep_add,
     rep_scale,
 )
+from ascount.dirichlet import delta_exponents, psi_polynomial
 from ascount.errors import InvariantViolation
 from ascount.fields import Divisor, INFINITY, finite_place, make_context
 
@@ -100,6 +109,57 @@ def test_factor_coefficients_match_per_norm():
                 assert factor_coefficients(ctx, f, exponent, norms) == \
                     [factor_coefficient(ctx, f, exponent, n) for n in norms]
     assert factor_coefficients(CTX212, 2, 8, []) == []
+
+
+def _coefficients_by_chains(ctx, f, exponent, norms):
+    """factor_coefficients written out as a sum over the chains of length
+    at most f, each weighted by its own q-binomial and flag count."""
+    totals = [0] * len(norms)
+    for chain in enumerate_chains(exponent, f, ctx):
+        weight = (gaussian_binomial(f, len(chain), ctx.p)
+                  * flag_count(run_composition(chain), ctx.p))
+        for k, norm in enumerate(norms):
+            totals[k] += weight * chain_term_count(chain, norm, ctx)
+    return totals
+
+
+@pytest.mark.parametrize("pnr", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                 (3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1),
+                                 (5, 1, 2), (2, 2, 2)],
+                         ids=lambda pnr: "".join(map(str, pnr)))
+def test_factor_coefficients_match_chain_sum(pnr):
+    # every depth reads one shared chain table; out to the psi horizon
+    ctx = make_context(*pnr)
+    norms = [ctx.p, ctx.p ** 2, ctx.p ** 3]
+    horizon = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, ctx.r + 1))
+    for exponent in range(horizon + 1):
+        for f in range(ctx.r + 1):
+            assert factor_coefficients(ctx, f, exponent, norms) == \
+                _coefficients_by_chains(ctx, f, exponent, norms), (f, exponent)
+
+
+def test_factor_coefficients_rejects_depth_out_of_range():
+    for exponent in (0, 8):
+        for f in (-1, CTX212.r + 1):
+            with pytest.raises(ValueError):
+                factor_coefficients(CTX212, f, exponent, [2, 4])
+
+
+def test_psi_polynomial_enumerates_each_exponent_once(monkeypatch):
+    calls = Counter()
+    enumerate_all = counting.enumerate_chains
+
+    def counted(target, max_len, ctx):
+        calls[target] += 1
+        return enumerate_all(target, max_len, ctx)
+
+    monkeypatch.setattr(counting, "enumerate_chains", counted)
+    counting._chain_table.cache_clear()
+    ctx = make_context(2, 1, 3)
+    for norm in (2, 4, 8):
+        psi_polynomial(ctx, 2, norm)
+    horizon = 2 * sum(delta_exponents(ctx, j)[1] for j in (1, 2))
+    assert calls == Counter(range(horizon + 1))
 
 
 def test_global_anchors_degree_counts():
