@@ -219,7 +219,6 @@ def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
     # polynomial part: constant plus the principal part at infinity
     constant = whole[0] if whole else 0
     if pdeg(whole) >= 1:
-        inf_field = residue_field(ctx, INFINITY)
         principal[INFINITY] = {i: (c,) for i, c in enumerate(whole) if i >= 1 and c}
 
     if rem:

@@ -39,6 +39,7 @@ from .errors import InvariantViolation
 from .fields import PrimeContext, place_count
 
 ZERO = Fraction(0)
+_BISECTION_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _interval_eval(poly, lo: Fraction, hi: Fraction):
     return lower, upper
 
 
-def value_bounds_at_real_root(poly, power, index: int, max_steps: int = 300):
+def value_bounds_at_real_root(poly, power, index: int):
     """Exact rational bounds on poly(x) at the positive real root of
     x**index = power, for power in (0, 1].
 
@@ -162,7 +163,7 @@ def value_bounds_at_real_root(poly, power, index: int, max_steps: int = 300):
     if not poly_trim(poly_divmod(poly, modulus)[1]):
         return ZERO, ZERO
     lo, hi = ZERO, Fraction(1)
-    for _ in range(max_steps):
+    for _ in range(_BISECTION_STEPS):
         lower, upper = _interval_eval(poly, lo, hi)
         if lower > 0 or upper < 0:
             return lower, upper

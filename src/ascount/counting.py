@@ -51,7 +51,6 @@ from .fields import Divisor, PrimeContext, make_context, places
 __all__ = [
     "factor_coefficient",
     "factor_coefficients",
-    "local_factor_coefficient",
     "local_count",
     "global_count",
     "counts_by_degree",
@@ -115,16 +114,11 @@ def factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
     return factor_coefficients(ctx, f, exponent, (norm,))[0]
 
 
-def local_factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
-                             place_degree: int = 1) -> int:
-    """factor_coefficient at a place of F_q(t) of the given degree."""
-    return factor_coefficient(ctx, f, exponent, ctx.q ** place_degree)
-
-
 def local_count(ctx: PrimeContext, exponent: int) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q((t)) whose
     discriminant exponent equals `exponent`."""
-    rows = [[local_factor_coefficient(ctx, f, exponent)] for f in range(ctx.r + 1)]
+    rows = [[factor_coefficient(ctx, f, exponent, ctx.q)]
+            for f in range(ctx.r + 1)]
     return weighted_counts(ctx, rows)[0]
 
 
@@ -138,7 +132,8 @@ def _depth_values(ctx: PrimeContext, divisor: Divisor, factors: dict) -> list:
         for place, e in divisor.items():
             key = (f, e, place.degree)
             if key not in factors:
-                factors[key] = local_factor_coefficient(ctx, f, e, place.degree)
+                factors[key] = factor_coefficient(ctx, f, e,
+                                                  ctx.q ** place.degree)
             prod_f *= factors[key]
             if prod_f == 0:
                 break

@@ -21,7 +21,7 @@ import json
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .compositions import (
     delsarte_weight,
@@ -498,131 +498,50 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# nested geometric series identity (exact check with a rigorous tail bound)
+# nested geometric series identity (exact check on integer power series)
 # ---------------------------------------------------------------------------
 
 
-def _integer_root(n: int, d: int) -> int:
-    """floor(n^(1/d)) for n >= 0, by integer Newton steps from above."""
-    if d == 2:
-        return isqrt(n)
-    if n < 2 or d == 1:
-        return n
-    x = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) > n^(1/d)
-    while True:
-        y = ((d - 1) * x + n // x ** (d - 1)) // d
-        if y >= x:
-            return x
-        x = y
-
-
-def _rational_root(x: Fraction, d: int) -> Fraction:
-    """Exact d-th root of a positive rational, or ValueError."""
-    def iroot(n: int) -> int:
-        root = _integer_root(n, d)
-        if root ** d != n:
-            raise ValueError(f"{n} has no integer {d}-th root")
-        return root
-    return Fraction(iroot(x.numerator), iroot(x.denominator))
-
-
-def _stirling2(n: int, k: int) -> int:
-    if k in (0, n):
-        return 1 if k == n else 0
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, min(i, k) + 1):
-            table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
-    return table[n][k]
-
-
-def _power_sum(e: int, ratio: Fraction) -> Fraction:
-    """sum_{k>=0} k^e ratio^k for 0 < ratio < 1, exactly."""
-    if e == 0:
-        return 1 / (1 - ratio)
-    total = ZERO
-    for j in range(1, e + 1):
-        numer = _stirling2(e, j) * factorial(j) * ratio ** j
-        total += numer / (1 - ratio) ** (j + 1)
-    return total
-
-
-def _power_tail(e: int, ratio: Fraction, cutoff: int) -> Fraction:
-    """sum_{k>cutoff} k^e ratio^k, exactly (binomial shift of _power_sum)."""
-    shift = cutoff + 1
-    total = ZERO
-    for m in range(e + 1):
-        total += (comb(e, m) * shift ** (e - m)) * _power_sum(m, ratio)
-    return ratio ** shift * total
-
-
-def nested_geometric_check(x, alphas, depth: int) -> bool:
+def nested_geometric_check(alphas, depth: int) -> bool:
     """Verify the closed form of the strictly-nested geometric sum
     sum_{k_1 > k_2 > ... > k_J >= 0} x^(sum alpha_i k_i), namely
-    x^(sum (J-i) alpha_i) * prod_i (1 - x^(alpha_1+...+alpha_i))^(-1).
+    x^(sum (J-i) alpha_i) * prod_i (1 - x^(alpha_1+...+alpha_i))^(-1),
+    as an identity of formal power series.
 
-    Partial sums run the outer index up to `depth`; the discarded tail is
-    bounded exactly (positive terms, every prefix exponent negative), and
-    the check passes iff |closed form - partial sum| is within that bound.
+    With D the common denominator of the alphas and z = x^(-1/D), every
+    beta_i = -D alpha_i is an integer and both sides are integer power
+    series in z.  The sum side counts the tuples with k_1 <= depth by
+    their exponent; a tuple with k_1 > depth has exponent at least
+    (depth + 1) * min_l B_l, where B_l = beta_1 + ... + beta_l, so the
+    check passes iff the two sides agree on every degree below that.
 
-    Raises ValueError if some prefix sum of the alphas is nonnegative (the
-    sum diverges) or if x has no exact root of the needed order (exponents
-    x^(k/D) must stay rational for the arithmetic to remain exact).
+    Raises ValueError if there are no alphas or some prefix sum of them
+    is nonnegative (the sum diverges).
     """
-    x = Fraction(x)
     alphas = [Fraction(a) for a in alphas]
-    if x <= 1:
-        raise ValueError("x must exceed 1")
     if not alphas:
         raise ValueError("need at least one exponent")
-    prefixes = list(itertools.accumulate(alphas))
-    if max(prefixes) >= 0:
-        raise ValueError("nonnegative prefix exponent: series diverges")
     denom = lcm(*(a.denominator for a in alphas))
-    root = _rational_root(x, denom)  # ValueError if irrational
-    count = len(alphas)
+    betas = [int(-a * denom) for a in alphas]
+    prefixes = list(itertools.accumulate(betas))
+    if min(prefixes) <= 0:
+        raise ValueError("nonnegative prefix exponent: series diverges")
+    horizon = (depth + 1) * min(prefixes)
 
-    def power(exponent: Fraction) -> Fraction:
-        scaled = exponent * denom
-        if scaled.denominator != 1:
-            raise InvariantViolation(
-                f"exponent {exponent} is not a multiple of 1/{denom}")
-        return root ** scaled.numerator
+    observed = [0] * horizon
+    for ks in itertools.combinations(range(depth, -1, -1), len(betas)):
+        exponent = sum(map(operator.mul, betas, ks))
+        if exponent < horizon:
+            observed[exponent] += 1
 
-    closed = power(sum((count - i) * alphas[i - 1] for i in range(1, count + 1)))
-    for pre in prefixes:
-        closed /= 1 - power(pre)
-
-    ratios = [power(a) for a in alphas]
-
-    def partial(level: int, upper: int) -> Fraction:
-        # sum over k_level in [0, upper) of ratio^k * inner levels
-        if level == count:
-            return sum(ratios[level - 1] ** k for k in range(upper))
-        return sum(ratios[level - 1] ** k * partial(level + 1, k)
-                   for k in range(upper))
-
-    observed = partial(1, depth + 1) if count > 1 else \
-        sum(ratios[0] ** k for k in range(depth + 1))
-
-    # fold a bound C * x^(beta k) * k^e for the inner levels, innermost out
-    coeff, beta, degree = Fraction(1), ZERO, 0
-    for i in range(count, 1, -1):
-        g = alphas[i - 1] + beta
-        if g < 0:
-            coeff *= _power_sum(degree, power(g))
-            beta, degree = ZERO, 0
-        elif g > 0:
-            coeff /= power(g) - 1
-            beta = g
-        else:
-            degree += 1
-    outer_ratio = power(alphas[0] + beta)
-    if outer_ratio >= 1:  # alpha_1 + beta is the largest prefix sum, < 0
-        raise InvariantViolation(f"outer ratio {outer_ratio} is not below 1")
-    tail_bound = coeff * _power_tail(degree, outer_ratio, depth)
-    return abs(closed - observed) <= tail_bound
+    closed = [0] * horizon
+    shift = sum(prefixes[:-1])
+    if shift < horizon:
+        closed[shift] = 1
+    for step in prefixes:  # divide by 1 - z^step
+        for m in range(step, horizon):
+            closed[m] += closed[m - step]
+    return closed == observed
 
 
 # ---------------------------------------------------------------------------

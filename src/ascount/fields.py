@@ -503,8 +503,7 @@ def places(ctx: PrimeContext, d: int) -> list:
     return out
 
 
-def poly_str(a: Poly, var: str = "t",
-             ctx: Optional[PrimeContext] = None) -> str:
+def poly_str(a: Poly, ctx: Optional[PrimeContext] = None) -> str:
     """Human-readable form in the divisor grammar, e.g. t2+t+1 for
     t^2 + t + 1.  A coefficient of F_p is a digit; any other coefficient
     of F_q is its bracketed base-p coordinate vector in the power basis,
@@ -527,7 +526,7 @@ def poly_str(a: Poly, var: str = "t",
             parts.append(coefficient(c))
         else:
             coeff = "" if c == 1 else coefficient(c)
-            power = var if i == 1 else f"{var}{i}"
+            power = "t" if i == 1 else f"t{i}"
             parts.append(coeff + power)
     return "+".join(parts)
 

@@ -119,6 +119,21 @@ def test_count_negative_exponent(capsys):
     assert code == 2 and "argument --exp: invalid int value: '-1e3'" in err
 
 
+def test_count_prints_integers_of_any_length(capsys):
+    # 2^15000 has 4516 digits, past the interpreter's default limit of
+    # 4300 for int <-> str; the limit must still hold for input
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "local", "--p", "2", "--r", "1",
+                         "--exp", "30000")
+    assert (code, err) == (0, "") and len(out) == 4517
+    with cli._exact_ints():
+        assert int(out) == 2 ** 15000
+    assert sys.get_int_max_str_digits() == limit
+    code, _, err = run(capsys, "count", "local", "--p", "2", "--r", "1",
+                       "--exp", "1" * 5000)
+    assert code == 2 and "argument --exp: invalid int value" in err
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
@@ -177,6 +192,20 @@ def test_series_negative_max(capsys):
     code, _, err = run(capsys, "series", "global", "--p", "2", "--r", "1",
                        "--max", "-1e3")
     assert code == 2 and "argument --max: invalid int value: '-1e3'" in err
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_series_prints_integers_of_any_length(capsys, fmt):
+    code, out, err = run(capsys, "series", "local", "--p", "2", "--r", "1",
+                         "--max", "30000", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "tsv":
+        degree, last = out.splitlines()[-1].split("\t")
+    else:
+        coefficients = json.loads(out)["coefficients"]
+        degree, last = str(len(coefficients) - 1), coefficients[-1]
+    with cli._exact_ints():
+        assert (degree, int(last)) == ("30000", 2 ** 15000)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from ascount.counting import (
     global_count,
     global_count_by_degree,
     local_count,
-    local_factor_coefficient,
 )
 from ascount.artin_schreier import (
     conductor_exponent,
@@ -98,7 +97,7 @@ def test_local_count_never_at_impossible_exponents():
 def test_factor_coefficient_zero_exponent():
     for ctx in (CTX211, CTX212, CTX312):
         for f in range(ctx.r + 1):
-            assert local_factor_coefficient(ctx, f, 0) == 1
+            assert factor_coefficient(ctx, f, 0, ctx.q) == 1
 
 
 def test_factor_coefficients_match_per_norm():

@@ -1,5 +1,6 @@
 """Series layer: rational forms, psi identities, Euler products."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 from ascount.dirichlet import (
     RationalSeries,
     TruncatedSeries,
-    _integer_root,
-    _rational_root,
     delta_exponents,
     delta_polynomial,
     euler_factor_series,
@@ -269,22 +268,29 @@ def test_euler_factor_norm_four_anchor():
 
 
 def test_nested_geometric_closed_form():
-    assert nested_geometric_check(Fraction(2), (-1,), 30)
-    assert nested_geometric_check(Fraction(3), (-2, -1), 14)
-    assert nested_geometric_check(Fraction(9, 2), (-1, -3, -2), 10)
+    assert nested_geometric_check((-1,), 30)
+    assert nested_geometric_check((-2, -1), 14)
+    assert nested_geometric_check((-1, -3, -2), 10)
+    # D = 6: both sides are series in z = x^(-1/6)
+    assert nested_geometric_check((Fraction(-1, 2), Fraction(-1, 3)), 12)
+    # a positive alpha whose prefixes stay negative
+    assert nested_geometric_check((-3, 1), 12)
     with pytest.raises(ValueError):
-        nested_geometric_check(Fraction(1, 2), (-1,), 5)   # x <= 1
+        nested_geometric_check((1, -3), 5)    # divergent prefix
     with pytest.raises(ValueError):
-        nested_geometric_check(Fraction(2), (1, -3), 5)    # divergent prefix
+        nested_geometric_check((-2, 2), 5)    # zero prefix
     with pytest.raises(ValueError):
-        nested_geometric_check(Fraction(2), (Fraction(-1, 2),), 5)  # no root
+        nested_geometric_check((), 5)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.lists(st.integers(-4, -1), min_size=1,
-                                   max_size=3))
-def test_nested_geometric_random(x, alphas):
-    assert nested_geometric_check(Fraction(x), tuple(alphas), 12)
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 3), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_SMALL_FRACTIONS, min_size=1, max_size=3).filter(
+    lambda alphas: max(itertools.accumulate(alphas)) < 0))
+def test_nested_geometric_random(alphas):
+    assert nested_geometric_check(tuple(alphas), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +389,6 @@ def test_inflate_and_truncate_match_coefficient_lists(a, d, keep):
     assert cut.coefficients() == coeffs[:keep + 1]
     with pytest.raises(TruncationError):
         a.truncate(a.truncation + 1)
-
-
-def test_rational_root_is_integer_exact():
-    # both went through floats once: OverflowError, and a false "no root"
-    assert _rational_root(Fraction(3 ** 700), 7) == 3 ** 100
-    big = 10 ** 17 + 3
-    assert _rational_root(Fraction(big ** 2), 2) == big
-    assert _rational_root(Fraction(8, 3 ** 45), 3) == Fraction(2, 3 ** 15)
-    with pytest.raises(ValueError):
-        _rational_root(Fraction(big ** 2 + 1), 2)
-    with pytest.raises(ValueError):
-        _rational_root(Fraction(3 ** 700 - 1, 5 ** 7), 7)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 400), st.integers(1, 12))
-def test_integer_root_is_floor(n, d):
-    root = _integer_root(n, d)
-    assert root ** d <= n < (root + 1) ** d
 
 
 def test_local_rational_anchor_2_1_1():

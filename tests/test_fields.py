@@ -166,7 +166,7 @@ def test_places_ordering_and_str():
     assert str(one[0]) == "inf"
     assert [str(pl) for pl in one[1:]] == ["t", "t+1"]
     assert poly_str([1, 1, 1]) == "t2+t+1"
-    assert poly_str([0, 2, 1], var="t") == "t2+2t"
+    assert poly_str([0, 2, 1]) == "t2+2t"
     # over F_4 and F_9 a coefficient outside F_p is a bracketed vector
     assert poly_str([1, 2, 1], ctx=CTX4) == "t2+[0,1]t+1"
     assert poly_str([1, 4, 1], ctx=CTX9) == "t2+[1,1]t+1"
