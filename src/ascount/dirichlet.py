@@ -4,8 +4,9 @@ Everything here is exact: truncated power series of ints with hard
 truncation horizons, rational functions with recurrence-based expansion,
 the Euler factors of the counting series and their polynomial closed
 forms, zeta factors of the rational function field, and the global
-coefficient series assembled place by place.  Integer data stays int: the
-delta factors, both Euler numerators Psi_f and the zeta-factor
+coefficient series: zeta factors times, per place degree, the Euler
+numerator Psi_f powered to the number of places.  Integer data stays
+int: the delta factors, both Euler numerators Psi_f and the zeta-factor
 polynomials have int coefficients, and the counting series are weighted
 over depths by compositions.weighted_counts, in ints, so a truncated
 series holds ints only.  Fractions appear only where a value is
@@ -590,36 +591,61 @@ def zeta_factors(ctx: PrimeContext) -> tuple:
 def powered_place_factor(ctx: PrimeContext, degree: int,
                          factor: TruncatedSeries,
                          truncation: int) -> TruncatedSeries:
-    """All degree-d places at once: the degree-d Euler factor, given in
-    u = t^d, raised to the number of such places and then inflated."""
+    """All degree-d places at once: a factor shared by the degree-d places,
+    given in u = t^d, raised to the number of such places and then
+    inflated."""
     powered = factor ** place_count(ctx, degree)
     return powered.inflate(degree).truncate(truncation)
 
 
 def global_factor_series(ctx: PrimeContext, f: int,
                          truncation: int) -> TruncatedSeries:
-    """Product over all places of the depth-f Euler factor, aggregated per
-    degree.
+    """Product over all places of the depth-f Euler factor, zeta-factorised.
 
-    Exponents are the outer loop and degrees the inner one: the chains of
-    each exponent, shared by all depths, are evaluated at every norm q^d
-    whose factor still reaches that exponent (d * exponent <= truncation).
-    Each degree-d factor is then powered and inflated, and the product is
-    taken in increasing degree order, the sparse factor first."""
+    The depth-f factor at a place of norm N is Psi_f(N, u) / prod_j delta_j
+    with delta_j = 1 - N^(a_j) u^(A_j), and over all places of F_q(t) the
+    deltas multiply out to prod_j Z(q^(a_j) t^(A_j)), Z the zeta function
+    of P^1.  So the product starts from those zeta factors and powers
+    Psi_f(q^d, u), of u-degree at most D = sum A_j, at each degree d.
+
+    The chains of each exponent up to min(truncation, 2D), shared by all
+    depths, are evaluated at every norm q^d whose factor still reaches that
+    exponent (d * exponent <= truncation).  Each degree's coefficients are
+    multiplied by the deltas in place; the computed part of the window
+    (D, 2D] must vanish, as psi_polynomial requires, and coefficients past
+    2D are trusted to vanish too.  The checked Psi_f is then powered and
+    inflated, and the product is taken in increasing degree order, the
+    sparse factor first."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     if f == 0 or truncation == 0:
         return TruncatedSeries.one(truncation)
+    pairs = [delta_exponents(ctx, j) for j in range(1, f + 1)]
+    degree_bound = sum(big_a for _, big_a in pairs)
+    top = min(truncation, 2 * degree_bound)
     norms = [ctx.q ** d for d in range(1, truncation + 1)]
     in_u = [[] for _ in norms]  # in_u[d - 1]: the degree-d factor in u
-    for m in range(truncation + 1):
+    for m in range(top + 1):
         reach = truncation // m if m else truncation
         values = factor_coefficients(ctx, f, m, norms[:reach])
         for coeffs, value in zip(in_u, values):
             coeffs.append(value)
-    result = TruncatedSeries.one(truncation)
-    for degree, coeffs in enumerate(in_u, start=1):
-        factor = TruncatedSeries._from_ints(coeffs)
+    result = reduce(operator.mul, (zeta_shift(ctx, big_a, a).series(truncation)
+                                   for a, big_a in pairs))
+    for degree, (norm, coeffs) in enumerate(zip(norms, in_u), start=1):
+        for a, big_a in pairs:  # times delta_j, backwards so each read is old
+            if big_a < len(coeffs):
+                scale = norm ** a
+                for m in range(len(coeffs) - 1, big_a - 1, -1):
+                    coeffs[m] -= scale * coeffs[m - big_a]
+        tail = [m for m in range(degree_bound + 1, len(coeffs)) if coeffs[m]]
+        if tail:
+            raise InvariantViolation(
+                f"Euler numerator at norm {norm} not a polynomial: "
+                f"nonzero at degrees {tail}")
+        psi = coeffs[:degree_bound + 1]
+        psi.extend([0] * (truncation // degree + 1 - len(psi)))
+        factor = TruncatedSeries._from_ints(psi)
         result = powered_place_factor(ctx, degree, factor, truncation) * result
     return result
 

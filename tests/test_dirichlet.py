@@ -36,6 +36,7 @@ from ascount.dirichlet import (
     zeta_shift,
 )
 from ascount import dirichlet
+from ascount.counting import factor_coefficients
 from ascount.errors import InvariantViolation, TruncationError
 from ascount.fields import make_context, places
 
@@ -447,9 +448,9 @@ def test_global_integrality_grid():
 
 
 def test_global_factor_series_matches_per_place_product():
-    # the per-degree aggregation (one chain enumeration per exponent, one
-    # Miller power per degree) against a product over the places one by one
-    for ctx, top in ((CTX211, 10), (CTX221, 6), (CTX212, 12), (CTX312, 14)):
+    # the zeta-factorised product against a product over the places one
+    # by one; (2,1,2) at 24 reaches past 2 * sum(A_j) = 20
+    for ctx, top in ((CTX211, 10), (CTX221, 6), (CTX212, 24), (CTX312, 14)):
         one = TruncatedSeries.one(top)
         for f in range(ctx.r + 1):
             naive = one
@@ -460,6 +461,83 @@ def test_global_factor_series_matches_per_place_product():
                     for _ in places(ctx, d):
                         naive = naive * local
             assert global_factor_series(ctx, f, top) == naive, (ctx, f)
+
+
+def _per_degree_reference(ctx, f, truncation):
+    """The Euler factor of each degree d, evaluated chain by chain out to
+    u-degree truncation // d, powered to the number of degree-d places and
+    inflated; no zeta factor and no psi-polynomial promise."""
+    if f == 0 or truncation == 0:
+        return TruncatedSeries.one(truncation)
+    norms = [ctx.q ** d for d in range(1, truncation + 1)]
+    in_u = [[] for _ in norms]
+    for m in range(truncation + 1):
+        reach = truncation // m if m else truncation
+        values = factor_coefficients(ctx, f, m, norms[:reach])
+        for coeffs, value in zip(in_u, values):
+            coeffs.append(value)
+    result = TruncatedSeries.one(truncation)
+    for degree, coeffs in enumerate(in_u, start=1):
+        factor = TruncatedSeries._from_ints(coeffs)
+        powered = dirichlet.powered_place_factor(ctx, degree, factor, truncation)
+        result = powered * result
+    return result
+
+
+# truncations reach past 2 * sum(A_j) at f = r, where the engine trusts
+# the psi-polynomial promise instead of checking it
+_REFERENCE_TOPS = {CTX211: 80, CTX221: 80, CTX311: 80, CTX212: 80, CTX222: 80,
+                   CTX312: 100, CTX213: 100}
+
+
+@st.composite
+def _context_and_truncation(draw):
+    ctx = draw(st.sampled_from(list(_REFERENCE_TOPS)))
+    return ctx, draw(st.integers(0, _REFERENCE_TOPS[ctx]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_context_and_truncation())
+@example((CTX212, 80))
+@example((CTX312, 100))
+@example((CTX213, 100))
+def test_global_factor_series_matches_per_degree_reference(case):
+    ctx, truncation = case
+    for f in range(ctx.r + 1):
+        assert (global_factor_series(ctx, f, truncation)
+                == _per_degree_reference(ctx, f, truncation)), (ctx, f, truncation)
+
+
+def test_global_factor_series_rejects_a_non_polynomial_numerator(monkeypatch):
+    # (2,1,2) f = 2: sum(A_j) = 10, so exponent 15 lies in the checked
+    # window (10, 20]; one coefficient off by one at norm 2 must be caught
+    honest = dirichlet.factor_coefficients
+
+    def perturbed(ctx, f, exponent, norms):
+        values = honest(ctx, f, exponent, norms)
+        if exponent == 15:
+            values[0] += 1
+        return values
+
+    global_factor_series(CTX212, 2, 60)
+    monkeypatch.setattr(dirichlet, "factor_coefficients", perturbed)
+    with pytest.raises(InvariantViolation):
+        global_factor_series(CTX212, 2, 60)
+
+
+def test_global_factor_series_stops_chains_at_twice_psi_degree(monkeypatch):
+    # (2,1,2): sum(A_j) is 4 at f = 1 and 10 at f = 2
+    honest, seen = dirichlet.factor_coefficients, []
+
+    def spy(ctx, f, exponent, norms):
+        seen.append(exponent)
+        return honest(ctx, f, exponent, norms)
+
+    monkeypatch.setattr(dirichlet, "factor_coefficients", spy)
+    for f, top in ((1, 8), (2, 20)):
+        seen.clear()
+        global_factor_series(CTX212, f, 200)
+        assert max(seen) == top, f
 
 
 def test_global_factor_multiplicativity_spot():
