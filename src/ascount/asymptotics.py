@@ -12,9 +12,14 @@ Everything that can be exact is exact.  The local constants are read off
 one partial-fraction split at the rightmost local pole circle, whose
 identity is checked on every coefficient up to a horizon that grows by
 whole periods until the 1% gate holds; local_pole_catalog certifies the
-dominant pole line by a nonzero numerator R in the split's term R/delta_r.
+dominant pole line by a nonzero numerator R in the split's term R/delta_r,
+and psi_lower_bound certifies positivity bounds at the real pole points.
 Floats appear only in reported values (the constants, their relative
-errors and the fits) and in the first estimate of that horizon.
+errors, the fits and the Klein constant) and in the first estimate of
+that horizon.  The irrational values among them are taken in mpmath at
+_PRECISION bits and rounded once to a float.  On every tested context
+120 bits give the same local constants as 240 bits, while 53 or 64 bits
+change the last digits.
 """
 
 import itertools
@@ -40,6 +45,8 @@ from .fields import PrimeContext, place_count
 
 ZERO = Fraction(0)
 _BISECTION_STEPS = 300
+_PRECISION = 120  # mpmath working bits of the constants and fits
+_KLEIN_PLACE_DEGREE = 40  # Euler product truncation: tail bound ~1e-12 at q=2
 
 
 @dataclass(frozen=True)
@@ -176,17 +183,6 @@ def value_bounds_at_real_root(poly, power, index: int):
                              "budget")
 
 
-def sign_at_real_root(poly, power, index: int) -> int:
-    """Certified sign (-1, 0, +1) of poly at the positive real root of
-    x**index = power."""
-    lower, upper = value_bounds_at_real_root(poly, power, index)
-    if lower > 0:
-        return 1
-    if upper < 0:
-        return -1
-    return 0
-
-
 def psi_lower_bound(ctx: PrimeContext, f: int) -> Fraction:
     """Certified positive rational lower bound for the depth-f numerator
     polynomial at its rightmost real pole point t = q^(-f(p-1)/A_f).
@@ -239,8 +235,7 @@ class LocalConstants:
     m_max: int
 
 
-def local_leading_constants(ctx: PrimeContext, precision: int = 120,
-                            m_max: int = None,
+def local_leading_constants(ctx: PrimeContext,
                             tolerance: float = 1e-2) -> LocalConstants:
     """Leading constants of the local count per residue class mod p(p^r-1).
 
@@ -248,24 +243,20 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
     num/den = R/delta_r + S/D' of dirichlet.rightmost_split, the count at
     m = Ai + k is c_m = R_k c^i + [S/D']_m, so it behaves like
     constant(k) * q^(m a/A), constant(k) = R_k q^(-a k/A): the one float,
-    taken at precision bits.  A class is zero exactly when R_k is.
+    rounded from a _PRECISION-bit value.  A class is zero exactly when R_k
+    is.
 
     Validation is exact: R_k >= 0, not all zero; the identity for every
     m <= m_max; zero coefficients on zero classes; on the others, the
     relative errors |c_m - R_k c^i| / c_m over the positive suffix of the
     last ten samples (reported as floats) end below tolerance and do not
-    grow.  A default m_max starts at max(_sample_cap(ctx), 2A) and grows
-    by up to four periods while a nonzero class has no positive sample or
-    misses the tolerance; an explicit m_max is kept as given.
+    grow.  m_max starts at max(_sample_cap(ctx), 2A) and grows by up to
+    four periods while a nonzero class has no positive sample or misses
+    the tolerance.
     """
-    if precision < 53:
-        raise ValueError("precision below double precision")
     shift, period = delta_exponents(ctx, ctx.r)
     c = ctx.q ** shift
-    extend = m_max is None
-    m_max = max(_sample_cap(ctx), 2 * period) if extend else m_max
-    if m_max < 2 * period:
-        raise ValueError("m_max leaves no room for validation samples")
+    m_max = max(_sample_cap(ctx), 2 * period)
     rational, head, rest = rightmost_split(ctx)
     nonzero = [cls for cls in range(period) if head[cls]]
     if not nonzero or min(head) < 0:
@@ -285,7 +276,7 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
         return [(m, abs(e - head[cls] * c ** (m // period)) / e)
                 for m, e in zip(window, exact)]
 
-    for _ in range(4 if extend else 0):
+    for _ in range(4):
         if all(t and t[-1][1] < tolerance for t in map(trail, nonzero)):
             break
         m_max += period
@@ -307,7 +298,7 @@ def local_leading_constants(ctx: PrimeContext, precision: int = 120,
             raise InvariantViolation(
                 f"class {cls} fails validation up to m = {m_max}: relative "
                 f"errors {errors[cls]} must end below {tolerance} and not grow")
-        with mpmath.workprec(precision):
+        with mpmath.workprec(_PRECISION):
             constants[cls] = float(
                 mpmath.mpf(head[cls].numerator) / head[cls].denominator
                 * mpmath.power(ctx.q, -mpmath.mpf(shift * cls) / period))
@@ -360,7 +351,7 @@ def main_term_fit(ctx: PrimeContext, coefficients) -> dict:
     a = params.abscissa
     top = len(coefficients) - 1
     classes = {}
-    with mpmath.workprec(120):
+    with mpmath.workprec(_PRECISION):
         for cls in range(period):
             points = list(range(cls, top + 1, period))
             exact = [coefficients[m] for m in points]
@@ -534,8 +525,7 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
     return report
 
 
-def klein_constant_check(ctx: PrimeContext, coefficients,
-                         max_place_degree: int = 40) -> dict:
+def klein_constant_check(ctx: PrimeContext, coefficients) -> dict:
     """Compare the closed-form leading constant for the Klein four-group
     C_2 x C_2 over F_q(t) with the fitted cubic coefficient.
 
@@ -546,33 +536,29 @@ def klein_constant_check(ctx: PrimeContext, coefficients,
     with rho the residue of the zeta function at s = 1, namely
     1/((1 - 1/q) log q), and E the Euler product of
     (1 + 4x + x^2)(1 - x)^4 over all places, x = norm^(-1).  The product
-    is truncated at max_place_degree; the factor at degree d is
-    1 + O(q^(-2d)), giving a certified tail bound which must come out
-    below 1e-9.  The fitted value is the coefficient of m^3 in
-    y_m = c_m q^(-m/2); the closed form multiplies (log X)^3 = (m log q)^3,
-    so the comparison rescales by log(q)^3.
+    is truncated at place degree 40 (reported as max_place_degree); the
+    factor at degree d is 1 + O(q^(-2d)), giving a certified tail bound
+    (tail_bound) which must come out below 1e-9.  The fitted value is the
+    coefficient of m^3 in y_m = c_m q^(-m/2); the closed form multiplies
+    (log X)^3 = (m log q)^3, so the comparison rescales by log(q)^3.
     """
-    return _klein_constant(ctx, main_term_fit(ctx, coefficients),
-                           max_place_degree)
+    return _klein_constant(ctx, main_term_fit(ctx, coefficients))
 
 
-def _klein_constant(ctx: PrimeContext, fit: dict,
-                    max_place_degree: int = 40) -> dict:
+def _klein_constant(ctx: PrimeContext, fit: dict) -> dict:
     """klein_constant_check on a main_term_fit already taken."""
     if ctx.p != 2 or ctx.r != 2:
         raise ValueError("closed form only covers p = 2, r = 2")
-    if max_place_degree < 30:
-        raise ValueError("need max_place_degree >= 30 for the tail bound")
     q = ctx.q
-    with mpmath.workprec(120):
+    with mpmath.workprec(_PRECISION):
         log_product = mpmath.mpf(0)
-        for d in range(1, max_place_degree + 1):
+        for d in range(1, _KLEIN_PLACE_DEGREE + 1):
             x = mpmath.mpf(1) / q ** d
             log_product += place_count(ctx, d) * mpmath.log(
                 (1 + 4 * x + x * x) * (1 - x) ** 4)
         # |log factor| <= 24 x^2 for x <= 1/8 and N_d <= 2 q^d / d
-        tail = mpmath.mpf(48) / ((max_place_degree + 1) * (q - 1)
-                                 * q ** max_place_degree)
+        tail = mpmath.mpf(48) / ((_KLEIN_PLACE_DEGREE + 1) * (q - 1)
+                                 * q ** _KLEIN_PLACE_DEGREE)
         euler = mpmath.e ** log_product
         log_q = mpmath.log(q)
         residue = 1 / ((1 - mpmath.mpf(1) / q) * log_q)
@@ -593,7 +579,7 @@ def _klein_constant(ctx: PrimeContext, fit: dict,
                 fit["classes"][cls]["zero"]
                 for cls in range(1, fit["modulus"], 2)),
             "tail_bound": float(tail),
-            "max_place_degree": max_place_degree}
+            "max_place_degree": _KLEIN_PLACE_DEGREE}
 
 
 def _encode(value):
@@ -613,8 +599,7 @@ def _encode(value):
     return value
 
 
-def report_json(ctx: PrimeContext, coefficients=None,
-                precision: int = 120) -> str:
+def report_json(ctx: PrimeContext, coefficients=None) -> str:
     """Full asymptotics report for one context as a JSON document.
 
     Includes the main-term parameters, both pole catalogs and the local
@@ -624,7 +609,7 @@ def report_json(ctx: PrimeContext, coefficients=None,
     is deterministic.
     """
     params = main_term_params(ctx)
-    constants = local_leading_constants(ctx, precision)
+    constants = local_leading_constants(ctx)
     payload = {
         "p": ctx.p,
         "n": ctx.n,

@@ -27,9 +27,9 @@ from random import Random
 from .asymptotics import report_json
 from .counting import (counts_by_degree, enumerate_global, enumerate_local,
                        global_count, global_count_by_degree, local_count)
-from .dirichlet import (global_dirichlet, local_rational,
+from .dirichlet import (_series_payload, global_dirichlet, local_rational,
                         nested_geometric_check, psi_closed_form,
-                        psi_polynomial, series_to_json)
+                        psi_polynomial)
 from .errors import InvariantViolation, TruncationError
 from .fields import INFINITY, Divisor, PrimeContext, finite_place, make_context
 
@@ -68,8 +68,11 @@ def _split_terms(spec: str) -> list:
 
 def _parse_coefficient(ctx: PrimeContext, vector: str, digits: str) -> int:
     if vector is not None:
-        coords = [int(d) for d in vector.split(",") if d != ""]
-        if not coords or len(coords) > ctx.n:
+        parts = vector.split(",")
+        if "" in parts:
+            raise ValueError(f"empty coordinate in coefficient [{vector}]")
+        coords = [int(d) for d in parts]
+        if len(coords) > ctx.n:
             raise ValueError(f"coefficient [{vector}] needs 1..{ctx.n} digits")
         if any(d >= ctx.p for d in coords):
             raise ValueError(f"coefficient digit out of range in [{vector}]")
@@ -219,7 +222,7 @@ def cmd_series(args, parser) -> int:
         if args.format == "tsv":
             text = "\n".join(f"{m}\t{c}" for m, c in enumerate(coeffs))
         elif args.format == "json":
-            payload = json.loads(series_to_json(ctx, series))
+            payload = _series_payload(ctx, series)
             if rational is not None:
                 payload["numerator"] = [str(c) for c in rational.num]
                 payload["denominator"] = [str(c) for c in rational.den]
@@ -416,8 +419,6 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_asymptotics(args, parser) -> int:
-    if args.precision < 53:
-        parser.error("--precision must be at least 53 (double precision)")
     if args.local and args.fit_max is not None:
         parser.error("--fit-max fits the global series; drop --local")
     ctx = make_context(args.p, args.n, args.r)
@@ -426,8 +427,7 @@ def cmd_asymptotics(args, parser) -> int:
         if args.fit_max < 0:
             parser.error("--fit-max must be non-negative")
         coeffs = global_dirichlet(ctx, args.fit_max).coefficients()
-    full = json.loads(report_json(ctx, coefficients=coeffs,
-                                  precision=args.precision))
+    full = json.loads(report_json(ctx, coefficients=coeffs))
     if args.local:
         payload = {key: full[key] for key in ("p", "n", "r", "params")}
         payload["pole_catalog"] = {"local": full["pole_catalog"]["local"]}
@@ -525,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only the local-field data")
     a.add_argument("--fit-max", type=int,
                    help="fit the global coefficients up to this degree")
-    a.add_argument("--precision", type=int, default=120,
-                   help="working precision in bits for the constants")
     a.add_argument("--out", help="output path (default stdout)")
     a.set_defaults(func=cmd_asymptotics, parser=a)
     return parser

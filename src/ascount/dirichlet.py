@@ -82,13 +82,6 @@ def poly_scale(a, c) -> tuple:
     return poly_trim(x * c for x in a)
 
 
-def poly_eval(a, x):
-    result = 0
-    for c in reversed(poly_trim(a)):
-        result = result * x + c
-    return result
-
-
 def poly_divmod(a, b):
     """Quotient and remainder in Q[t]; b must be nonzero."""
     a, b = list(poly_trim(a)), poly_trim(b)
@@ -364,12 +357,6 @@ class RationalSeries:
         inv0 = 1 / Fraction(self.den[0])
         return tuple(-c * inv0 for c in self.den[1:])
 
-    def evaluate(self, t: Fraction) -> Fraction:
-        den = poly_eval(self.den, t)
-        if den == 0:
-            raise ZeroDivisionError(f"pole at t = {t}")
-        return Fraction(poly_eval(self.num, t)) / den
-
     def reduced(self) -> "RationalSeries":
         """Cancel the numerator/denominator gcd (denominator kept den(0)=1)."""
         g = poly_gcd(self.num, self.den)
@@ -550,15 +537,11 @@ def nested_geometric_check(alphas, depth: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def zeta_p1(ctx: PrimeContext) -> RationalSeries:
-    """Zeta of F_q(t): 1 / ((1 - t)(1 - q t)); coefficient of t^m counts the
-    effective divisors of degree m."""
-    return zeta_shift(ctx, 1, 0)
-
-
 def zeta_shift(ctx: PrimeContext, a: int, b: int) -> RationalSeries:
     """Zeta of F_q(t) with s -> a*s - b as a rational function of t = q^(-s):
-    1 / ((1 - q^b t^a)(1 - q^(b+1) t^a))."""
+    1 / ((1 - q^b t^a)(1 - q^(b+1) t^a)).  With (a, b) = (1, 0) this is the
+    zeta function of F_q(t) itself, whose coefficient of t^m counts the
+    effective divisors of degree m."""
     if a < 1:
         raise ValueError("the s-coefficient must be positive")
     factor1 = [0] * (a + 1)
@@ -739,18 +722,17 @@ def lambda_inverse(ctx: PrimeContext) -> tuple:
                              for degree, shift in zeta_factors(ctx)), (1,))
 
 
-def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
-                            start: int = 20) -> bool:
+def holomorphy_radius_check(ctx: PrimeContext, truncation: int) -> bool:
     """After dividing out the expected pole-carrying factor, the remaining
     coefficients d_m must grow strictly slower than the main term: checks
-    |d_m| <= q^((a - eps/2) m) for every m in [start, truncation], with
+    |d_m| <= q^((a - eps/2) m) for every m in [20, truncation], with
     a = (1 + r(p-1))/(p(p^r - 1)) and eps = 1/(p^2 (p^r - 1)), all exact."""
     p, r, q = ctx.p, ctx.r, ctx.q
     exponent = (Fraction(1 + r * (p - 1), p * (p ** r - 1))
                 - Fraction(1, 2 * p ** 2 * (p ** r - 1)))
     series = global_dirichlet(ctx, truncation)
     reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
-    for m in range(start, truncation + 1):
+    for m in range(20, truncation + 1):
         d_m = reduced.coefficient(m)
         if abs(d_m) ** exponent.denominator > q ** (exponent.numerator * m):
             return False
@@ -762,10 +744,9 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int,
 # ---------------------------------------------------------------------------
 
 
-def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
-    """Schema: {"p", "n", "r", "variable": "q^-s", "truncation",
-    "coefficients": [truncation + 1 decimal strings]}."""
-    obj = {
+def _series_payload(ctx: PrimeContext, series: TruncatedSeries) -> dict:
+    """The series_to_json document as a dict, before serializing."""
+    return {
         "p": ctx.p,
         "n": ctx.n,
         "r": ctx.r,
@@ -773,16 +754,9 @@ def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
         "truncation": series.truncation,
         "coefficients": [str(c) for c in series.coefficients()],
     }
-    return json.dumps(obj, indent=2)
 
 
-def series_from_json(text: str):
-    """Inverse of series_to_json; returns ((p, n, r), TruncatedSeries).
-    ValueError unless there are exactly truncation + 1 decimal strings."""
-    obj = json.loads(text)
-    coeffs, truncation = obj["coefficients"], obj["truncation"]
-    if len(coeffs) != truncation + 1 or not all(isinstance(c, str) for c in coeffs):
-        raise ValueError(f"truncation {truncation} needs {truncation + 1} "
-                         "coefficients, each a decimal string")
-    return ((obj["p"], obj["n"], obj["r"]),
-            TruncatedSeries([int(c) for c in coeffs], truncation))
+def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
+    """Schema: {"p", "n", "r", "variable": "q^-s", "truncation",
+    "coefficients": [truncation + 1 decimal strings]}."""
+    return json.dumps(_series_payload(ctx, series), indent=2)

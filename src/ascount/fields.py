@@ -153,12 +153,6 @@ class PrimeContext:
         return [_encode([(-x) % p for x in _decode_full(a, p, n)], p)
                 for a in range(q)]
 
-    @cached_property
-    def _pth_root_table(self):
-        # x -> x^(p^(n-1)) inverts the Frobenius x -> x^p on F_q
-        e = self.p ** (self.n - 1)
-        return [self.fpow(a, e) for a in range(self.q)]
-
     def fadd(self, a: int, b: int) -> int:
         return self._add_table[a][b]
 
@@ -191,10 +185,6 @@ class PrimeContext:
         """Scalar multiple by k in F_p (k an integer, reduced mod p): codes
         0..p-1 are the prime-field elements, so one product."""
         return self.fmul(k % self.p, a)
-
-    def pth_root(self, a: int) -> int:
-        """The unique x in F_q with x^p = a."""
-        return self._pth_root_table[a]
 
     def element_coords(self, a: int) -> tuple:
         """Coordinate vector of length n over F_p for the code a."""

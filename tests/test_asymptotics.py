@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import pytest
 
 from ascount.asymptotics import (
@@ -14,12 +15,10 @@ from ascount.asymptotics import (
     main_term_params,
     psi_lower_bound,
     report_json,
-    sign_at_real_root,
     value_bounds_at_real_root,
     verify_inequalities,
 )
-from ascount.dirichlet import global_dirichlet
-from ascount.errors import InvariantViolation
+from ascount.dirichlet import global_dirichlet, rightmost_split
 from ascount.fields import make_context
 
 CTX211 = make_context(2, 1, 1)
@@ -119,6 +118,10 @@ def test_value_bounds_at_real_root():
     lower, upper = value_bounds_at_real_root((1, 0, -1), Fraction(1, 2), 2)
     assert lower > 0
     assert lower <= Fraction(1, 2) <= upper
+    # 1 - 3x at x = 1/2 is -1/2: the bounds separate it below zero
+    lower, upper = value_bounds_at_real_root((1, -3), Fraction(1, 2), 1)
+    assert upper < 0
+    assert lower <= Fraction(-1, 2) <= upper
     # exact multiples of the modulus short-circuit to (0, 0)
     assert value_bounds_at_real_root((-1, 0, 2), Fraction(1, 2), 2) == (0, 0)
     with pytest.raises(ValueError):
@@ -127,12 +130,6 @@ def test_value_bounds_at_real_root():
         value_bounds_at_real_root((1,), Fraction(2), 2)
     with pytest.raises(ValueError):
         value_bounds_at_real_root((1,), Fraction(1, 2), 0)
-
-
-def test_sign_at_real_root():
-    assert sign_at_real_root((1, 0, -1), Fraction(1, 2), 2) == 1
-    assert sign_at_real_root((1, -3), Fraction(1, 2), 1) == -1
-    assert sign_at_real_root((-1, 0, 2), Fraction(1, 2), 2) == 0
 
 
 def test_psi_lower_bound_positive():
@@ -197,19 +194,27 @@ def test_local_constants_frozen():
                 assert trail[-1][1] < 1e-2
 
 
-def test_local_constants_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        local_leading_constants(CTX211, precision=10)
-    with pytest.raises(ValueError):
-        local_leading_constants(CTX211, m_max=3)
-
-
 def test_local_constants_extend_only_a_default_horizon():
-    ctx = make_context(3, 1, 3)
-    assert local_leading_constants(ctx).m_max == 546
-    # an explicit m_max is kept: class 4 misses 1% up to m = 468
-    with pytest.raises(InvariantViolation, match="class 4"):
-        local_leading_constants(ctx, m_max=468)
+    # class 4 misses 1% up to m = 468, so the horizon grows by one period
+    assert local_leading_constants(make_context(3, 1, 3)).m_max == 546
+
+
+def test_local_constants_precision_has_headroom():
+    # each constant R_k q^(-a k/A) at 240 bits, rounded once to a float,
+    # must equal the reported one; (7,1,2) is the most rounding-sensitive
+    # context, whose constants change between 64 and 80 working bits
+    for p, n, r in ((7, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2)):
+        ctx = make_context(p, n, r)
+        a, period = r * (p - 1), p * (p ** r - 1)
+        head = rightmost_split(ctx)[1]
+        got = local_leading_constants(ctx)
+        assert got.modulus == period == len(head)
+        with mpmath.workprec(240):
+            expected = [float(mpmath.mpf(R.numerator) / R.denominator
+                              * mpmath.power(ctx.q,
+                                             -mpmath.mpf(a * k) / period))
+                        for k, R in enumerate(head)]
+        assert [got.constants[k] for k in range(period)] == expected, (p, n, r)
 
 
 def test_local_report_builds_the_rational_form_once(capsys, monkeypatch):
@@ -262,9 +267,6 @@ def test_klein_constant_report():
         assert ratio == pytest.approx(0.125, rel=1e-2)
     with pytest.raises(ValueError):
         klein_constant_check(CTX211, _coeffs(2, 1, 1, 40))
-    with pytest.raises(ValueError):
-        klein_constant_check(CTX212, _coeffs(2, 1, 2, 96),
-                             max_place_degree=20)
 
 
 # ---------------------------------------------------------------------------
