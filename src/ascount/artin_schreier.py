@@ -27,18 +27,15 @@ from .fields import (
     PZERO,
     padd,
     irreducibles,
-    is_irreducible,
     pdeg,
     pdivmod,
-    pgcd,
     pmod,
     pmonic,
     pmul,
     pmulc,
     ppow,
-    psub,
+    ppowmod,
     ptrim,
-    pxgcd,
     residue_field,
 )
 
@@ -199,17 +196,19 @@ def disc_exponent_via_lines(ctx: PrimeContext, lines, place: Place) -> int:
 def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
     """Reduced representative of num/den in F_q(t) modulo x^p - x.
 
-    Partial fractions give the canonical principal parts; indices divisible
-    by p are then cancelled by adding x^p - x applied to g/pi^l, where g is
-    the p-th root of the negated offending coefficient (Frobenius is onto).
+    Partial fractions give the canonical principal parts, one factor pi^e
+    of the monic denominator at a time: with rem = num mod den and the
+    cofactor c = den/pi^e, the part is h/pi^e for h = rem * c^(-1) mod pi^e,
+    the inverse taken by Euler's theorem in (F_q[t]/pi^e)^x, whose order is
+    q^(d(e-1)) (q^d - 1) for d = deg pi.
+    Indices divisible by p are then cancelled by adding x^p - x applied to
+    g/pi^l, where g is the p-th root of the negated offending coefficient
+    (Frobenius is onto).  A factor common to num and den only adds zero
+    digits.
     """
     num, den = ptrim(num), ptrim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
-    g = pgcd(ctx, num, den)
-    if pdeg(g) > 0:
-        num = pdivmod(ctx, num, g)[0]
-        den = pdivmod(ctx, den, g)[0]
     lead_inv = ctx.finv(den[-1])
     num, den = pmulc(ctx, num, lead_inv), pmonic(ctx, den)
 
@@ -222,8 +221,14 @@ def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
         principal[INFINITY] = {i: (c,) for i, c in enumerate(whole) if i >= 1 and c}
 
     if rem:
-        factors = _factor_monic(ctx, den)
-        for (fpoly, e), h in _partial_fractions(ctx, rem, factors).items():
+        total = PZERO
+        for fpoly, e in _factor_monic(ctx, den):
+            power = ppow(ctx, fpoly, e)
+            cofactor = pdivmod(ctx, den, power)[0]
+            qd = ctx.q ** pdeg(fpoly)
+            inverse = ppowmod(ctx, cofactor, qd ** (e - 1) * (qd - 1) - 1, power)
+            h = pmod(ctx, pmul(ctx, rem, inverse), power)
+            total = padd(ctx, total, pmul(ctx, h, cofactor))
             place = Place(fpoly, ctx)
             digits = _base_digits(ctx, h, fpoly, e)
             field = residue_field(ctx, place)
@@ -234,6 +239,8 @@ def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
                     entries[i] = field.from_poly(d)
             if entries:
                 principal[place] = entries
+        if total != rem:
+            raise InvariantViolation("partial fractions do not sum to the remainder")
 
     for place in list(principal):
         _cancel_p_indices(ctx, place, principal[place])
@@ -266,33 +273,6 @@ def _factor_monic(ctx: PrimeContext, f):
             if pdeg(rest) == 0:
                 break
         d += 1
-    return out
-
-
-def _partial_fractions(ctx: PrimeContext, num, factors):
-    """Split num / prod(f^e) into {(f, e): h} with deg h < e * deg f.
-
-    num must already be reduced mod the full product.
-    """
-    if len(factors) == 1:
-        return {factors[0]: num}
-    (f1, e1), rest = factors[0], factors[1:]
-    a = ppow(ctx, f1, e1)
-    b = PONE
-    for f2, e2 in rest:
-        b = pmul(ctx, b, ppow(ctx, f2, e2))
-    g, u, v = pxgcd(ctx, a, b)
-    if pdeg(g) != 0:
-        raise InvariantViolation("partial fraction factors are not coprime")
-    # num/(a*b) = (num*v)/a + (num*u)/b, with polynomial overflow folded right
-    nv = pmul(ctx, num, v)
-    s, ha = pdivmod(ctx, nv, a)
-    hb = padd(ctx, pmul(ctx, num, u), pmul(ctx, s, b))
-    quot, hb = pdivmod(ctx, hb, b)
-    if quot != PZERO:
-        raise InvariantViolation("partial fraction was not proper")
-    out = {(f1, e1): ha}
-    out.update(_partial_fractions(ctx, hb, rest))
     return out
 
 

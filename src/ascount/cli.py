@@ -533,7 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # reported with the subcommand's usage, not the top one
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args, args.parser)  # errors name the subcommand
     except SystemExit as exc:
         code = exc.code

@@ -260,44 +260,6 @@ class TwoLevelComposition:
         return all(len(theta) <= p - 1 for theta in self.inner)
 
 
-def two_level_of(chain, ctx: PrimeContext) -> TwoLevelComposition:
-    """Two-level structure of a chain: write c = p*k + l + 1 with l in
-    [1, p-1]; outer blocks are runs of k, inner blocks runs of l within them.
-
-    Raises ValueError if some entry has c = 1 mod p (no valid l exists; such
-    chains carry coefficient count zero and never reach this refinement).
-    """
-    _validate_chain(chain)
-    if not chain:
-        raise ValueError("the empty chain has no two-level structure")
-    profile = chain_profile(chain, ctx.p)
-    outer, inner = [], []
-    for _, krun in itertools.groupby(profile, key=lambda kl: kl[0]):
-        krun = list(krun)
-        outer.append(len(krun))
-        inner.append(tuple(sum(1 for _ in grp)
-                           for _, grp in itertools.groupby(kl[1] for kl in krun)))
-    return TwoLevelComposition(tuple(outer), tuple(inner))
-
-
-def chain_profile(chain, p: int):
-    """Per-entry pairs (k, l) with c = p*k + l + 1, l in [1, p-1]."""
-    out = []
-    for c in chain:
-        l = (c - 1) % p
-        if l == 0:
-            raise ValueError(f"conductor exponent {c} is 1 mod p")
-        out.append(((c - 1 - l) // p, l))
-    return out
-
-
-def chain_from_profile(profile, p: int) -> tuple:
-    """Inverse of chain_profile (the profile must give a valid chain)."""
-    chain = tuple(p * k + l + 1 for k, l in profile)
-    _validate_chain(chain)
-    return chain
-
-
 def enumerate_two_level(h: int):
     """All two-level compositions of h (3^(h-1) many), deterministic order."""
     if h < 1:

@@ -11,6 +11,10 @@ Conventions used throughout the package:
 * The modulus defining F_q is the lexicographically smallest monic
   irreducible of degree n over F_p, coefficients compared low-to-high as
   integers.  For n = 1 this degenerates to x, i.e. the prime field itself.
+  It is found on first use, so a context whose work reads only p, n, r and
+  q (local counts, the global series, the asymptotics) never searches.
+* F_q arithmetic runs on tables of q^2 entries, built on first use for
+  q <= 2^10 only; above that it raises ValueError.
 * Places of F_q(t) are the monic irreducible polynomials plus the place at
   infinity (uniformiser 1/t, degree 1).
 """
@@ -29,6 +33,12 @@ Poly = tuple  # tuple of F_q codes, lowest degree first, no trailing zeros
 PZERO: Poly = ()
 PONE: Poly = (1,)
 PX: Poly = (0, 1)
+
+# Largest q for which F_q arithmetic builds its tables: the add and multiply
+# tables have q^2 entries; building all three took 0.3 s and 45 MB at
+# q = 2^10, 1.1 s and 210 MB at q = 2^11 (Python 3.11 on one core of a
+# 2-core Xeon virtual machine).
+_TABLE_LIMIT = 2 ** 10
 
 
 def _is_prime(m: int) -> bool:
@@ -101,18 +111,26 @@ class PrimeContext:
         prime = make_context(self.p, 1, 1)
         for coeffs in itertools.product(range(self.p), repeat=self.n):
             f = coeffs + (1,)
-            if is_irreducible(prime, f):
+            # x divides f when the constant term is 0, so skip the test
+            if coeffs[0] and is_irreducible(prime, f):
                 return f
         raise InvariantViolation("no irreducible modulus found")
 
     # --- F_q arithmetic on integer codes -----------------------------------
+
+    def _table_size(self) -> int:
+        """q, or ValueError if it is too large for the tables below."""
+        if self.q > _TABLE_LIMIT:
+            raise ValueError(f"F_q arithmetic needs q <= {_TABLE_LIMIT}, "
+                             f"got q = {self.p}^{self.n} = {self.q}")
+        return self.q
 
     @cached_property
     def _mul_table(self):
         """a*b for all codes, by discrete logarithms: one primitive element
         g is found, its powers are listed with O(q) polynomial products, and
         a*b = g^(log a + log b) is an index lookup."""
-        p, n, q = self.p, self.n, self.q
+        p, n, q = self.p, self.n, self._table_size()
         if n == 1:
             return [[a * b % p for b in range(q)] for a in range(q)]
         prime = make_context(p, 1, 1)
@@ -139,6 +157,7 @@ class PrimeContext:
         """a+b for all codes, one base-p digit at a time: with a = a0 + p*a1
         and b = b0 + p*b1, a+b = (a0+b0 mod p) + p*(a1+b1), the second term
         read from the table of the higher digits."""
+        self._table_size()
         p = self.p
         low = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
         table = [[0]]
@@ -149,7 +168,7 @@ class PrimeContext:
 
     @cached_property
     def _neg_table(self):
-        p, n, q = self.p, self.n, self.q
+        p, n, q = self.p, self.n, self._table_size()
         return [_encode([(-x) % p for x in _decode_full(a, p, n)], p)
                 for a in range(q)]
 
@@ -229,9 +248,7 @@ def make_context(p: int, n: int, r: int) -> PrimeContext:
         raise ValueError(f"p = {p} is not prime")
     if n < 1 or r < 1:
         raise ValueError("n and r must be at least 1")
-    ctx = PrimeContext(p, n, r)
-    ctx.modulus  # force validation early
-    return ctx
+    return PrimeContext(p, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +339,6 @@ def pgcd(ctx: PrimeContext, a: Poly, b: Poly) -> Poly:
     while b:
         a, b = b, pmod(ctx, a, b)
     return pmonic(ctx, a)
-
-
-def pxgcd(ctx: PrimeContext, a: Poly, b: Poly):
-    """Extended gcd: returns (g, u, v) monic g with u*a + v*b = g."""
-    r0, r1 = a, b
-    u0, u1 = PONE, PZERO
-    v0, v1 = PZERO, PONE
-    while r1:
-        q, rem = pdivmod(ctx, r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, psub(ctx, u0, pmul(ctx, q, u1))
-        v0, v1 = v1, psub(ctx, v0, pmul(ctx, q, v1))
-    if r0:
-        lead_inv = ctx.finv(r0[-1])
-        r0 = pmulc(ctx, r0, lead_inv)
-        u0 = pmulc(ctx, u0, lead_inv)
-        v0 = pmulc(ctx, v0, lead_inv)
-    return r0, u0, v0
 
 
 def ppowmod(ctx: PrimeContext, a: Poly, e: int, m: Poly) -> Poly:
@@ -596,10 +595,6 @@ class ResidueField:
     def zero(self) -> tuple:
         return (0,) * self.degree
 
-    @property
-    def one(self) -> tuple:
-        return self._pad(PONE)
-
     def from_poly(self, a: Poly) -> tuple:
         if self.place.is_infinity:
             if pdeg(a) > 0:
@@ -623,23 +618,13 @@ class ResidueField:
         fsmul = self.ctx.fsmul
         return tuple(fsmul(k, x) for x in a)
 
-    def mul(self, a, b):
-        prod = pmul(self.ctx, ptrim(a), ptrim(b))
-        if self.place.is_infinity:
-            return self._pad(prod)
-        return self._pad(pmod(self.ctx, prod, self.place.poly))
-
     def pth_root(self, a):
-        """Inverse Frobenius: the unique x with x^p = a in F_{q^d}."""
+        """Inverse Frobenius: the unique x with x^p = a in F_{q^d}, which is
+        a^(p^(n d - 1)) since x^(q^d) = x."""
         e = self.ctx.p ** (self.ctx.n * self.degree - 1)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if self.place.is_infinity:
+            return (self.ctx.fpow(a[0], e),)
+        return self._pad(ppowmod(self.ctx, ptrim(a), e, self.place.poly))
 
     def elements(self) -> Iterator[tuple]:
         for coeffs in itertools.product(range(self.ctx.q), repeat=self.degree):

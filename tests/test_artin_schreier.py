@@ -156,6 +156,47 @@ def test_reduction_idempotent(fpair):
     assert reduce_global(CTX2, num, den) == rep
 
 
+# Denominators over F_3 and over F_4 (codes 2 = g, 3 = g + 1 = g^2): powers
+# of t up to t^3, products of distinct linear factors, the irreducible
+# quadratics t^2 + 1 and t^2 + t + g, and a non-monic 2t.
+DENOMINATORS = {
+    3: ((0, 1), (2, 1), (0, 0, 1), (0, 0, 0, 1), (1, 0, 1), (0, 1, 1),
+        (2, 0, 1), (0, 2)),
+    4: ((0, 1), (2, 1), (0, 0, 1), (0, 0, 0, 1), (1, 0, 1), (2, 1, 1),
+        (0, 3, 1), (0, 2)),
+}
+
+
+def draw_rational(data, ctx):
+    num = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=4))
+    return num, list(data.draw(st.sampled_from(DENOMINATORS[ctx.q])))
+
+
+@pytest.mark.parametrize("ctx", [CTX3, CTX4], ids=["F3", "F4"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wp_invariance_odd_and_extension_fields(ctx, data):
+    """Over F_3, and over F_4 where the inverse Frobenius is not the
+    identity, adding g^p - g never changes the reduced representative."""
+    (fn, fd), (gn, gd) = draw_rational(data, ctx), draw_rational(data, ctx)
+    gd_p = ppow(ctx, gd, ctx.p)
+    wp_num = psub(ctx, ppow(ctx, gn, ctx.p),
+                  pmul(ctx, gn, ppow(ctx, gd, ctx.p - 1)))
+    num = padd(ctx, pmul(ctx, fn, gd_p), pmul(ctx, wp_num, fd))
+    den = pmul(ctx, fd, gd_p)
+    assert reduce_global(ctx, num, den) == reduce_global(ctx, fn, fd)
+
+
+@pytest.mark.parametrize("ctx", [CTX3, CTX4], ids=["F3", "F4"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduction_idempotent_odd_and_extension_fields(ctx, data):
+    fn, fd = draw_rational(data, ctx)
+    rep = reduce_global(ctx, fn, fd)
+    num, den = rep_to_rational(ctx, rep)
+    assert reduce_global(ctx, num, den) == rep
+
+
 def test_line_reps_count_and_dependence():
     u1 = reduce_global(CTX2R2, [1], [0, 1])          # 1/t
     u2 = reduce_global(CTX2R2, [1], [0, 0, 0, 1])    # 1/t^3

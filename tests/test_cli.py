@@ -64,6 +64,49 @@ def test_count_divisors(capsys):
         assert code == 0 and out == expected + "\n", flags
 
 
+def test_count_local_at_large_n():
+    # local counts read only q, so no F_q arithmetic runs: at q = 2^30 the
+    # classes of conductor 10 number 2 (q - 1) q^4 = 2^121 (2^30 - 1)
+    result = subprocess.run(
+        [sys.executable, "-m", "ascount.cli", "count", "local",
+         "--p", "2", "--n", "30", "--r", "1", "--exp", "10"],
+        capture_output=True, text=True, timeout=20)
+    assert result.returncode == 0
+    assert result.stdout == "2854495382753463770546740193091376152204804096\n"
+
+
+def test_large_n_needs_no_field_tables():
+    # one interpreter, under a timeout: a forced modulus search would hang
+    script = """if True:
+        import contextlib, io
+        from ascount import cli
+        for argv in (
+                "count local --p 2 --n 1000 --r 2 --exp 40",
+                "series global --p 2 --n 30 --r 1 --max 40 --format json",
+                "count global --p 2 --n 30 --r 1 --degree 4",
+                "count global --p 2 --n 30 --r 1 --divisor inf^2",
+                "asymptotics --p 2 --n 30 --r 1"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv.split())
+            print(code, bool(out.getvalue()))
+    """
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=30)
+    assert (result.stdout, result.stderr) == ("0 True\n" * 5, "")
+
+
+def test_divisor_over_too_large_field_exits_2():
+    # parsing t^2 needs F_q arithmetic, whose tables stop at q = 2^10
+    result = subprocess.run(
+        [sys.executable, "-m", "ascount.cli", "count", "global",
+         "--p", "2", "--n", "30", "--r", "1", "--divisor", "t^2"],
+        capture_output=True, text=True, timeout=20)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == \
+        "error: F_q arithmetic needs q <= 1024, got q = 2^30 = 1073741824\n"
+
+
 def test_divisor_grammar_errors(capsys):
     bad = (
         "t^0",          # multiplicities start at 1
@@ -397,6 +440,15 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+def test_unknown_flag_prints_subcommand_usage(capsys):
+    code, out, err = run(capsys, "asymptotics", "--p", "2", "--r", "1",
+                         "--precision", "80")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ascount asymptotics")
+    assert err.rstrip().endswith(
+        "ascount asymptotics: error: unrecognized arguments: --precision 80")
 
 
 def test_invariant_failure_exits_1(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Chain combinatorics: compositions, flags, weights, and term counts."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from ascount.compositions import (
     TwoLevelComposition,
+    _validate_chain,
     aut_order,
     chain_disc_exponent,
-    chain_from_profile,
-    chain_profile,
     chain_term_count,
     compositions,
     delsarte_weight,
@@ -27,11 +26,10 @@ from ascount.compositions import (
     prefix_sums,
     run_composition,
     structure_poly_value,
-    two_level_of,
     weighted_counts,
 )
 from ascount.errors import InvariantViolation
-from ascount.fields import make_context
+from ascount.fields import PrimeContext, make_context
 
 CTX211 = make_context(2, 1, 1)
 CTX212 = make_context(2, 1, 2)
@@ -307,6 +305,48 @@ def test_admissible_two_level_census():
     for h in range(1, 5):
         # p large enough never cuts anything
         assert len(list(enumerate_admissible_two_level(h, 7))) == 3 ** (h - 1)
+
+
+# Reference two-level structure of a chain, by its (k, l) profile; the
+# library builds two-level compositions only by enumerating them.
+
+
+def two_level_of(chain, ctx: PrimeContext) -> TwoLevelComposition:
+    """Two-level structure of a chain: write c = p*k + l + 1 with l in
+    [1, p-1]; outer blocks are runs of k, inner blocks runs of l within them.
+
+    Raises ValueError if some entry has c = 1 mod p (no valid l exists; such
+    chains carry coefficient count zero and never reach this refinement).
+    """
+    _validate_chain(chain)
+    if not chain:
+        raise ValueError("the empty chain has no two-level structure")
+    profile = chain_profile(chain, ctx.p)
+    outer, inner = [], []
+    for _, krun in groupby(profile, key=lambda kl: kl[0]):
+        krun = list(krun)
+        outer.append(len(krun))
+        inner.append(tuple(sum(1 for _ in grp)
+                           for _, grp in groupby(kl[1] for kl in krun)))
+    return TwoLevelComposition(tuple(outer), tuple(inner))
+
+
+def chain_profile(chain, p: int):
+    """Per-entry pairs (k, l) with c = p*k + l + 1, l in [1, p-1]."""
+    out = []
+    for c in chain:
+        l = (c - 1) % p
+        if l == 0:
+            raise ValueError(f"conductor exponent {c} is 1 mod p")
+        out.append(((c - 1 - l) // p, l))
+    return out
+
+
+def chain_from_profile(profile, p: int) -> tuple:
+    """Inverse of chain_profile (the profile must give a valid chain)."""
+    chain = tuple(p * k + l + 1 for k, l in profile)
+    _validate_chain(chain)
+    return chain
 
 
 def test_chain_profile_roundtrip_examples():

@@ -25,6 +25,7 @@ from ascount.fields import (
     pmul,
     pmonic,
     poly_str,
+    ppow,
     ppowmod,
     ptrim,
     residue_field,
@@ -198,16 +199,17 @@ def test_divisor_basics():
         Divisor([(t, 0)])
 
 
-@settings(max_examples=40)
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-def test_residue_field_gf4_structure(i, j, k):
+def test_residue_field_gf4_structure():
     place = finite_place(CTX4, [3, 1])   # t + g^2 over F_4, degree 1
     fld = residue_field(CTX4, place)
     elems = list(fld.elements())
     assert len(elems) == 4
-    a, b, c = elems[i], elems[j], elems[k]
-    assert fld.add(a, b) == fld.add(b, a)
-    assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+    for a in elems:
+        assert all(fld.add(a, b) == fld.add(b, a) for b in elems)
+        # over F_4 (n = 2) the inverse Frobenius is not the identity
+        square = fld.from_poly(ppow(CTX4, ptrim(a), 2))
+        assert fld.pth_root(square) == a
+    assert fld.pth_root((2,)) == (3,)    # g = (g^2)^2
 
 
 def test_residue_field_degree_two():
@@ -216,11 +218,11 @@ def test_residue_field_degree_two():
     elems = list(fld.elements())
     assert len(elems) == 4
     for a in elems:
-        # pth_root inverts Frobenius in the residue field as well
-        assert fld.pth_root(fld.mul(a, a)) == a
+        # pth_root inverts Frobenius in the residue field F_4 as well
+        square = fld.from_poly(ppow(CTX2, ptrim(a), 2))
+        assert fld.pth_root(square) == a
     # the place polynomial reduces to zero
     assert fld.is_zero(fld.from_poly([1, 1, 1]))
-
 
 
 def _reference_mul_table(ctx):
@@ -243,6 +245,57 @@ def _first_rootless(p, n):
         f = coeffs + (1,)
         if all(sum(c * x ** i for i, c in enumerate(f)) % p for x in range(p)):
             return f
+
+
+# The modulus of every F_q with p in (2, 3, 5), 2 <= n <= 12 and
+# q <= 5 * 10^6: the first monic irreducible of degree n over F_p,
+# coefficients low to high.  The search skips constant term 0.
+FROZEN_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (5, 9): (1, 0, 0, 0, 0, 0, 0, 2, 3, 1),
+}
+
+
+def test_modulus_frozen():
+    for (p, n), modulus in FROZEN_MODULI.items():
+        assert make_context(p, n, 1).modulus == modulus, (p, n)
+
+
+def test_field_tables_refuse_large_q():
+    ctx = make_context(2, 11, 1)         # the context and its q are fine
+    assert ctx.q == 2048
+    for build in (lambda: ctx.fadd(1, 1), lambda: ctx.fmul(2, 3),
+                  lambda: ctx.fneg(1), lambda: is_irreducible(ctx, (1, 1))):
+        with pytest.raises(ValueError, match="q <= 1024"):
+            build()
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)])
