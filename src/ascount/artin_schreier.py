@@ -25,8 +25,8 @@ from .fields import (
     ResidueField,
     PONE,
     PZERO,
+    factor_monic,
     padd,
-    irreducibles,
     pdeg,
     pdivmod,
     pmod,
@@ -222,7 +222,7 @@ def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
 
     if rem:
         total = PZERO
-        for fpoly, e in _factor_monic(ctx, den):
+        for fpoly, e in factor_monic(ctx, den):
             power = ppow(ctx, fpoly, e)
             cofactor = pdivmod(ctx, den, power)[0]
             qd = ctx.q ** pdeg(fpoly)
@@ -246,34 +246,6 @@ def reduce_global(ctx: PrimeContext, num, den) -> GlobalRep:
         _cancel_p_indices(ctx, place, principal[place])
 
     return make_rep(ctx, constant, principal)
-
-
-def _factor_monic(ctx: PrimeContext, f):
-    """Factor a monic polynomial into (irreducible, multiplicity) pairs by
-    trial division with enumerated irreducibles (desk scale)."""
-    out = []
-    rest = f
-    d = 1
-    while pdeg(rest) > 0:
-        if 2 * d > pdeg(rest):
-            out.append((rest, 1))
-            break
-        hit = False
-        for cand in irreducibles(ctx, d):
-            e = 0
-            while True:
-                quot, r = pdivmod(ctx, rest, cand)
-                if r == PZERO:
-                    rest, e = quot, e + 1
-                else:
-                    break
-            if e:
-                out.append((cand, e))
-                hit = True
-            if pdeg(rest) == 0:
-                break
-        d += 1
-    return out
 
 
 def _base_digits(ctx: PrimeContext, h, base, count: int):

@@ -17,11 +17,16 @@ Conventions used throughout the package:
   q <= 2^10 only; above that it raises ValueError.
 * Places of F_q(t) are the monic irreducible polynomials plus the place at
   infinity (uniformiser 1/t, degree 1).
+* Irreducibility tests and factoring share one distinct-degree split: the
+  factors of degree d are gcd(f, x^(q^d) - x) once the lower degrees are
+  divided out.  The exhaustive sieve `irreducibles` lists the places of one
+  degree; factoring uses it only to separate factors of equal degree.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
@@ -41,43 +46,18 @@ PX: Poly = (0, 1)
 _TABLE_LIMIT = 2 ** 10
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def mobius_int(m: int) -> int:
-    """Number-theoretic Mobius function of a positive integer."""
-    if m < 1:
-        raise ValueError("Mobius function needs a positive integer")
-    result = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if m > 1:
-        result = -result
-    return result
-
-
-def _prime_factors(d: int) -> list:
+def _prime_factors(m: int) -> list:
+    """Distinct prime factors of m, ascending, by trial division up to
+    sqrt(m); empty for m < 2."""
     out, ell = [], 2
-    while d > 1:
-        if d % ell == 0:
+    while ell * ell <= m:
+        if m % ell == 0:
             out.append(ell)
-            while d % ell == 0:
-                d //= ell
+            while m % ell == 0:
+                m //= ell
         ell += 1
+    if m > 1:
+        out.append(m)
     return out
 
 
@@ -214,14 +194,6 @@ class PrimeContext:
             raise ValueError(f"need {self.n} coordinates, got {len(coords)}")
         return _encode(tuple(c % self.p for c in coords), self.p)
 
-    @cached_property
-    def _irreducible_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _residue_fields(self) -> dict:
-        return {}
-
 
 def _decode_full(a: int, p: int, n: int):
     out = []
@@ -244,7 +216,7 @@ def make_context(p: int, n: int, r: int) -> PrimeContext:
 
     Raises ValueError for non-prime p or non-positive n, r.
     """
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"p = {p} is not prime")
     if n < 1 or r < 1:
         raise ValueError("n and r must be at least 1")
@@ -362,22 +334,61 @@ def ppow(ctx: PrimeContext, a: Poly, e: int) -> Poly:
     return result
 
 
+def _distinct_degree(ctx: PrimeContext, f: Poly) -> Iterator[tuple]:
+    """Distinct-degree split of a monic f over F_q: yields (d, part) for
+    each d in ascending order at which f has irreducible factors, part
+    being their product, each factor once.
+
+    With rest = f stripped of all factors of degree < d, part is
+    gcd(rest, x^(q^d) - x); x^(q^d) mod rest advances by one q-th power
+    per degree.  Once 2d exceeds deg(rest), rest is irreducible and comes
+    last.
+    """
+    rest, xpow, d = f, PX, 0
+    while pdeg(rest) > 0:
+        d += 1
+        if 2 * d > pdeg(rest):
+            yield pdeg(rest), rest
+            return
+        xpow = ppowmod(ctx, xpow, ctx.q, rest)
+        part = pgcd(ctx, rest, psub(ctx, xpow, PX))
+        if pdeg(part) > 0:
+            yield d, part
+            common = part
+            while pdeg(common) > 0:
+                rest = pdivmod(ctx, rest, common)[0]
+                common = pgcd(ctx, rest, common)
+
+
 def is_irreducible(ctx: PrimeContext, f: Poly) -> bool:
-    """Deterministic Rabin irreducibility test for monic f over F_q."""
-    d = pdeg(f)
-    if d < 1:
+    """Whether the monic f is irreducible over F_q: its distinct-degree
+    split starts with f itself."""
+    f = tuple(f)
+    if pdeg(f) < 1:
         return False
     if f[-1] != 1:
         raise ValueError("irreducibility test expects a monic polynomial")
-    q = ctx.q
-    xmod = pmod(ctx, PX, f)
-    if psub(ctx, ppowmod(ctx, PX, q ** d, f), xmod) != PZERO:
-        return False
-    for ell in _prime_factors(d):
-        g = pgcd(ctx, f, psub(ctx, ppowmod(ctx, PX, q ** (d // ell), f), xmod))
-        if pdeg(g) != 0:
-            return False
-    return True
+    return next(_distinct_degree(ctx, f)) == (pdeg(f), f)
+
+
+def factor_monic(ctx: PrimeContext, f: Poly) -> list:
+    """Factor a monic polynomial into (irreducible, multiplicity) pairs,
+    ascending by degree.  A part of the distinct-degree split whose degree
+    is d is itself the factor; one holding several factors of degree d is
+    split by trial division with irreducibles(ctx, d)."""
+    out, rest = [], f
+    for d, part in _distinct_degree(ctx, f):
+        found = [part] if pdeg(part) == d else [
+            g for g in irreducibles(ctx, d) if not pmod(ctx, part, g)]
+        for g in found:
+            e = 0
+            while True:
+                quot, rem = pdivmod(ctx, rest, g)
+                if rem:
+                    break
+                rest, e = quot, e + 1
+            out.append((g, e))
+    return out
 
 
 def _monic_polys(ctx: PrimeContext, d: int) -> Iterator[Poly]:
@@ -386,7 +397,8 @@ def _monic_polys(ctx: PrimeContext, d: int) -> Iterator[Poly]:
         yield coeffs + (1,)
 
 
-def irreducibles(ctx: PrimeContext, d: int) -> list:
+@lru_cache(maxsize=None)
+def irreducibles(ctx: PrimeContext, d: int) -> tuple:
     """All monic irreducibles of degree d over F_q, lexicographic order.
 
     Computed by a sieve: every monic polynomial of degree d that factors
@@ -395,47 +407,38 @@ def irreducibles(ctx: PrimeContext, d: int) -> list:
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    cache = ctx._irreducible_cache
-    for e in range(1, d + 1):
-        if e in cache:
-            continue
-        if e == 1:
-            cache[1] = [f for f in _monic_polys(ctx, 1)]
-            continue
-        lower = []
-        for d2 in range(1, e):
-            lower.extend((d2, f) for f in cache[d2])
-        composite = set()
+    lower = [(e, f) for e in range(1, d) for f in irreducibles(ctx, e)]
+    composite = set()
 
-        def rec(start, prod, deg_left):
-            for i in range(start, len(lower)):
-                d2, f = lower[i]
-                if d2 > deg_left:
-                    break
-                nxt = pmul(ctx, prod, f)
-                if d2 == deg_left:
-                    composite.add(nxt)
-                else:
-                    rec(i, nxt, deg_left - d2)
+    def rec(start, prod, deg_left):
+        for i in range(start, len(lower)):
+            e, f = lower[i]
+            if e > deg_left:
+                break
+            nxt = pmul(ctx, prod, f)
+            if e == deg_left:
+                composite.add(nxt)
+            else:
+                rec(i, nxt, deg_left - e)
 
-        rec(0, PONE, e)
-        cache[e] = [f for f in _monic_polys(ctx, e) if f not in composite]
-    return list(cache[d])
+    rec(0, PONE, d)
+    return tuple(f for f in _monic_polys(ctx, d) if f not in composite)
 
 
 def place_count(ctx: PrimeContext, d: int) -> int:
-    """Number of places of F_q(t) of degree d (infinity counts at d = 1)."""
+    """Number of places of F_q(t) of degree d (infinity counts at d = 1):
+    the necklace sum of (-1)^k q^(d/e) over the squarefree divisors e of d,
+    k the number of primes in e, divided by d."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    total = sum(mobius_int(e) * ctx.q ** (d // e) for e in _divisors(d))
+    primes = _prime_factors(d)
+    total = sum((-1) ** k * ctx.q ** (d // math.prod(chosen))
+                for k in range(len(primes) + 1)
+                for chosen in itertools.combinations(primes, k))
     if total % d:
         raise InvariantViolation(f"necklace sum {total} not divisible by {d}")
     count = total // d
     return count + 1 if d == 1 else count
-
-
-def _divisors(d: int):
-    return [e for e in range(1, d + 1) if d % e == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +634,6 @@ class ResidueField:
             yield coeffs
 
 
+@lru_cache(maxsize=None)
 def residue_field(ctx: PrimeContext, place: Place) -> ResidueField:
-    cache = ctx._residue_fields
-    if place not in cache:
-        cache[place] = ResidueField(ctx, place)
-    return cache[place]
+    return ResidueField(ctx, place)

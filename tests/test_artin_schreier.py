@@ -1,5 +1,7 @@
 """Reduced representatives, conductors, lines, and chains."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,22 @@ def test_roundtrip_rational():
     for ctx, rep in cases:
         num, den = rep_to_rational(ctx, rep)
         assert reduce_global(ctx, num, den) == rep
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_reduce_irreducible_denominator_of_degree_7(n):
+    # t^7+t+1 stays irreducible over F_(2^n) for n prime to 7; factoring it
+    # must not list every irreducible of degree <= 3 over F_q
+    ctx = make_context(2, n, 1)
+    ctx.fmul(1, 1)                      # build the F_q tables untimed
+    den = (1, 1, 0, 0, 0, 0, 0, 1)
+    start = time.perf_counter()
+    rep = reduce_global(ctx, (1,), den)
+    num, den2 = rep_to_rational(ctx, rep)
+    assert reduce_global(ctx, num, den2) == rep
+    assert time.perf_counter() - start < 1.0
+    assert rep.support() == (finite_place(ctx, den),)
+    assert asc_at(rep, rep.support()[0]) == 1
 
 
 @st.composite

@@ -107,6 +107,18 @@ def test_divisor_over_too_large_field_exits_2():
         "error: F_q arithmetic needs q <= 1024, got q = 2^30 = 1073741824\n"
 
 
+@pytest.mark.parametrize("degree", ["1000000", "9999999999"])
+def test_divisor_degree_cap_exits_2(degree):
+    # the degree is checked before a coefficient list of that length is
+    # built or the irreducibility test powers x to q^degree
+    result = subprocess.run(
+        [sys.executable, "-m", "ascount.cli", "count", "global",
+         "--p", "2", "--r", "1", "--divisor", "t" + degree],
+        capture_output=True, text=True, timeout=20)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: degree {degree} in divisor exceeds 64\n"
+
+
 def test_divisor_grammar_errors(capsys):
     bad = (
         "t^0",          # multiplicities start at 1
@@ -117,6 +129,7 @@ def test_divisor_grammar_errors(capsys):
         "t+[0,1",       # unbalanced bracket
         "",             # empty divisor
         "t+,inf",       # empty monomial
+        "t65+t+1",      # degree above the cap of 64
     )
     # over F_4: an empty coordinate must not shift the others
     bad_over_f4 = ("t+[,1]^2", "t+[0,1,]^2", "[1,,0]t+1^2")

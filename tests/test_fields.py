@@ -11,11 +11,11 @@ from ascount.fields import (
     Divisor,
     _decode_full,
     _encode,
+    factor_monic,
     finite_place,
     irreducibles,
     is_irreducible,
     make_context,
-    mobius_int,
     pdeg,
     pdivmod,
     pgcd,
@@ -65,14 +65,12 @@ def mobius_oracle(m: int) -> int:
     return (-1) ** len(factors)
 
 
-def test_mobius_int_matches_oracle():
-    for m in range(1, 60):
-        assert mobius_int(m) == mobius_oracle(m)
-
-
 def test_context_validation():
-    with pytest.raises(ValueError):
-        make_context(4, 1, 1)
+    # squares of primes sit on the sqrt bound of the trial division
+    for p in (0, 1, 4, 9, 25, 49, 91):
+        with pytest.raises(ValueError):
+            make_context(p, 1, 1)
+    assert make_context(97, 1, 1).q == 97
     with pytest.raises(ValueError):
         make_context(2, 0, 1)
     with pytest.raises(ValueError):
@@ -142,6 +140,35 @@ def test_irreducibility_known_cases():
     assert not is_irreducible(CTX3, [2, 0, 1])    # t^2+2 = (t+1)(t+2)
 
 
+@pytest.mark.parametrize("ctx,dmax", [(CTX2, 4), (CTX3, 4), (CTX4, 4),
+                                      (make_context(5, 1, 1), 3), (CTX9, 3)])
+def test_is_irreducible_matches_sieve(ctx, dmax):
+    for d in range(1, dmax + 1):
+        sieved = set(irreducibles(ctx, d))
+        for coeffs in itertools.product(range(ctx.q), repeat=d):
+            f = coeffs + (1,)
+            assert is_irreducible(ctx, f) == (f in sieved), f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([CTX2, CTX3, CTX4, CTX9]), st.data())
+def test_factor_monic_recovers_products(ctx, data):
+    # degree 1 always contributes two or three distinct factors, so its
+    # distinct-degree part needs trial division; degrees 2 and 3 up to three
+    expected = {}
+    for d in (1, 2, 3):
+        pool = irreducibles(ctx, d)
+        chosen = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                    min_size=2 if d == 1 else 0, max_size=3))
+        for g in chosen:
+            expected[g] = data.draw(st.integers(1, 3))
+    f = (1,)
+    for g, e in expected.items():
+        f = pmul(ctx, f, ppow(ctx, g, e))
+    got = factor_monic(ctx, f)
+    assert len(got) == len(expected) and dict(got) == expected
+
+
 def test_irreducible_counts_match_necklace_formula():
     for ctx, dmax in ((CTX2, 7), (CTX3, 5), (CTX4, 4)):
         for d in range(1, dmax + 1):
@@ -159,6 +186,10 @@ def test_place_count_includes_infinity():
     assert place_count(CTX4, 1) == 5
     for d in range(2, 5):
         assert place_count(CTX4, d) == necklace_count(4, d)
+    # d up to 12 takes in two distinct primes (6, 10, 12) and prime powers
+    for ctx in (CTX2, CTX3):
+        for d in range(2, 13):
+            assert place_count(ctx, d) == necklace_count(ctx.q, d)
 
 
 def test_places_ordering_and_str():
@@ -293,9 +324,11 @@ def test_field_tables_refuse_large_q():
     ctx = make_context(2, 11, 1)         # the context and its q are fine
     assert ctx.q == 2048
     for build in (lambda: ctx.fadd(1, 1), lambda: ctx.fmul(2, 3),
-                  lambda: ctx.fneg(1), lambda: is_irreducible(ctx, (1, 1))):
+                  lambda: ctx.fneg(1), lambda: is_irreducible(ctx, (1, 1, 1))):
         with pytest.raises(ValueError, match="q <= 1024"):
             build()
+    # a degree-1 polynomial is irreducible without any F_q arithmetic
+    assert is_irreducible(ctx, (1, 1))
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)])
