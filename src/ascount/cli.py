@@ -31,108 +31,7 @@ from .dirichlet import (_series_payload, global_dirichlet, local_rational,
                         nested_geometric_check, psi_closed_form,
                         psi_polynomial)
 from .errors import InvariantViolation, TruncationError
-from .fields import INFINITY, Divisor, PrimeContext, finite_place, make_context
-
-# ---------------------------------------------------------------------------
-# divisor grammar
-# ---------------------------------------------------------------------------
-
-# term(,term)*; term = poly or poly^e or inf^e.  Polynomials are comma-free
-# strings like t2+t+1 (digits after t give the exponent).  Over F_p the
-# coefficients are single digits; for n > 1 they are bracketed base-p
-# coordinate vectors in the power basis, constant digit first, e.g. [0,1]t+1
-# (a digit is accepted for a coefficient in F_p).  fields.poly_str writes
-# this grammar, so parse_divisor(ctx, str(D)) == D for every divisor D.
-
-_MONOMIAL = re.compile(r"^(?:\[([0-9,]+)\]|(\d+))?(?:t(\d+)?)?$")
-
-# Largest degree of a polynomial in a divisor.  Checking that a place is
-# irreducible at degree d costs d/2 gcds and q-th powers modulo it; for an
-# irreducible place of degree 64 that took 0.05 s at q = 2 and 2.4 s at
-# q = 2^10, and at degree 128 0.4 s and 16 s (Python 3.11 on one core of a
-# 2-core Xeon virtual machine).
-_MAX_PLACE_DEGREE = 64
-
-
-def _split_terms(spec: str) -> list:
-    """Split on commas that are not inside coefficient brackets."""
-    terms, depth, start = [], 0, 0
-    for i, ch in enumerate(spec):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced ']' in divisor")
-        elif ch == "," and depth == 0:
-            terms.append(spec[start:i])
-            start = i + 1
-    if depth:
-        raise ValueError("unbalanced '[' in divisor")
-    terms.append(spec[start:])
-    return terms
-
-
-def _parse_coefficient(ctx: PrimeContext, vector: str, digits: str) -> int:
-    if vector is not None:
-        parts = vector.split(",")
-        if "" in parts:
-            raise ValueError(f"empty coordinate in coefficient [{vector}]")
-        coords = [int(d) for d in parts]
-        if len(coords) > ctx.n:
-            raise ValueError(f"coefficient [{vector}] needs 1..{ctx.n} digits")
-        if any(d >= ctx.p for d in coords):
-            raise ValueError(f"coefficient digit out of range in [{vector}]")
-        coords += [0] * (ctx.n - len(coords))
-        return ctx.element_from_coords(coords)
-    value = int(digits)
-    if value >= ctx.p:
-        raise ValueError(
-            f"coefficient {value} is not reduced mod {ctx.p}"
-            + (" (use a bracketed vector)" if ctx.n > 1 else ""))
-    return value
-
-
-def _parse_poly(ctx: PrimeContext, text: str) -> list:
-    if not text:
-        raise ValueError("empty polynomial in divisor")
-    coeffs: dict = {}
-    for mono in text.split("+"):
-        m = _MONOMIAL.match(mono)
-        if not m or not mono:
-            raise ValueError(f"bad monomial {mono!r} in divisor")
-        vector, digits, power = m.groups()
-        if vector is None and digits is None and "t" not in mono:
-            raise ValueError(f"bad monomial {mono!r} in divisor")
-        k = 0 if "t" not in mono else (1 if power is None else int(power))
-        if k > _MAX_PLACE_DEGREE:
-            raise ValueError(f"degree {k} in divisor exceeds {_MAX_PLACE_DEGREE}")
-        c = 1 if (vector is None and digits is None) else \
-            _parse_coefficient(ctx, vector, digits)
-        coeffs[k] = ctx.fadd(coeffs.get(k, 0), c)
-    deg = max(coeffs)
-    return [coeffs.get(i, 0) for i in range(deg + 1)]
-
-
-def parse_divisor(ctx: PrimeContext, spec: str) -> Divisor:
-    """Parse `term(,term)*`, term = poly[^e] or inf[^e], into a Divisor."""
-    pairs = []
-    for term in _split_terms(spec.strip()):
-        term = term.strip()
-        if not term:
-            raise ValueError("empty term in divisor")
-        base, caret, exp = term.partition("^")
-        e = 1
-        if caret:
-            if not exp.isdigit() or int(exp) < 1:
-                raise ValueError(f"bad multiplicity {exp!r} in divisor")
-            e = int(exp)
-        place = INFINITY if base == "inf" else _parse_poly(ctx, base)
-        if place is not INFINITY:
-            place = finite_place(ctx, place)
-        pairs.append((place, e))
-    return Divisor(pairs)
-
+from .fields import make_context, parse_divisor
 
 # ---------------------------------------------------------------------------
 # output plumbing
@@ -316,9 +215,6 @@ def _check_nested_spots(seed: int):
 def _check_integrality(p: int, n: int, r: int, truncation: int):
     ctx = make_context(p, n, r)
     coeffs = global_dirichlet(ctx, truncation).coefficients()
-    for m, c in enumerate(coeffs):
-        if c < 0:
-            return f"c_{m} = {c} is not a non-negative integer"
     expected0 = 1 if r == 1 else 0
     if coeffs[0] != expected0:
         return f"c_0 = {coeffs[0]}, expected {expected0}"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ascount import cli
+from ascount import cli, fields
 from ascount.errors import InvariantViolation
 from ascount.fields import Divisor, make_context, places
 
@@ -119,6 +119,54 @@ def test_divisor_degree_cap_exits_2(degree):
     assert result.stderr == f"error: degree {degree} in divisor exceeds 64\n"
 
 
+@pytest.mark.parametrize("n, spec, message", [
+    ("1", "t" + "9" * 5000, "degree 9999"),
+    ("1", "inf^" + "9" * 5000, "bad multiplicity '9999"),
+    ("1", "9" * 5000 + "t+1", "coefficient 9999"),
+    ("2", "t+[1," + "9" * 5000 + "]", "coefficient [1,9999"),
+], ids=["exponent", "multiplicity", "coefficient", "coordinate"])
+def test_divisor_digit_strings_past_int_limit_exit_2(n, spec, message):
+    # no digit string longer than its bound reaches int(), whose own error
+    # would point at the interpreter's limit on digits
+    result = subprocess.run(
+        [sys.executable, "-m", "ascount.cli", "count", "global",
+         "--p", "2", "--n", n, "--r", "1", "--divisor", spec],
+        capture_output=True, text=True, timeout=20)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: " + message)
+    assert result.stderr.count("\n") == 1
+    assert "int_max_str_digits" not in result.stderr
+
+
+@pytest.mark.parametrize("spec", ["t+[0,1", "t+,inf", "t^", "[]t",
+                                  "t+[,1]", "", "t ^2", "t+ 1"])
+def test_divisor_syntax_errors_share_one_message(capsys, spec):
+    code, _, err = run(capsys, "count", "global", "--p", "2", "--n", "2",
+                       "--r", "1", "--divisor", spec)
+    assert (code, err) == (2, f"error: malformed divisor {spec!r}\n")
+
+
+@pytest.mark.parametrize("pnr, spec, same_as", [
+    ((2, 1, 1), "t0+t", "t+1"),                  # t0 is the constant 1
+    ((2, 1, 1), "t+t+t2+t+1^2", "t2+t+1^2"),     # coefficients add
+    ((3, 1, 1), "t2+t+t+2", "t2+2t+2"),
+    ((2, 1, 1), " t^2 ,\tinf ", "t^2,inf"),      # whitespace around terms
+    ((2, 1, 1), "01t+1^02", "t+1^2"),            # leading zeros, as int()
+    ((2, 1, 1), "0t2+t", "t"),                   # a zero coefficient
+    ((2, 2, 1), "t+[1]", "t+1"),                 # trailing zero coordinates
+    ((2, 2, 1), "[1,0]t+[0,1]", "t+[0,1]"),      # [1,0] is the digit 1
+    ((3, 2, 1), "t+[2,0]", "t+2"),
+])
+def test_divisor_quirks_keep_parsing(pnr, spec, same_as):
+    ctx = make_context(*pnr)
+    assert cli.parse_divisor(ctx, spec) == cli.parse_divisor(ctx, same_as)
+
+
+def test_divisor_coefficients_add_before_the_place_check():
+    with pytest.raises(ValueError, match="^t2 is not irreducible$"):
+        cli.parse_divisor(make_context(2, 1, 1), "t+t+t2")
+
+
 def test_divisor_grammar_errors(capsys):
     bad = (
         "t^0",          # multiplicities start at 1
@@ -155,6 +203,19 @@ def test_divisor_round_trip(pnr, picks):
         chosen[degree_places[index % len(degree_places)]] = e
     divisor = Divisor(chosen.items())
     if divisor:
+        assert cli.parse_divisor(ctx, str(divisor)) == divisor
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((2, 1, 1), (2, 2, 1), (3, 2, 1))),
+       st.from_regex(fields._DIVISOR, fullmatch=True))
+def test_grammar_strings_parse_or_fail_in_one_line(pnr, spec):
+    ctx = make_context(*pnr)
+    try:
+        divisor = cli.parse_divisor(ctx, spec)
+    except ValueError as exc:
+        assert str(exc) and "\n" not in str(exc)
+    else:
         assert cli.parse_divisor(ctx, str(divisor)) == divisor
 
 
