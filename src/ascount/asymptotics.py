@@ -31,17 +31,20 @@ from fractions import Fraction
 import mpmath
 import numpy
 
-from .compositions import compositions, prefix_sums
+from .compositions import chain_weights, compositions, prefix_sums
 from .dirichlet import (
     delta_exponents,
+    global_dirichlet,
+    lambda_inverse,
     poly_divmod,
+    poly_to_series,
     poly_trim,
     psi_polynomial,
     rightmost_split,
     zeta_factors,
 )
 from .errors import InvariantViolation
-from .fields import PrimeContext, place_count
+from .fields import PrimeContext, _prime_factors, make_context, place_count
 
 ZERO = Fraction(0)
 _BISECTION_STEPS = 300
@@ -74,22 +77,38 @@ class MainTermParams:
 def main_term_params(ctx: PrimeContext) -> MainTermParams:
     """Main-term parameters for counting C_p^r-extensions of F_q(t).
 
-    The abscissa, local_modulus, prime_lcm and error_exponent are closed
-    formulas; the rest comes from the zeta factors of dirichlet.zeta_factors
-    that vanish at the abscissa: pole_order is their count, class_modulus
-    the lcm and constant_modulus the gcd of their degrees.
+    With (a_r, A_r) the deepest pole pair of dirichlet.delta_exponents,
+    the abscissa is (1 + a_r)/A_r, local_modulus is A_r and error_exponent
+    is abscissa - 1/(p A_r); prime_lcm is a closed formula too.  The rest
+    comes from the zeta factors of dirichlet.zeta_factors that vanish at
+    the abscissa: pole_order is their count, class_modulus the lcm and
+    constant_modulus the gcd of their degrees.
     """
-    p, r = ctx.p, ctx.r
-    top = p * (p ** r - 1)
-    abscissa = Fraction(1 + r * (p - 1), top)
+    a_r, top = delta_exponents(ctx, ctx.r)
+    abscissa = Fraction(1 + a_r, top)
     vanishing = [degree for degree, shift in zeta_factors(ctx)
                  for b in (shift, shift + 1) if b == abscissa * degree]
-    error_exponent = Fraction(p * (1 + r * (p - 1)) - 1, p * top)
-    if not error_exponent < abscissa:
-        raise InvariantViolation("inconsistent main-term case split")
     return MainTermParams(abscissa, len(vanishing), math.lcm(*vanishing),
                           top, math.gcd(*vanishing),
-                          math.lcm(*range(2, p + 1)), error_exponent)
+                          math.lcm(*range(2, ctx.p + 1)),
+                          abscissa - Fraction(1, ctx.p * top))
+
+
+def holomorphy_radius_check(ctx: PrimeContext, truncation: int) -> bool:
+    """After dividing out the expected pole-carrying factor, the remaining
+    coefficients d_m must grow strictly slower than the main term: checks
+    |d_m| <= q^(e m) for every m in [20, truncation], all exact, with e
+    halfway between the abscissa and the error exponent of
+    main_term_params."""
+    params = main_term_params(ctx)
+    exponent = (params.abscissa + params.error_exponent) / 2
+    series = global_dirichlet(ctx, truncation)
+    reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
+    for m in range(20, truncation + 1):
+        d_m = reduced.coefficient(m)
+        if abs(d_m) ** exponent.denominator > ctx.q ** (exponent.numerator * m):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -395,15 +414,13 @@ def _nonincreasing_tuples(length: int, top: int):
     return itertools.combinations_with_replacement(range(top, 0, -1), length)
 
 
-def _mid_abscissa(p: int, r: int, h: int) -> Fraction:
-    """(1 - 1/p + h(p-1)) / (p^(r+1-h)(p^h - 1)) as an exact fraction."""
-    return Fraction((p - 1) * (1 + h * p), p ** (r + 2 - h) * (p ** h - 1))
-
-
 def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
     """Exact check of the four abscissa comparison lemmas.
 
-    Families, each over primes p <= p_max and 2 <= r <= r_max:
+    Families, each over primes p <= p_max and 2 <= r <= r_max, compare
+    three axes at depth h, built from the pole pair (a_h, A_h) of
+    dirichlet.delta_exponents: the local abscissa a_h/A_h, the comparison
+    axis (a_h + 1 - 1/p)/A_h and the zeta abscissa (a_h + 1)/A_h.
       - local_abscissa_chain: successive local pole abscissas are strictly
         increasing in the depth f (2 <= f <= r).
       - zeta_abscissa_chain: for 2 <= j <= r the previous zeta abscissa is
@@ -419,88 +436,66 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
         two outer runs (outer block sizes b_i, h = sum b_i <= min(r, 5))
         the bound is strict for every admissible inner assignment.
 
-    Both block families come from one loop over the compositions of h
-    and compare in integers; a Fraction is built only to report a
-    violation.
+    The (p, r) grid is walked once; the pole pairs and the chain weights
+    of compositions.chain_weights are computed once per (p, r).  Both
+    block families come from one loop over the compositions of h and
+    compare in integers; a Fraction is built only to report a violation.
 
     Returns a report mapping family name to counts, equality witnesses and
     violations; all violations lists are expected to stay empty.
     """
-    primes = [v for v in range(2, p_max + 1)
-              if all(v % d for d in range(2, v))]
-    report = {}
-
-    checked, equalities, violations = 0, [], []
-    for p in primes:
+    report = {name: {"checked": 0, "equalities": [], "violations": []}
+              for name in ("local_abscissa_chain", "zeta_abscissa_chain",
+                           "single_block_bound", "multi_block_bound")}
+    local, zeta, single, multi = report.values()
+    for p in (v for v in range(2, p_max + 1) if _prime_factors(v) == [v]):
         for r in range(2, r_max + 1):
-            for f in range(2, r + 1):
-                lhs = Fraction((f - 1) * (p - 1),
-                               p ** (r + 2 - f) * (p ** (f - 1) - 1))
-                rhs = Fraction(f * (p - 1), p ** (r + 1 - f) * (p ** f - 1))
-                checked += 1
-                if not lhs < rhs:
-                    violations.append((p, r, f, str(lhs), str(rhs)))
-    report["local_abscissa_chain"] = {"checked": checked,
-                                      "equalities": equalities,
-                                      "violations": violations}
-
-    checked, equalities, violations = 0, [], []
-    for p in primes:
-        for r in range(2, r_max + 1):
-            for j in range(2, r + 1):
-                lhs = Fraction(1 + (j - 1) * (p - 1),
-                               p ** (r + 2 - j) * (p ** (j - 1) - 1))
-                mid = _mid_abscissa(p, r, j)
-                rhs = Fraction(1 + j * (p - 1),
-                               p ** (r + 1 - j) * (p ** j - 1))
-                checked += 1
-                if not mid < rhs:
-                    violations.append((p, r, j, "mid >= rhs"))
-                if j == 2 and p == 2:
-                    if lhs == rhs == Fraction(1, 2 ** (r - 1)) and lhs > mid:
-                        equalities.append(("collapse j=p=2", p, r, j))
-                    else:
-                        violations.append((p, r, j, "collapse shape broken"))
-                elif lhs == mid:
-                    if p == 2 and j == 3:
-                        equalities.append(("left equality", p, r, j))
-                    else:
-                        violations.append((p, r, j, "unexpected left "
-                                                    "equality"))
-                elif not lhs < mid:
-                    violations.append((p, r, j, "left inequality fails"))
-                elif p == 2 and j == 3:
-                    violations.append((p, r, j, "expected left equality "
-                                                "missing"))
-    report["zeta_abscissa_chain"] = {"checked": checked,
-                                     "equalities": equalities,
-                                     "violations": violations}
-
-    # the bound num/den (extra terms vanish for one part) against mid and
-    # edge, cross-multiplied
-    single = {"checked": 0, "equalities": [], "violations": []}
-    multi = {"checked": 0, "equalities": [], "violations": []}
-    for p in primes:
-        for r in range(2, r_max + 1):
-            weights = [(p - 1) * p ** (r - i) for i in range(1, r + 1)]
+            ctx = make_context(p, 1, r)
+            pairs = [delta_exponents(ctx, j) for j in range(1, r + 1)]
+            weights = chain_weights(ctx)
             for h in range(2, r + 1):
-                mid = _mid_abscissa(p, r, h)
-                edge_num = 1 + h * (p - 1)
-                edge_den = p ** (r + 1 - h) * (p ** h - 1)
+                (a_prev, big_a_prev), (a, big_a) = pairs[h - 2], pairs[h - 1]
+                mid = Fraction(p * (a + 1) - 1, p * big_a)
+
+                lhs, rhs = Fraction(a_prev, big_a_prev), Fraction(a, big_a)
+                local["checked"] += 1
+                if not lhs < rhs:
+                    local["violations"].append((p, r, h, str(lhs), str(rhs)))
+
+                lhs, rhs = Fraction(a_prev + 1, big_a_prev), Fraction(a + 1, big_a)
+                zeta["checked"] += 1
+                if not mid < rhs:
+                    zeta["violations"].append((p, r, h, "mid >= rhs"))
+                if h == 2 and p == 2:
+                    if lhs == rhs == Fraction(1, 2 ** (r - 1)) and lhs > mid:
+                        zeta["equalities"].append(("collapse j=p=2", p, r, h))
+                    else:
+                        zeta["violations"].append((p, r, h, "collapse shape broken"))
+                elif lhs == mid:
+                    if p == 2 and h == 3:
+                        zeta["equalities"].append(("left equality", p, r, h))
+                    else:
+                        zeta["violations"].append((p, r, h, "unexpected left "
+                                                            "equality"))
+                elif not lhs < mid:
+                    zeta["violations"].append((p, r, h, "left inequality fails"))
+                elif p == 2 and h == 3:
+                    zeta["violations"].append((p, r, h, "expected left equality "
+                                                        "missing"))
+
+                # the bound num/den (extra terms vanish for one part) against
+                # mid and edge, cross-multiplied
+                edge_num, edge_den = a + 1, big_a
                 for outer in compositions(h) if h <= 5 else [(h,)]:
                     spread = len(outer)
                     family = single if spread == 1 else multi
                     where = (p, r, h) if spread == 1 else (p, r, h, outer)
                     bounds = prefix_sums(outer)
-                    extra_num = (p - 1) * sum(
-                        (spread - i) * outer[i - 1]
-                        for i in range(1, spread))
-                    extra_den = (p - 1) * sum(
-                        (spread - i) * sum(p ** (r + 1 - j)
-                                           for j in range(
-                                               bounds[i - 1] - outer[i - 1]
-                                               + 1, bounds[i - 1] + 1))
-                        for i in range(1, spread))
+                    extra_num = (p - 1) * sum((spread - i) * outer[i - 1]
+                                              for i in range(1, spread))
+                    extra_den = p * sum(
+                        (spread - i) * sum(weights[end - b:end])
+                        for i, (b, end) in enumerate(zip(outer, bounds[:-1]), 1))
                     pools = [_nonincreasing_tuples(b, p - 1) for b in outer]
                     for pieces in itertools.product(*pools):
                         ell = tuple(itertools.chain.from_iterable(pieces))
@@ -517,11 +512,8 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
                         elif num * mid.denominator >= mid.numerator * den:
                             family["violations"].append(
                                 where + (ell, str(Fraction(num, den))))
-    report["single_block_bound"] = single
-    report["multi_block_bound"] = multi
-
-    report["ok"] = all(not fam["violations"] for fam in report.values()
-                       if isinstance(fam, dict))
+    report["ok"] = not any(family["violations"]
+                           for family in (local, zeta, single, multi))
     return report
 
 

@@ -30,7 +30,7 @@ from .counting import (counts_by_degree, enumerate_global, enumerate_local,
 from .dirichlet import (_series_payload, global_dirichlet, local_rational,
                         nested_geometric_check, psi_closed_form,
                         psi_polynomial)
-from .errors import InvariantViolation, TruncationError
+from .errors import InvariantViolation
 from .fields import make_context, parse_divisor
 
 # ---------------------------------------------------------------------------
@@ -448,10 +448,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # TruncationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

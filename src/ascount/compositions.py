@@ -167,13 +167,19 @@ def chain_term_count(chain, norm: int, ctx: PrimeContext) -> int:
     return result
 
 
+def chain_weights(ctx: PrimeContext) -> tuple:
+    """(w_1, ..., w_r), w_j = (p-1) p^(r-j): the weight of entry j of a
+    chain in its discriminant exponent."""
+    p, r = ctx.p, ctx.r
+    return tuple((p - 1) * p ** (r - j) for j in range(1, r + 1))
+
+
 def chain_disc_exponent(chain, ctx: PrimeContext) -> int:
-    """Discriminant exponent of a chain: (p-1) * sum_j p^(r-j) c_j."""
+    """Discriminant exponent of a chain: sum_j w_j c_j over chain_weights."""
     _validate_chain(chain)
     if len(chain) > ctx.r:
         raise ValueError("chain longer than the group rank")
-    p, r = ctx.p, ctx.r
-    return (p - 1) * sum(p ** (r - j) * c for j, c in enumerate(chain, start=1))
+    return sum(w * c for w, c in zip(chain_weights(ctx), chain))
 
 
 def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
@@ -185,7 +191,7 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
         raise ValueError("max_len out of range")
     if target == 0:
         return [()]
-    p, r = ctx.p, ctx.r
+    weights = chain_weights(ctx)
     found = []
 
     def rec(prefix, j, remaining, bound):
@@ -194,7 +200,7 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
             return
         if j > max_len:
             return
-        weight = (p - 1) * p ** (r - j)
+        weight = weights[j - 1]
         if j == max_len:
             # the last entry has to use up the remainder exactly
             if remaining % weight == 0 and remaining // weight <= bound:

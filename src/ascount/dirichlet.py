@@ -25,6 +25,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .compositions import (
+    chain_weights,
     delsarte_weight,
     enumerate_admissible_two_level,
     flag_count,
@@ -440,7 +441,7 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
     flag counts, and monomials from the geometric-series prefactors."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
-    p, r = ctx.p, ctx.r
+    p, chain_w = ctx.p, chain_weights(ctx)
     deltas = {j: delta_polynomial(ctx, j, norm) for j in range(1, f + 1)}
     result = (1,)
     for j in range(1, f + 1):
@@ -463,21 +464,17 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
                 mono = [0] * (big_a + 1)
                 mono[big_a] = norm ** a
                 base = poly_mul(base, mono)
-            # weights of the fine-value monomials per inner block
+            # chain weight of each inner block, for the fine-value monomials
             flat = theta.flattened
-            inner_prefix = prefix_sums(flat)
-            weights = []
-            for i, a_i in enumerate(flat):
-                start = inner_prefix[i - 1] if i else 0
-                weights.append(sum(p ** (r - pos)
-                                   for pos in range(start + 1, inner_prefix[i] + 1)))
+            bounds = prefix_sums(flat)
+            weights = [sum(chain_w[end - a_i:end]) for a_i, end in zip(flat, bounds)]
             ell_sum = ()
             for ells in _ell_assignments(theta, p):
                 coeff = 1
                 degree = 0
                 for a_i, w_i, ell in zip(flat, weights, ells):
                     coeff *= norm ** (a_i * (ell - 1))
-                    degree += (p - 1) * w_i * (ell + 1)
+                    degree += w_i * (ell + 1)
                 mono = [0] * (degree + 1)
                 mono[degree] = coeff
                 ell_sum = poly_add(ell_sum, mono)
@@ -556,14 +553,15 @@ def zeta_factors(ctx: PrimeContext) -> tuple:
     zeta_shift factors multiply to the zeta-product comparison function at
     depth f = r.  r = 1 takes zeta((l+1)(p-1)s - l) for each fine value
     l = 1..p-1, r = p = 2 takes zeta(6s-2) zeta(4s-1)^3, and every other
-    case the single factor zeta(p(p^r-1)s - r(p-1)).  The factors vanishing
-    at the abscissa fix the main-term pole order and angular periods."""
+    case the single factor zeta(A_r s - a_r), (a_r, A_r) = delta_exponents
+    at j = r.  The factors vanishing at the abscissa fix the main-term pole
+    order and angular periods."""
     p, r = ctx.p, ctx.r
     if r == 1:
         return tuple(((ell + 1) * (p - 1), ell) for ell in range(1, p))
     if r == 2 and p == 2:
         return ((6, 2), (4, 1), (4, 1), (4, 1))
-    return ((p * (p ** r - 1), r * (p - 1)),)
+    return (delta_exponents(ctx, r)[::-1],)
 
 
 # ---------------------------------------------------------------------------
@@ -720,23 +718,6 @@ def lambda_inverse(ctx: PrimeContext) -> tuple:
     """
     return reduce(poly_mul, (zeta_shift(ctx, degree, shift).den
                              for degree, shift in zeta_factors(ctx)), (1,))
-
-
-def holomorphy_radius_check(ctx: PrimeContext, truncation: int) -> bool:
-    """After dividing out the expected pole-carrying factor, the remaining
-    coefficients d_m must grow strictly slower than the main term: checks
-    |d_m| <= q^((a - eps/2) m) for every m in [20, truncation], with
-    a = (1 + r(p-1))/(p(p^r - 1)) and eps = 1/(p^2 (p^r - 1)), all exact."""
-    p, r, q = ctx.p, ctx.r, ctx.q
-    exponent = (Fraction(1 + r * (p - 1), p * (p ** r - 1))
-                - Fraction(1, 2 * p ** 2 * (p ** r - 1)))
-    series = global_dirichlet(ctx, truncation)
-    reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
-    for m in range(20, truncation + 1):
-        d_m = reduced.coefficient(m)
-        if abs(d_m) ** exponent.denominator > q ** (exponent.numerator * m):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

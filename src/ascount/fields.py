@@ -534,11 +534,12 @@ _MAX_PLACE_DEGREE = 64
 
 # The grammar that poly_str and Divisor.__str__ write: term(,term)*, with
 # whitespace (what str.strip removes) around a term, term = poly[^e] or
-# inf[^e].  A polynomial is monomials joined by +; a monomial is a
-# coefficient, or t with an optional coefficient before it and an optional
-# exponent after it (t2 is t^2).  A coefficient is ASCII digits naming an
-# element of F_p, or a bracketed base-p coordinate vector in the power
-# basis, constant digit first, whose trailing zeros may be left out.
+# inf[^e]; the empty divisor is written 1, which parse_divisor reads apart.
+# A polynomial is monomials joined by +; a monomial is a coefficient, or t
+# with an optional coefficient before it and an optional exponent after it
+# (t2 is t^2).  A coefficient is ASCII digits naming an element of F_p, or
+# a bracketed base-p coordinate vector in the power basis, constant digit
+# first, whose trailing zeros may be left out.
 _COEFFICIENT = r"(?:\[[0-9]+(?:,[0-9]+)*\]|[0-9]+)"
 _MONOMIAL = rf"(?:{_COEFFICIENT}?t[0-9]*|{_COEFFICIENT})"
 _TERM = re.compile(rf"(inf|{_MONOMIAL}(?:\+{_MONOMIAL})*)(?:\^([0-9]+))?")
@@ -581,8 +582,10 @@ def _read_poly(ctx: PrimeContext, text: str) -> Poly:
 
 def parse_divisor(ctx: PrimeContext, spec: str) -> Divisor:
     """Read a divisor in the grammar above, e.g. t2+t+1^2,inf over F_2 or
-    t+[0,1]^2 over F_4, so parse_divisor(ctx, str(D)) == D for every D but
-    the empty divisor (written 1).  Bad input raises ValueError."""
+    t+[0,1]^2 over F_4, so parse_divisor(ctx, str(D)) == D for every D.
+    Bad input raises ValueError."""
+    if spec.strip() == "1":  # str(Divisor.one()); no other constant is a place
+        return Divisor.one()
     if not _DIVISOR.fullmatch(spec):
         raise ValueError(f"malformed divisor {spec!r}")
     pairs = []  # a full match makes findall yield exactly its terms

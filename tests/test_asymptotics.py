@@ -1,5 +1,7 @@
 """Pole data, certified bounds, leading constants, inequality sweeps."""
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,6 +9,7 @@ import mpmath
 import pytest
 
 from ascount.asymptotics import (
+    holomorphy_radius_check,
     klein_constant_check,
     local_leading_constants,
     local_pole_catalog,
@@ -18,7 +21,15 @@ from ascount.asymptotics import (
     value_bounds_at_real_root,
     verify_inequalities,
 )
-from ascount.dirichlet import global_dirichlet, rightmost_split
+from ascount import asymptotics
+from ascount.compositions import chain_weights
+from ascount.dirichlet import (
+    TruncatedSeries,
+    delta_exponents,
+    global_dirichlet,
+    rightmost_split,
+    zeta_factors,
+)
 from ascount.fields import make_context
 
 CTX211 = make_context(2, 1, 1)
@@ -58,6 +69,59 @@ def test_main_term_params_frozen():
                 got.local_modulus, got.constant_modulus, got.prime_lcm,
                 got.error_exponent) == expected, (p, n, r)
         assert got.error_exponent < got.abscissa
+
+
+def test_exponent_owners_agree():
+    # delta_exponents owns (a_j, A_j), chain_weights owns w_j and
+    # main_term_params the abscissa and the error exponent; the other
+    # sites read them, so the owners must agree with each other and with
+    # the closed forms they replaced
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        for r in range(1, 9):
+            ctx = make_context(p, 1, r)
+            weights = chain_weights(ctx)
+            assert len(weights) == r
+            for j in range(1, r + 1):
+                assert delta_exponents(ctx, j)[1] == p * sum(weights[:j])
+            a_r, big_a_r = delta_exponents(ctx, r)
+            if r != 1 and (p, r) != (2, 2):
+                assert zeta_factors(ctx) == ((big_a_r, a_r),)
+            params = main_term_params(ctx)
+            assert params.abscissa == Fraction(1 + a_r, big_a_r)
+            assert params.local_modulus == big_a_r
+            assert params.error_exponent == (params.abscissa
+                                             - Fraction(1, p * big_a_r))
+            # the exponent holomorphy_radius_check bounds d_m with
+            exponent = (params.abscissa + params.error_exponent) / 2
+            assert exponent == _holomorphy_exponent(p, r)
+
+
+def _holomorphy_exponent(p, r):
+    """a - eps/2, a = (1 + r(p-1))/(p(p^r - 1)), eps = 1/(p^2 (p^r - 1))."""
+    return (Fraction(1 + r * (p - 1), p * (p ** r - 1))
+            - Fraction(1, 2 * p ** 2 * (p ** r - 1)))
+
+
+@pytest.mark.parametrize("pnr", [(2, 1, 1), (3, 1, 1), (2, 1, 2),
+                                 (3, 1, 2), (2, 1, 3), (5, 1, 2)])
+def test_holomorphy_radius_check_boundary(monkeypatch, pnr):
+    # a reduced series whose one coefficient d_20 sits on q^(20 e), or one
+    # past it, shows the exponent e the check really uses
+    ctx = make_context(*pnr)
+    e = _holomorphy_exponent(ctx.p, ctx.r)
+    cap = ctx.q ** (e.numerator * 20)
+    lo, hi = 0, 2
+    while hi ** e.denominator <= cap:
+        hi *= 2
+    while hi - lo > 1:  # the largest d with d^den <= q^(20 num) is lo
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** e.denominator <= cap else (lo, mid)
+    monkeypatch.setattr(asymptotics, "lambda_inverse", lambda _ctx: (1,))
+    for d, holds in ((lo, True), (-lo, True), (lo + 1, False)):
+        series = TruncatedSeries([0] * 20 + [d], 20)
+        monkeypatch.setattr(asymptotics, "global_dirichlet",
+                            lambda _ctx, _m, s=series: s)
+        assert holomorphy_radius_check(ctx, 20) is holds, (pnr, d)
 
 
 def test_main_term_params_norm_independent():
@@ -279,15 +343,23 @@ _FAMILIES = ("local_abscissa_chain", "zeta_abscissa_chain",
 
 
 # checked counts per family, in _FAMILIES order, recorded when the single-
-# and multi-block families were still swept by two separate loops
-@pytest.mark.parametrize("p_max, r_max, checked", [
-    (7, 6, (60, 60, 2184, 121062)),
-    (5, 5, (30, 30, 276, 9458)),
-    (11, 4, (30, 30, 1754, 45623)),
-    (3, 6, (30, 30, 80, 947)),
+# and multi-block families were still swept by two separate loops; the
+# sha256 of the whole JSON report pins every verdict, witness and
+# violation string, recorded before the sweep read the pole pairs and the
+# chain weights from their owners
+@pytest.mark.parametrize("p_max, r_max, checked, digest", [
+    (7, 6, (60, 60, 2184, 121062),
+     "607a480aa5c4df4330a491b8061439be46680de7cb3c25ec24fba62df40c8d6d"),
+    (5, 5, (30, 30, 276, 9458),
+     "ad534d74e2b84caaf492d1e038f7640bd6d2e2883a0e8a68eb126d6b98f09b4b"),
+    (11, 4, (30, 30, 1754, 45623),
+     "b0178b4a0b1ec774bde7c878324f3a66156efa98254aac03dc4ddaa8da939024"),
+    (3, 6, (30, 30, 80, 947),
+     "2d1b3b8234fd7dcc9d184ff0a4103b35feb2f83150935cd0edffd99e0f060ee8"),
 ], ids=("7-6", "5-5", "11-4", "3-6"))
-def test_verify_inequalities_full_grid(p_max, r_max, checked):
+def test_verify_inequalities_full_grid(p_max, r_max, checked, digest):
     report = verify_inequalities(p_max, r_max)
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest
     assert report["ok"]
     for family in _FAMILIES:
         assert report[family]["violations"] == []

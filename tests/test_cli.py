@@ -55,6 +55,9 @@ def test_count_divisors(capsys):
         (("--p", "2", "--r", "1", "--divisor", "t2+t+1^2"), "6"),
         # conductor 1 mod p is impossible, so this degree-2 divisor is empty
         (("--p", "3", "--r", "1", "--divisor", "t2+1^2"), "0"),
+        # the empty divisor, written 1: only the trivial extension at r = 1
+        (("--p", "2", "--r", "1", "--divisor", "1"), "1"),
+        (("--p", "2", "--r", "2", "--divisor", "1"), "0"),
         # F_4 coefficients as bracketed base-2 vectors: t + x where x = [0,1]
         (("--p", "2", "--n", "2", "--r", "1",
           "--divisor", "t+[0,1]^2,inf^2"), "18"),
@@ -162,6 +165,25 @@ def test_divisor_quirks_keep_parsing(pnr, spec, same_as):
     assert cli.parse_divisor(ctx, spec) == cli.parse_divisor(ctx, same_as)
 
 
+@pytest.mark.parametrize("spec", ["1", " 1", "1 ", "\t1\n"])
+def test_one_is_the_empty_divisor(spec):
+    assert str(Divisor.one()) == "1"
+    assert cli.parse_divisor(make_context(2, 1, 1), spec) == Divisor.one()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1,t", "a finite place needs a monic polynomial of degree >= 1"),
+    ("1^2", "a finite place needs a monic polynomial of degree >= 1"),
+    (" 1,1", "a finite place needs a monic polynomial of degree >= 1"),
+    ("t0", "a finite place needs a monic polynomial of degree >= 1"),
+    ("2", "coefficient 2 is not reduced mod 2"),
+])
+def test_other_constant_divisors_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "count", "global", "--p", "2", "--r", "1",
+                         "--divisor", spec)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_divisor_coefficients_add_before_the_place_check():
     with pytest.raises(ValueError, match="^t2 is not irreducible$"):
         cli.parse_divisor(make_context(2, 1, 1), "t+t+t2")
@@ -202,8 +224,7 @@ def test_divisor_round_trip(pnr, picks):
         degree_places = places(ctx, degree)
         chosen[degree_places[index % len(degree_places)]] = e
     divisor = Divisor(chosen.items())
-    if divisor:
-        assert cli.parse_divisor(ctx, str(divisor)) == divisor
+    assert cli.parse_divisor(ctx, str(divisor)) == divisor
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,6 @@ from ascount.dirichlet import (
     euler_factor_series,
     global_dirichlet,
     global_factor_series,
-    holomorphy_radius_check,
     lambda_inverse,
     local_direct_series,
     local_rational,
@@ -34,6 +33,7 @@ from ascount.dirichlet import (
     zeta_shift,
 )
 from ascount import dirichlet
+from ascount.asymptotics import holomorphy_radius_check
 from ascount.counting import factor_coefficients
 from ascount.errors import InvariantViolation, TruncationError
 from ascount.fields import make_context, places
