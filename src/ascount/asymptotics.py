@@ -273,10 +273,10 @@ def local_leading_constants(ctx: PrimeContext,
     four periods while a nonzero class has no positive sample or misses
     the tolerance.
     """
+    rational, head, rest = rightmost_split(ctx)  # refuses a pole degree past the cap
     shift, period = delta_exponents(ctx, ctx.r)
     c = ctx.q ** shift
     m_max = max(_sample_cap(ctx), 2 * period)
-    rational, head, rest = rightmost_split(ctx)
     nonzero = [cls for cls in range(period) if head[cls]]
     if not nonzero or min(head) < 0:
         raise InvariantViolation(f"leading constants all zero or negative: "
@@ -600,8 +600,8 @@ def report_json(ctx: PrimeContext, coefficients=None) -> str:
     lemmas are not per context; verify_inequalities reports them.  Output
     is deterministic.
     """
+    constants = local_leading_constants(ctx)  # first: its pole-degree cap bounds p
     params = main_term_params(ctx)
-    constants = local_leading_constants(ctx)
     payload = {
         "p": ctx.p,
         "n": ctx.n,

@@ -242,18 +242,9 @@ class TwoLevelComposition:
                 raise ValueError("inner composition does not refine its part")
 
     @property
-    def h(self) -> int:
-        return sum(self.outer)
-
-    @property
     def flattened(self) -> tuple:
         """The refinement composition theta_omega: all inner parts in order."""
         return tuple(a for theta in self.inner for a in theta)
-
-    @property
-    def outer_prefix(self) -> tuple:
-        """Prefix sums B_1 < ... < B_(lambda) of the outer composition."""
-        return prefix_sums(self.outer)
 
     @property
     def inner_counts(self) -> tuple:

@@ -384,12 +384,26 @@ def delta_exponents(ctx: PrimeContext, j: int):
     return j * (p - 1), p ** (ctx.r + 1 - j) * (p ** j - 1)
 
 
+# Largest pole degree D_f = A_1 + ... + A_f of the local form, a bound on
+# memory, not time: psi_polynomial expands 2 D_f + 1 coefficients.  At
+# (127, 1, 1), D = 16002, `series local --max 5` took 0.9-1.2 s and 42 MB,
+# `asymptotics --local` 1.4-1.8 s and 46 MB (Python 3.11, 2-core Xeon VM).
+_MAX_POLE_DEGREE = 2 ** 14
+
+
+def _pole_degree(ctx: PrimeContext, f: int) -> int:
+    """D_f, the u-degree of prod_{j<=f} delta_j; ValueError above the cap."""
+    degree = sum(delta_exponents(ctx, j)[1] for j in range(1, f + 1))
+    if degree > _MAX_POLE_DEGREE:
+        raise ValueError(f"local form: pole degree {degree} exceeds {_MAX_POLE_DEGREE}")
+    return degree
+
+
 def delta_polynomial(ctx: PrimeContext, j: int, norm: int) -> tuple:
     """1 - norm^(j(p-1)) u^(A_j) as a polynomial in u."""
+    _pole_degree(ctx, j)
     a, big_a = delta_exponents(ctx, j)
-    poly = [0] * (big_a + 1)
-    poly[0], poly[big_a] = 1, -norm ** a
-    return tuple(poly)
+    return (1,) + (0,) * (big_a - 1) + (-norm ** a,)
 
 
 def euler_factor_series(ctx: PrimeContext, f: int, norm: int,
@@ -411,7 +425,7 @@ def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
     """
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
-    degree_bound = sum(delta_exponents(ctx, j)[1] for j in range(1, f + 1))
+    degree_bound = _pole_degree(ctx, f)
     horizon = 2 * degree_bound
     series = euler_factor_series(ctx, f, norm, horizon)
     for j in range(1, f + 1):
@@ -423,62 +437,48 @@ def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
     return poly_trim(series.nums[:degree_bound + 1])  # both factors: den 1
 
 
-def _ell_assignments(theta, p: int):
-    """All assignments of a fine value in [1, p-1] to each inner block:
-    strictly decreasing across inner blocks inside one outer part, free
-    across outer parts.  Yields flat tuples, one value per inner block."""
-    per_part = []
-    for count in theta.inner_counts:
-        per_part.append([tuple(reversed(combo)) for combo in
-                         itertools.combinations(range(1, p), count)])
-    for pick in itertools.product(*per_part):
-        yield tuple(v for part in pick for v in part)
-
-
 def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
     """The same numerator polynomial assembled from the closed form: a sum
     over admissible two-level compositions with structure-polynomial values,
-    flag counts, and monomials from the geometric-series prefactors."""
+    flag counts, and monomials from the geometric-series prefactors.  These
+    and the deltas off the outer prefixes depend on the outer composition
+    alone, so they multiply the sum over its refinements once."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     p, chain_w = ctx.p, chain_weights(ctx)
-    deltas = {j: delta_polynomial(ctx, j, norm) for j in range(1, f + 1)}
-    result = (1,)
-    for j in range(1, f + 1):
-        result = poly_mul(result, deltas[j])
+    deltas = [delta_polynomial(ctx, j, norm) for j in range(1, f + 1)]
+    result = reduce(poly_mul, deltas, (1,))
     for h in range(1, f + 1):
         binom = gaussian_binomial(f, h, p)
-        for theta in enumerate_admissible_two_level(h, p):
-            g_val = structure_poly_value(theta, norm, p)
-            if g_val == 0:
-                continue
-            gamma = flag_count(theta.flattened, p)
-            outer_prefix = theta.outer_prefix
-            base = (binom * gamma * g_val,)
-            for j in range(1, f + 1):
-                if j not in outer_prefix:
-                    base = poly_mul(base, deltas[j])
-            # one monomial norm^(B(p-1)) u^(A_B) per outer prefix except the last
-            for b_prefix in outer_prefix[:-1]:
-                a, big_a = delta_exponents(ctx, b_prefix)
-                mono = [0] * (big_a + 1)
-                mono[big_a] = norm ** a
-                base = poly_mul(base, mono)
-            # chain weight of each inner block, for the fine-value monomials
-            flat = theta.flattened
-            bounds = prefix_sums(flat)
-            weights = [sum(chain_w[end - a_i:end]) for a_i, end in zip(flat, bounds)]
-            ell_sum = ()
-            for ells in _ell_assignments(theta, p):
-                coeff = 1
-                degree = 0
-                for a_i, w_i, ell in zip(flat, weights, ells):
-                    coeff *= norm ** (a_i * (ell - 1))
-                    degree += w_i * (ell + 1)
-                mono = [0] * (degree + 1)
-                mono[degree] = coeff
-                ell_sum = poly_add(ell_sum, mono)
-            result = poly_add(result, poly_mul(base, ell_sum))
+        for outer, thetas in itertools.groupby(
+                enumerate_admissible_two_level(h, p), operator.attrgetter("outer")):
+            prefix = prefix_sums(outer)
+            pairs = [delta_exponents(ctx, b) for b in prefix]
+            scale = binom * norm ** sum(a for a, _ in pairs[:-1])
+            shift = sum(big_a for _, big_a in pairs[:-1])
+            terms = [0] * (shift + pairs[-1][1] + 1)  # A_h = p (w_1 + ... + w_h)
+            for theta in thetas:
+                g_val = structure_poly_value(theta, norm, p)
+                if g_val == 0:
+                    continue
+                flat = theta.flattened
+                base = scale * flag_count(flat, p) * g_val
+                # chain weight of each inner block, for the fine-value monomials
+                weights = [sum(chain_w[end - a_i:end])
+                           for a_i, end in zip(flat, prefix_sums(flat))]
+                # fine values in [1, p-1], strictly decreasing within an
+                # outer part and free across outer parts
+                for pick in itertools.product(*(
+                        itertools.combinations(range(p - 1, 0, -1), count)
+                        for count in theta.inner_counts)):
+                    coeff, degree = base, shift
+                    for a_i, w_i, ell in zip(flat, weights,
+                                             itertools.chain.from_iterable(pick)):
+                        coeff *= norm ** (a_i * (ell - 1))
+                        degree += w_i * (ell + 1)
+                    terms[degree] += coeff
+            off_prefix = (deltas[j - 1] for j in range(1, f + 1) if j not in prefix)
+            result = poly_add(result, reduce(poly_mul, off_prefix, terms))
     return poly_trim(result)
 
 
@@ -541,11 +541,9 @@ def zeta_shift(ctx: PrimeContext, a: int, b: int) -> RationalSeries:
     effective divisors of degree m."""
     if a < 1:
         raise ValueError("the s-coefficient must be positive")
-    factor1 = [0] * (a + 1)
-    factor1[0], factor1[a] = 1, -ctx.q ** b
-    factor2 = [0] * (a + 1)
-    factor2[0], factor2[a] = 1, -ctx.q ** (b + 1)
-    return RationalSeries((1,), poly_mul(factor1, factor2))
+    gap = (0,) * (a - 1)
+    return RationalSeries((1,), poly_mul((1,) + gap + (-ctx.q ** b,),
+                                         (1,) + gap + (-ctx.q ** (b + 1),)))
 
 
 def zeta_factors(ctx: PrimeContext) -> tuple:
@@ -611,8 +609,9 @@ def global_factor_series(ctx: PrimeContext, f: int,
         values = factor_coefficients(ctx, f, m, norms[:reach])
         for coeffs, value in zip(in_u, values):
             coeffs.append(value)
-    result = reduce(operator.mul, (zeta_shift(ctx, big_a, a).series(truncation)
-                                   for a, big_a in pairs))
+    zeta = (zeta_shift(ctx, big_a, a).den for a, big_a in pairs
+            if big_a <= truncation)  # 1 below t^(truncation + 1) otherwise
+    result = RationalSeries((1,), reduce(poly_mul, zeta, (1,))).series(truncation)
     for degree, (norm, coeffs) in enumerate(zip(norms, in_u), start=1):
         for a, big_a in pairs:  # times delta_j, backwards so each read is old
             if big_a < len(coeffs):
@@ -649,15 +648,14 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
     """The local counting series of F_q((t)) as an exact rational function:
     sum_f e_f (prod_{j>f} delta_j) Psi_f over prod_{j=1..r} delta_j."""
     norm = ctx.q
-    numerator = ()
-    for f in range(ctx.r + 1):
-        term = poly_scale(psi_polynomial(ctx, f, norm), delsarte_weight(f, ctx))
-        for j in range(f + 1, ctx.r + 1):
-            term = poly_mul(term, delta_polynomial(ctx, j, norm))
-        numerator = poly_add(numerator, term)
-    denominator = (1,)
-    for j in range(1, ctx.r + 1):
-        denominator = poly_mul(denominator, delta_polynomial(ctx, j, norm))
+    numerator, denominator = (), (1,)
+    deltas = [delta_polynomial(ctx, j, norm) for j in range(1, ctx.r + 1)]
+    for f in range(ctx.r + 1):  # Horner in the deltas
+        if f:
+            numerator = poly_mul(numerator, deltas[f - 1])
+            denominator = poly_mul(denominator, deltas[f - 1])
+        numerator = poly_add(numerator, poly_scale(psi_polynomial(ctx, f, norm),
+                                                   delsarte_weight(f, ctx)))
     return RationalSeries(numerator, denominator)
 
 

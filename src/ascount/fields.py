@@ -218,8 +218,10 @@ def _encode(coeffs, p: int) -> int:
 def make_context(p: int, n: int, r: int) -> PrimeContext:
     """Build the shared context for (p, n, r).  q = p^n.
 
-    Raises ValueError for non-prime p or non-positive n, r.
+    Raises ValueError for p >= 2^31, non-prime p or non-positive n, r.
     """
+    if p >= 2 ** 31:  # trial division below takes 6 ms at p = 2^31 - 1
+        raise ValueError(f"p = {p} is not below 2^31")
     if _prime_factors(p) != [p]:
         raise ValueError(f"p = {p} is not prime")
     if n < 1 or r < 1:

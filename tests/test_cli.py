@@ -110,6 +110,35 @@ def test_divisor_over_too_large_field_exits_2():
         "error: F_q arithmetic needs q <= 1024, got q = 2^30 = 1073741824\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("count local --p 2305843009213693951 --r 1 --exp 10",
+     "p = 2305843009213693951 is not below 2^31"),
+    ("series local --p 2147483647 --r 1 --max 3",
+     "local form: pole degree 4611686011984936962 exceeds 16384"),
+    ("asymptotics --p 2147483647 --r 1 --local",
+     "local form: pole degree 4611686011984936962 exceeds 16384"),
+], ids=["prime-bound", "series-local", "asymptotics-local"])
+def test_huge_p_exits_2_in_one_line(argv, message):
+    # refused before trial division up to sqrt(p), or before a dense delta
+    # of degree p(p-1) is filled
+    result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv.split()],
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    ("series global --p 2147483647 --r 2 --max 3", "0,0,0,0\n"),
+    ("count global --p 2147483647 --r 1 --degree 3", "0\n"),
+], ids=["series", "count"])
+def test_global_series_at_huge_p(argv, out):
+    # every ramified extension has discriminant degree at least p - 1 > 3,
+    # and the zeta factors, of degree about p^2, lie past the truncation
+    result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv.split()],
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+
+
 @pytest.mark.parametrize("degree", ["1000000", "9999999999"])
 def test_divisor_degree_cap_exits_2(degree):
     # the degree is checked before a coefficient list of that length is

@@ -1,5 +1,6 @@
 """Series layer: rational forms, psi identities, Euler products."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -410,6 +411,81 @@ def test_local_transient_zero_3_1_2():
 # ---------------------------------------------------------------------------
 # global Euler products
 # ---------------------------------------------------------------------------
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_psi_closed_form_digest():
+    # 330 polynomials, including the degenerate norms 0 and 1 and the
+    # foreign norm 7; the digest was recorded on the per-theta assembly
+    rows = [[str(c) for c in psi_closed_form(make_context(p, 1, r), f, norm)]
+            for p, r_max in ((2, 5), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1))
+            for r in range(1, r_max + 1) for f in range(r + 1)
+            for norm in (p, p * p, p ** 3, 1, 0, 7)]
+    assert _digest(rows) == \
+        "d9f6c75e838673f4f9b8a3d277e6196d90e2781c0d333e2d797be27e0475383a"
+
+
+def test_local_rational_digest():
+    # numerator and denominator as assembled, before any reduction
+    rows = []
+    for pnr in ((2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1),
+                (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2), (7, 1, 1),
+                (7, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2),
+                (2, 3, 2)):
+        rat = local_rational(make_context(*pnr))
+        rows.append([[str(c) for c in rat.num], [str(c) for c in rat.den]])
+    assert _digest(rows) == \
+        "4c8029b2a6aff525f92d99b3584524e1622a8c7bf9cc98e349ea723f1f635369"
+
+
+def test_global_dirichlet_digest():
+    # the small truncations leave out zeta factors of degree A_j > m
+    rows = [[str(c) for c in global_dirichlet(make_context(*pnr), m).coefficients()]
+            for pnr in ((2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2),
+                        (5, 1, 1), (5, 1, 2), (2, 2, 1), (2, 2, 2), (7, 1, 1))
+            for m in (0, 1, 5, 30, 90)]
+    assert _digest(rows) == \
+        "4dfa3aef11bf8a6b2ff66573eab96881367c53dd5f9b56ca50c36177cee5372a"
+
+
+def test_global_zeta_part_skips_factors_past_the_truncation(monkeypatch):
+    # (2,1,2) has A_1 = 4 and A_2 = 6: at truncation 5 only the first zeta
+    # factor reaches the series, and at 3 neither does
+    degrees = []
+    real = dirichlet.zeta_shift
+
+    def recording(ctx, a, b):
+        degrees.append(a)
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(dirichlet, "zeta_shift", recording)
+    for truncation, expected in ((3, []), (5, [4]), (6, [4, 6])):
+        degrees.clear()
+        global_factor_series(CTX212, 2, truncation)
+        assert degrees == expected, truncation
+    # at p = 2^31 - 1 every factor has degree about p^3 and is skipped
+    huge = make_context(2 ** 31 - 1, 1, 2)
+    degrees.clear()
+    assert global_dirichlet(huge, 3).coefficients() == (0, 0, 0, 0)
+    assert degrees == []
+
+
+def test_pole_degree_cap():
+    # D_f = A_1 + ... + A_f; (127,1,1) has D = 16002, the largest rank-one
+    # pole degree under the cap, and (131,1,1) has 17030
+    assert dirichlet._pole_degree(make_context(127, 1, 1), 1) == 16002
+    assert dirichlet._pole_degree(make_context(11, 1, 2), 2) == 2530
+    for ctx, f in ((make_context(131, 1, 1), 1), (make_context(2, 1, 10), 10),
+                   (make_context(2 ** 31 - 1, 1, 1), 1)):
+        with pytest.raises(ValueError, match="pole degree"):
+            psi_polynomial(ctx, f, ctx.q)
+        with pytest.raises(ValueError, match="pole degree"):
+            delta_polynomial(ctx, f, ctx.q)
+        with pytest.raises(ValueError, match="pole degree"):
+            local_rational(ctx)
 
 
 def test_global_dirichlet_anchor_2_1_1():

@@ -1,6 +1,7 @@
 """Field arithmetic, polynomial helpers, places, and divisors."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,16 @@ def test_context_validation():
         make_context(2, 0, 1)
     with pytest.raises(ValueError):
         make_context(2, 1, 0)
+
+
+def test_context_refuses_p_from_2_31_before_trial_division():
+    # trial division up to sqrt(2^61 - 1) would take minutes
+    for p in (2 ** 31, 2 ** 61 - 1, 2 ** 127 - 1):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is not below 2\\^31"):
+            make_context(p, 1, 1)
+        assert time.perf_counter() - start < 0.1
+    assert make_context(2 ** 31 - 1, 1, 1).p == 2 ** 31 - 1
 
 
 def test_field_sizes_and_tables():
