@@ -409,11 +409,6 @@ def main_term_fit(ctx: PrimeContext, coefficients) -> dict:
             "classes": classes}
 
 
-def _nonincreasing_tuples(length: int, top: int):
-    """Non-increasing tuples of the given length with entries in [1, top]."""
-    return itertools.combinations_with_replacement(range(top, 0, -1), length)
-
-
 def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
     """Exact check of the four abscissa comparison lemmas.
 
@@ -436,10 +431,12 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
         two outer runs (outer block sizes b_i, h = sum b_i <= min(r, 5))
         the bound is strict for every admissible inner assignment.
 
-    The (p, r) grid is walked once; the pole pairs and the chain weights
-    of compositions.chain_weights are computed once per (p, r).  Both
-    block families come from one loop over the compositions of h and
-    compare in integers; a Fraction is built only to report a violation.
+    The (p, r) grid is walked once; one loop over the compositions of h
+    serves both block families, in integers.  Each comparison is affine in
+    the inner values, so it is checked at the nonincreasing tuples over
+    {p-1, p-2, 1}: they hold every vertex of a block's chain polytope,
+    also without the all-(p-1) tuple (the constraints are totally
+    unimodular; Schrijver 1986, ch. 19).  "checked" counts all C(b+p-2, b).
 
     Returns a report mapping family name to counts, equality witnesses and
     violations; all violations lists are expected to stay empty.
@@ -449,6 +446,7 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
                            "single_block_bound", "multi_block_bound")}
     local, zeta, single, multi = report.values()
     for p in (v for v in range(2, p_max + 1) if _prime_factors(v) == [v]):
+        corners = sorted({p - 1, p - 2, 1} - {0}, reverse=True)
         for r in range(2, r_max + 1):
             ctx = make_context(p, 1, r)
             pairs = [delta_exponents(ctx, j) for j in range(1, r + 1)]
@@ -496,13 +494,15 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
                     extra_den = p * sum(
                         (spread - i) * sum(weights[end - b:end])
                         for i, (b, end) in enumerate(zip(outer, bounds[:-1]), 1))
-                    pools = [_nonincreasing_tuples(b, p - 1) for b in outer]
+                    family["checked"] += math.prod(math.comb(b + p - 2, b)
+                                                   for b in outer)
+                    pools = [itertools.combinations_with_replacement(corners, b)
+                             for b in outer]
                     for pieces in itertools.product(*pools):
                         ell = tuple(itertools.chain.from_iterable(pieces))
                         num = 1 + sum(ell) + extra_num
                         den = extra_den + sum(
                             w * (v + 1) for w, v in zip(weights, ell))
-                        family["checked"] += 1
                         if spread == 1 and all(v == p - 1 for v in ell):
                             if num * edge_den == edge_num * den:
                                 family["equalities"].append(where + (ell,))

@@ -67,6 +67,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# Largest local discriminant exponent e (count local --exp, a divisor
+# multiplicity ^e).  A count has about e log2(q) / 2 bits and there are
+# about e^(r-1) chains, so the cap bounds the cost only for r <= 2: at
+# e = 2^15 `count local --p 2 --exp 32768` took 0.8 s and 37 MB at r = 1,
+# 1.0 s and 37 MB at r = 2, 81 s and 662 MB at r = 3; at r = 4 already
+# e = 8192 took 81 s and 843 MB (Python 3.11, 2-core Xeon VM).
+_MAX_EXPONENT = 2 ** 15
+
+
 @lru_cache(maxsize=None)
 def _chain_table(p: int, r: int, exponent: int) -> tuple:
     """The chains of length at most r with the given discriminant exponent,
@@ -94,6 +103,8 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
     """
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
+    if exponent > _MAX_EXPONENT:
+        raise ValueError(f"discriminant exponent {exponent} exceeds {_MAX_EXPONENT}")
     if not 0 <= f <= ctx.r:
         raise ValueError(f"depth f = {f} outside [0, r]")
     binomials = [gaussian_binomial(f, k, ctx.p) for k in range(f + 1)]

@@ -40,6 +40,15 @@ from .fields import PrimeContext, place_count
 
 ZERO = Fraction(0)
 
+# Largest series truncation M (series --max, count global --degree,
+# asymptotics --fit-max), checked before a list of M + 1 coefficients is
+# sized.  Coefficient m has O(m log q) bits, so memory grows like
+# M^2 log q: `series local --p 2 --r 1` took 3.3 s and 233 MB at M = 2^15,
+# 20 s and 800 MB at 2^16.  The global series is bound by time far below
+# the cap: `series global --p 2 --r 1 --max 4000` took 14 s (Python 3.11,
+# 2-core Xeon VM).
+_MAX_TRUNCATION = 2 ** 15
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q (dense coefficient tuples, index = power of t)
@@ -323,6 +332,8 @@ class RationalSeries:
     def coefficient(self, m: int) -> Fraction:
         if m < 0:
             raise ValueError("negative degree")
+        if m > _MAX_TRUNCATION:
+            raise ValueError(f"series truncation {m} exceeds {_MAX_TRUNCATION}")
         if self._recurrence is None:
             scale, den = _scaled(self.den)
             unit, num = _scaled([c * scale for c in self.num])
@@ -597,6 +608,8 @@ def global_factor_series(ctx: PrimeContext, f: int,
     sparse factor first."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
+    if truncation > _MAX_TRUNCATION:
+        raise ValueError(f"series truncation {truncation} exceeds {_MAX_TRUNCATION}")
     if f == 0 or truncation == 0:
         return TruncatedSeries.one(truncation)
     pairs = [delta_exponents(ctx, j) for j in range(1, f + 1)]

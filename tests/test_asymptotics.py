@@ -1,9 +1,13 @@
 """Pole data, certified bounds, leading constants, inequality sweeps."""
 
 import hashlib
+import itertools
 import json
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from random import Random
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -382,6 +386,55 @@ def test_verify_inequalities_full_grid(p_max, r_max, checked, digest):
     assert (2, 2, 2, (1, 1)) in single_eq
     assert all(all(v == p - 1 for v in ell) for p, _, _, ell in single_eq)
     assert report["multi_block_bound"]["equalities"] == []
+
+
+def test_verify_inequalities_wide_grid():
+    # every prime p < 60, 2 <= r <= 8; the corner check makes this cheap,
+    # where a tuple-by-tuple sweep would visit about 4e10 inner tuples
+    report = verify_inequalities(59, 8)
+    assert report["ok"]
+    for family in _FAMILIES:
+        assert report[family]["violations"] == []
+    assert report["local_abscissa_chain"]["checked"] == 476
+    assert report["zeta_abscissa_chain"]["checked"] == 476
+    assert len(report["single_block_bound"]["equalities"]) == 476
+    assert len(report["zeta_abscissa_chain"]["equalities"]) == 13
+    assert report["multi_block_bound"]["equalities"] == []
+
+
+def test_corner_tuples_reach_every_block_maximum(monkeypatch):
+    # the corner sets verify_inequalities actually visits, one per p
+    corner_sets = {}
+
+    def spy(pool, length):
+        corner_sets[max(pool) + 1] = tuple(pool)
+        return itertools.combinations_with_replacement(pool, length)
+
+    spied = SimpleNamespace(**vars(itertools))
+    spied.combinations_with_replacement = spy
+    monkeypatch.setattr(asymptotics, "itertools", spied)
+    verify_inequalities(13, 6)
+    assert sorted(corner_sets) == [2, 3, 5, 7, 11, 13]
+
+    # an affine form peaks over the nonincreasing tuples in [1, p-1]^b at
+    # a corner tuple, also once the all-(p-1) tuple is left out
+    def peak(coeffs, tuples, skip=None):
+        return max((sum(map(operator.mul, coeffs, ell))
+                    for ell in tuples if ell != skip), default=None)
+
+    rng = Random(21)
+    for p, corners in corner_sets.items():
+        for b in range(1, 7):
+            every = list(itertools.combinations_with_replacement(
+                range(p - 1, 0, -1), b))
+            picked = list(itertools.combinations_with_replacement(corners, b))
+            assert set(picked) <= set(every), (p, b)
+            top = (p - 1,) * b
+            for _ in range(20):
+                coeffs = [rng.randint(-99, 99) for _ in range(b)]
+                assert peak(coeffs, every) == peak(coeffs, picked), (p, b, coeffs)
+                assert peak(coeffs, every, top) == peak(coeffs, picked, top), \
+                    (p, b, coeffs)
 
 
 # ---------------------------------------------------------------------------

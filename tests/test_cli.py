@@ -127,6 +127,28 @@ def test_huge_p_exits_2_in_one_line(argv, message):
         (2, "", f"error: {message}\n")
 
 
+_EXPONENT_CAP = "discriminant exponent 1000000000000 exceeds 32768"
+_TRUNCATION_CAP = "series truncation 100000000 exceeds 32768"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("count local --p 2 --r 1 --exp 1000000000000", _EXPONENT_CAP),
+    ("count global --p 2 --r 1 --divisor inf^1000000000000", _EXPONENT_CAP),
+    ("count global --p 2 --r 1 --degree 100000000", _TRUNCATION_CAP),
+    ("series global --p 2 --r 1 --max 100000000", _TRUNCATION_CAP),
+    ("series local --p 2 --r 1 --max 100000000", _TRUNCATION_CAP),
+    ("asymptotics --p 2 --r 2 --fit-max 100000000", _TRUNCATION_CAP),
+], ids=["exp", "multiplicity", "degree", "series-global", "series-local",
+        "fit-max"])
+def test_size_caps_exit_2_in_one_line(argv, message):
+    # refused before a count of about 10^12 bits or a list of 10^8
+    # coefficients is built
+    result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv.split()],
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, out", [
     ("series global --p 2147483647 --r 2 --max 3", "0,0,0,0\n"),
     ("count global --p 2147483647 --r 1 --degree 3", "0\n"),

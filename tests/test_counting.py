@@ -144,6 +144,16 @@ def test_factor_coefficients_rejects_depth_out_of_range():
                 factor_coefficients(CTX212, f, exponent, [2, 4])
 
 
+def test_exponent_cap_refuses_before_the_chains(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chains enumerated past the exponent cap")
+
+    monkeypatch.setattr(counting, "enumerate_chains", refuse)
+    top = counting._MAX_EXPONENT + 1
+    with pytest.raises(ValueError, match=f"discriminant exponent {top} exceeds"):
+        local_count(CTX212, top)
+
+
 def test_psi_polynomial_enumerates_each_exponent_once(monkeypatch):
     calls = Counter()
     enumerate_all = counting.enumerate_chains

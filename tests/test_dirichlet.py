@@ -488,6 +488,21 @@ def test_pole_degree_cap():
             local_rational(ctx)
 
 
+def test_truncation_cap_refuses_before_any_list_is_sized(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was sized past the truncation cap")
+
+    rational = local_rational(CTX211)  # its numerator expands a series
+    monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    monkeypatch.setattr(dirichlet, "_scaled", refuse)
+    top = dirichlet._MAX_TRUNCATION + 1
+    for build in (lambda: global_dirichlet(CTX211, top),
+                  lambda: zeta_shift(CTX211, 1, 0).series(top),
+                  lambda: rational.coefficient(top)):
+        with pytest.raises(ValueError, match=f"series truncation {top} exceeds"):
+            build()
+
+
 def test_global_dirichlet_anchor_2_1_1():
     coeffs = global_dirichlet(CTX211, 8).coefficients()
     assert coeffs == (1, 0, 6, 0, 24, 0, 96, 0, 384)
