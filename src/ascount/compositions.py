@@ -184,7 +184,12 @@ def chain_disc_exponent(chain, ctx: PrimeContext) -> int:
 
 def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
     """All chains C of length <= max_len with chain_disc_exponent(C) = target,
-    sorted by (length, entries).  target = 0 yields only the empty chain."""
+    sorted by (length, entries).  target = 0 yields only the empty chain.
+
+    The entries after position j are at most c_j, so a prefix ending in c_j
+    with `remaining` still to cover can reach the target only if
+    c_j * (w_j + ... + w_max_len) >= remaining; c_j starts at the ceiling
+    of remaining over that weight tail, and no dead prefix is walked."""
     if target < 0:
         raise ValueError("target exponent must be non-negative")
     if max_len < 0 or max_len > ctx.r:
@@ -192,6 +197,8 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
     if target == 0:
         return [()]
     weights = chain_weights(ctx)
+    # tails[j - 1] = w_j + ... + w_max_len
+    tails = list(itertools.accumulate(reversed(weights[:max_len])))[::-1]
     found = []
 
     def rec(prefix, j, remaining, bound):
@@ -206,7 +213,8 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
             if remaining % weight == 0 and remaining // weight <= bound:
                 found.append(tuple(prefix) + (remaining // weight,))
             return
-        for c in range(1, min(bound, remaining // weight) + 1):
+        for c in range(-(-remaining // tails[j - 1]),
+                       min(bound, remaining // weight) + 1):
             prefix.append(c)
             rec(prefix, j + 1, remaining - weight * c, c)
             prefix.pop()

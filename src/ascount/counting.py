@@ -6,7 +6,8 @@ tally the same discriminants.  The two paths share no code beyond the field
 layer, so agreement is a meaningful check.  The chains and their flag
 counts depend on neither n, the depth nor the norm, so _chain_table
 enumerates them once per (p, r, exponent) and every closed-form count
-reads that one table.
+reads that one table.  The table leaves out the chains with an entry
+1 mod p, whose term count is 0 at every norm.
 
 The oracles.  A C_p^r-extension is an r-dimensional subspace of
 Artin-Schreier classes; its discriminant is (p-1) times the sum of the
@@ -26,7 +27,7 @@ lie in every subspace containing it, so no subspace within B is lost.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter, xor
 
 from .artin_schreier import (
@@ -42,7 +43,6 @@ from .compositions import (
     enumerate_chains,
     flag_count,
     gaussian_binomial,
-    run_composition,
     weighted_counts,
 )
 from .errors import InvariantViolation
@@ -71,8 +71,8 @@ __all__ = [
 # multiplicity ^e).  A count has about e log2(q) / 2 bits and there are
 # about e^(r-1) chains, so the cap bounds the cost only for r <= 2: at
 # e = 2^15 `count local --p 2 --exp 32768` took 0.8 s and 37 MB at r = 1,
-# 1.0 s and 37 MB at r = 2, 81 s and 662 MB at r = 3; at r = 4 already
-# e = 8192 took 81 s and 843 MB (Python 3.11, 2-core Xeon VM).
+# 1.3 s and 37 MB at r = 2, 26 s and 663 MB at r = 3; at r = 4 already
+# e = 8192 took 15 s and 843 MB (Python 3.11, 2-core Xeon VM).
 _MAX_EXPONENT = 2 ** 15
 
 
@@ -81,13 +81,26 @@ def _chain_table(p: int, r: int, exponent: int) -> tuple:
     """The chains of length at most r with the given discriminant exponent,
     grouped by run composition as (length, flag_count, chains), shortest
     first.  Nothing here depends on n, the depth or the norm, so one table
-    per (p, r, exponent) serves every context, depth and norm."""
+    per (p, r, exponent) serves every context, depth and norm.
+
+    A chain with an entry c = 1 mod p is left out: its block of c starts
+    with leading_term_count(c, 0, N, p) = 0, so its chain_term_count
+    vanishes at every norm N."""
     groups: dict = {}
     for chain in enumerate_chains(exponent, r, make_context(p, 1, r)):
-        groups.setdefault(run_composition(chain), []).append(chain)
+        if any(c % p == 1 for c in chain):
+            continue
+        omega = tuple(len(list(block)) for _, block in groupby(chain))
+        groups.setdefault(omega, []).append(chain)
     # the chains come sorted by length, so the groups are too
     return tuple((sum(omega), flag_count(omega, p), tuple(chains))
                  for omega, chains in groups.items())
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(p: int, f: int) -> tuple:
+    """(gaussian_binomial(f, k, p) for k = 0..f)."""
+    return tuple(gaussian_binomial(f, k, p) for k in range(f + 1))
 
 
 def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
@@ -107,7 +120,7 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
         raise ValueError(f"discriminant exponent {exponent} exceeds {_MAX_EXPONENT}")
     if not 0 <= f <= ctx.r:
         raise ValueError(f"depth f = {f} outside [0, r]")
-    binomials = [gaussian_binomial(f, k, ctx.p) for k in range(f + 1)]
+    binomials = _binomial_row(ctx.p, f)
     totals = [0] * len(norms)
     for length, flags, chains in _chain_table(ctx.p, ctx.r, exponent):
         if length > f:

@@ -397,8 +397,9 @@ def delta_exponents(ctx: PrimeContext, j: int):
 
 # Largest pole degree D_f = A_1 + ... + A_f of the local form, a bound on
 # memory, not time: psi_polynomial expands 2 D_f + 1 coefficients.  At
-# (127, 1, 1), D = 16002, `series local --max 5` took 0.9-1.2 s and 42 MB,
-# `asymptotics --local` 1.4-1.8 s and 46 MB (Python 3.11, 2-core Xeon VM).
+# (127, 1, 1), D = 16002, `series local --max 5` took 1.7-1.8 s and 43 MB,
+# `asymptotics --local` 2.4-2.5 s and 48 MB; at (2, 1, 6), D = 642, they
+# took 2.8-3.9 s and 45 MB each (Python 3.11, 2-core Xeon VM).
 _MAX_POLE_DEGREE = 2 ** 14
 
 

@@ -1,7 +1,7 @@
 """Chain combinatorics: compositions, flags, weights, and term counts."""
 
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import combinations_with_replacement, groupby, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from ascount.compositions import (
     aut_order,
     chain_disc_exponent,
     chain_term_count,
+    chain_weights,
     compositions,
     delsarte_weight,
     enumerate_admissible_two_level,
@@ -269,6 +270,28 @@ def test_enumerate_chains():
             if any(c % CTX212.p == 1 for c in chain):
                 assert chain_term_count(chain, 2, CTX212) == 0
                 assert chain_term_count(chain, 8, CTX212) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumerate_chains_matches_brute_force(p):
+    # every non-increasing tuple with entries in [1, top], from itertools,
+    # bucketed by exponent.  An entry is at most c_1 <= e / w_1, so the
+    # buckets hold every chain of each exponent e <= top * w_1.
+    for r in range(1, 6):
+        ctx = make_context(p, 1, r)
+        w1 = chain_weights(ctx)[0]
+        top = max(6, 200 // w1)
+        by_target = {}
+        for length in range(r + 1):
+            for chain in combinations_with_replacement(range(top, 0, -1), length):
+                by_target.setdefault(chain_disc_exponent(chain, ctx), []).append(chain)
+        targets = set(range(201)) | {e for e in by_target if e <= top * w1}
+        for max_len in range(r + 1):
+            for target in sorted(targets):
+                want = sorted((c for c in by_target.get(target, ())
+                               if len(c) <= max_len), key=lambda c: (len(c), c))
+                assert enumerate_chains(target, max_len, ctx) == want, \
+                    (r, max_len, target)
 
 
 def test_chain_term_count_q_equals_p_kill():

@@ -1,5 +1,7 @@
 """Closed-form counts against brute-force enumeration and frozen anchors."""
 
+import hashlib
+import json
 from collections import Counter
 from itertools import product
 
@@ -122,9 +124,12 @@ def _coefficients_by_chains(ctx, f, exponent, norms):
     return totals
 
 
-@pytest.mark.parametrize("pnr", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
-                                 (3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1),
-                                 (5, 1, 2), (2, 2, 2)],
+# (p, n, r) for the chain-table checks, out to the psi horizon
+_TABLE_GRID = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1), (3, 1, 2),
+               (3, 1, 3), (5, 1, 1), (5, 1, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("pnr", _TABLE_GRID,
                          ids=lambda pnr: "".join(map(str, pnr)))
 def test_factor_coefficients_match_chain_sum(pnr):
     # every depth reads one shared chain table; out to the psi horizon
@@ -135,6 +140,45 @@ def test_factor_coefficients_match_chain_sum(pnr):
         for f in range(ctx.r + 1):
             assert factor_coefficients(ctx, f, exponent, norms) == \
                 _coefficients_by_chains(ctx, f, exponent, norms), (f, exponent)
+
+
+@pytest.mark.parametrize("pnr", [pnr for pnr in _TABLE_GRID if pnr[1] == 1],
+                         ids=lambda pnr: "".join(map(str, pnr)))
+def test_chain_table_drops_only_zeros(pnr):
+    # the table keeps each enumerated chain at most once, under its own
+    # length and flag count; the chains it leaves out count 0 at every norm
+    ctx = make_context(*pnr)
+    p = ctx.p
+    norms = (p, p ** 2, p ** 3, p ** 5)
+    horizon = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, ctx.r + 1))
+    for exponent in range(horizon + 1):
+        every = enumerate_chains(exponent, ctx.r, ctx)
+        kept = []
+        for length, flags, chains in counting._chain_table(p, ctx.r, exponent):
+            for chain in chains:
+                assert len(chain) == length
+                assert flags == flag_count(run_composition(chain), p)
+                kept.append(chain)
+        dropped = [chain for chain in every if chain not in kept]
+        assert sorted(kept + dropped) == sorted(every), exponent
+        for chain in dropped:
+            assert [chain_term_count(chain, norm, ctx) for norm in norms] == \
+                [0] * len(norms), (exponent, chain)
+
+
+def test_factor_coefficients_digest():
+    # every depth, norms p, p^2, p^3, out to 2 D_r; recorded on the table
+    # that still held the chains with an entry 1 mod p
+    rows = []
+    for pnr in _TABLE_GRID:
+        ctx = make_context(*pnr)
+        horizon = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, ctx.r + 1))
+        norms = (ctx.p, ctx.p ** 2, ctx.p ** 3)
+        rows.extend([str(c) for c in factor_coefficients(ctx, f, e, norms)]
+                    for f in range(ctx.r + 1) for e in range(horizon + 1))
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == \
+        "ebd1f58ec40b0782a91787d6f0026c1a76ec7cce6ccd075fee6b17cfd02a26f2"
 
 
 def test_factor_coefficients_rejects_depth_out_of_range():
