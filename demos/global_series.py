@@ -49,4 +49,4 @@ print("c_m for (q, r) = (2, 2), m <= 16:", list(coeffs))
 
 ## Serialization keeps everything exact
 print("\nJSON schema (truncated):")
-print("\n".join(series_to_json(ctx, series.truncate(4)).splitlines()[:9]))
+print("\n".join(series_to_json(ctx, global_dirichlet(ctx, 4)).splitlines()[:9]))

@@ -33,11 +33,11 @@ import numpy
 
 from .compositions import chain_weights, compositions, prefix_sums
 from .dirichlet import (
+    TruncatedSeries,
     delta_exponents,
     global_dirichlet,
     lambda_inverse,
     poly_divmod,
-    poly_to_series,
     poly_trim,
     psi_polynomial,
     rightmost_split,
@@ -103,7 +103,7 @@ def holomorphy_radius_check(ctx: PrimeContext, truncation: int) -> bool:
     params = main_term_params(ctx)
     exponent = (params.abscissa + params.error_exponent) / 2
     series = global_dirichlet(ctx, truncation)
-    reduced = series * poly_to_series(lambda_inverse(ctx), truncation)
+    reduced = series * TruncatedSeries(lambda_inverse(ctx), truncation)
     for m in range(20, truncation + 1):
         d_m = reduced.coefficient(m)
         if abs(d_m) ** exponent.denominator > ctx.q ** (exponent.numerator * m):

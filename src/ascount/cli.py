@@ -27,9 +27,9 @@ from random import Random
 from .asymptotics import report_json
 from .counting import (counts_by_degree, enumerate_global, enumerate_local,
                        global_count, global_count_by_degree, local_count)
-from .dirichlet import (_series_payload, global_dirichlet, local_rational,
+from .dirichlet import (global_dirichlet, local_rational,
                         nested_geometric_check, psi_closed_form,
-                        psi_polynomial)
+                        psi_polynomial, series_to_json)
 from .errors import InvariantViolation
 from .fields import make_context, parse_divisor
 
@@ -130,12 +130,7 @@ def cmd_series(args, parser) -> int:
         if args.format == "tsv":
             text = "\n".join(f"{m}\t{c}" for m, c in enumerate(coeffs))
         elif args.format == "json":
-            payload = _series_payload(ctx, series)
-            if rational is not None:
-                payload["numerator"] = [str(c) for c in rational.num]
-                payload["denominator"] = [str(c) for c in rational.den]
-                payload["recurrence"] = [str(w) for w in rational.recurrence()]
-            text = json.dumps(payload, indent=2)
+            text = series_to_json(ctx, series, rational)
         else:
             lines = [",".join(map(str, coeffs))]
             if rational is not None:

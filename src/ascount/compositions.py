@@ -137,15 +137,6 @@ def leading_term_count(c: int, j: int, norm: int, p: int) -> int:
     return norm ** free_index_count(c, p) - p ** j * norm ** free_index_count(c - 1, p)
 
 
-def run_composition(chain) -> tuple:
-    """Runs of equal values of a chain, as a composition of its length."""
-    _validate_chain(chain)
-    out = []
-    for value, grp in itertools.groupby(chain):
-        out.append(sum(1 for _ in grp))
-    return tuple(out)
-
-
 def _validate_chain(chain):
     if any(c < 1 for c in chain):
         raise ValueError("chain entries must be positive")

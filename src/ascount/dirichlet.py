@@ -184,13 +184,9 @@ class TruncatedSeries:
             raise ValueError("truncation must be non-negative")
         nums = [operator.index(c) for c in coeffs]
         if len(nums) > truncation + 1:
-            raise ValueError("more coefficients than the truncation admits")
+            raise TruncationError("more coefficients than the truncation admits")
         nums.extend([0] * (truncation + 1 - len(nums)))
         self.nums, self.truncation = tuple(nums), truncation
-
-    @classmethod
-    def one(cls, truncation: int) -> "TruncatedSeries":
-        return cls([1], truncation)
 
     @classmethod
     def _from_ints(cls, nums) -> "TruncatedSeries":
@@ -213,14 +209,6 @@ class TruncatedSeries:
 
     def coefficients(self) -> tuple:
         return self.nums
-
-    def truncate(self, truncation: int) -> "TruncatedSeries":
-        if truncation > self.truncation:
-            raise TruncationError(
-                f"cannot extend truncation {self.truncation} to {truncation}")
-        if truncation < 0:
-            raise ValueError("truncation must be non-negative")
-        return TruncatedSeries._from_ints(self.nums[:truncation + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -250,7 +238,7 @@ class TruncatedSeries:
             raise ValueError("negative power of a series")
         m = self.truncation
         if exponent == 0:
-            return TruncatedSeries.one(m)
+            return TruncatedSeries([1], m)
         a = self.nums
         valuation = next((v for v, c in enumerate(a) if c), m + 1)
         out = [0] * (m + 1)
@@ -274,29 +262,10 @@ class TruncatedSeries:
             out[shift:] = b
         return TruncatedSeries._from_ints(out)
 
-    def inflate(self, d: int) -> "TruncatedSeries":
-        """Substitute u -> t^d.  Knowing coefficients up to u^M pins every
-        t-coefficient below t^(d(M+1)), so the horizon widens accordingly."""
-        if d < 1:
-            raise ValueError("inflation step must be positive")
-        if d == 1:
-            return self
-        out = [0] * (d * (self.truncation + 1))
-        out[::d] = self.nums
-        return TruncatedSeries._from_ints(out)
-
     def __repr__(self):
         head = ", ".join(map(str, self.nums[:8]))
         tail = ", ..." if self.truncation >= 8 else ""
         return f"TruncatedSeries([{head}{tail}], M={self.truncation})"
-
-
-def poly_to_series(poly, truncation: int) -> TruncatedSeries:
-    """A polynomial as a series; coefficients past the horizon must vanish."""
-    poly = poly_trim(poly)
-    if len(poly) > truncation + 1:
-        raise TruncationError("polynomial degree exceeds requested truncation")
-    return TruncatedSeries(poly, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +410,7 @@ def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
     horizon = 2 * degree_bound
     series = euler_factor_series(ctx, f, norm, horizon)
     for j in range(1, f + 1):
-        series = series * poly_to_series(delta_polynomial(ctx, j, norm), horizon)
+        series = series * TruncatedSeries(delta_polynomial(ctx, j, norm), horizon)
     tail = [m for m in range(degree_bound + 1, horizon + 1) if series.nums[m]]
     if tail:
         raise InvariantViolation(
@@ -583,10 +552,12 @@ def powered_place_factor(ctx: PrimeContext, degree: int,
                          factor: TruncatedSeries,
                          truncation: int) -> TruncatedSeries:
     """All degree-d places at once: a factor shared by the degree-d places,
-    given in u = t^d, raised to the number of such places and then
-    inflated."""
+    given in u = t^d out to u^(truncation // degree), raised to the number
+    of such places, then written in t (u -> t^d) out to t^truncation."""
     powered = factor ** place_count(ctx, degree)
-    return powered.inflate(degree).truncate(truncation)
+    out = [0] * (truncation + 1)
+    out[::degree] = powered.nums[:truncation // degree + 1]
+    return TruncatedSeries._from_ints(out)
 
 
 def global_factor_series(ctx: PrimeContext, f: int,
@@ -612,7 +583,7 @@ def global_factor_series(ctx: PrimeContext, f: int,
     if truncation > _MAX_TRUNCATION:
         raise ValueError(f"series truncation {truncation} exceeds {_MAX_TRUNCATION}")
     if f == 0 or truncation == 0:
-        return TruncatedSeries.one(truncation)
+        return TruncatedSeries([1], truncation)
     pairs = [delta_exponents(ctx, j) for j in range(1, f + 1)]
     degree_bound = sum(big_a for _, big_a in pairs)
     top = min(truncation, 2 * degree_bound)
@@ -737,9 +708,14 @@ def lambda_inverse(ctx: PrimeContext) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _series_payload(ctx: PrimeContext, series: TruncatedSeries) -> dict:
-    """The series_to_json document as a dict, before serializing."""
-    return {
+def series_to_json(ctx: PrimeContext, series: TruncatedSeries,
+                   rational: RationalSeries = None) -> str:
+    """Schema: {"p", "n", "r", "variable": "q^-s", "truncation",
+    "coefficients": [truncation + 1 decimal strings]}, and with a rational
+    form of the series also "numerator", "denominator" and "recurrence",
+    decimal or fraction strings.  Integers of any length need the
+    interpreter's digit limit lifted around the call."""
+    payload = {
         "p": ctx.p,
         "n": ctx.n,
         "r": ctx.r,
@@ -747,9 +723,8 @@ def _series_payload(ctx: PrimeContext, series: TruncatedSeries) -> dict:
         "truncation": series.truncation,
         "coefficients": [str(c) for c in series.coefficients()],
     }
-
-
-def series_to_json(ctx: PrimeContext, series: TruncatedSeries) -> str:
-    """Schema: {"p", "n", "r", "variable": "q^-s", "truncation",
-    "coefficients": [truncation + 1 decimal strings]}."""
-    return json.dumps(_series_payload(ctx, series), indent=2)
+    if rational is not None:
+        payload["numerator"] = [str(c) for c in rational.num]
+        payload["denominator"] = [str(c) for c in rational.den]
+        payload["recurrence"] = [str(w) for w in rational.recurrence()]
+    return json.dumps(payload, indent=2)

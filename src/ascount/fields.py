@@ -707,10 +707,6 @@ class ResidueField:
             return (self.ctx.fpow(a[0], e),)
         return self._pad(ppowmod(self.ctx, ptrim(a), e, self.place.poly))
 
-    def elements(self) -> Iterator[tuple]:
-        for coeffs in itertools.product(range(self.ctx.q), repeat=self.degree):
-            yield coeffs
-
 
 @lru_cache(maxsize=None)
 def residue_field(ctx: PrimeContext, place: Place) -> ResidueField:

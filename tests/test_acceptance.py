@@ -36,6 +36,7 @@ from ascount.counting import (
     local_count,
 )
 from ascount.dirichlet import (
+    TruncatedSeries,
     delta_exponents,
     delta_polynomial,
     euler_factor_series,
@@ -43,7 +44,6 @@ from ascount.dirichlet import (
     lambda_inverse,
     local_direct_series,
     local_rational,
-    poly_to_series,
     psi_closed_form,
     psi_polynomial,
 )
@@ -127,8 +127,8 @@ def test_criterion_03_rationality():
             den_deg = sum(delta_exponents(ctx, j)[1] for j in range(1, f + 1))
             prod = euler_factor_series(ctx, f, ctx.q, 2 * den_deg)
             for j in range(1, f + 1):
-                prod = prod * poly_to_series(delta_polynomial(ctx, j, ctx.q),
-                                             2 * den_deg)
+                prod = prod * TruncatedSeries(delta_polynomial(ctx, j, ctx.q),
+                                              2 * den_deg)
             coeffs = prod.coefficients()
             psi = psi_polynomial(ctx, f, ctx.q)
             if coeffs[:len(psi)] != psi or any(c != 0
@@ -247,7 +247,7 @@ def test_criterion_09a_cubic_growth_signature():
 def test_criterion_09b_holomorphy_radius():
     # d_m = coefficients of the series times the inverse zeta comparison
     # polynomial; the bound asks |d_m| <= 2^(11m/24) for 20 <= m <= 40
-    series = poly_to_series(lambda_inverse(_ctx(2, 1, 2)), 40) * \
+    series = TruncatedSeries(lambda_inverse(_ctx(2, 1, 2)), 40) * \
         global_dirichlet(_ctx(2, 1, 2), 40)
     d = series.coefficients()
     violations = [m for m in range(20, 41)

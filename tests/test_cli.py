@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ascount import cli, fields
+from ascount.dirichlet import local_rational, series_to_json
 from ascount.errors import InvariantViolation
 from ascount.fields import Divisor, make_context, places
 
@@ -358,6 +359,29 @@ def test_series_json_local(capsys):
     assert payload["denominator"] == ["1", "0", "-2"]
     assert payload["recurrence"] == ["0", "2"]
     assert payload["variable"] == "q^-s"
+
+
+# SHA-256 of `series local --format json` stdout, recorded when the CLI
+# still appended the rational form to the document itself
+LOCAL_JSON_SHA256 = {
+    (2, 1, 2, 40): "0144e70c5521ef9f8098aada8e8b745300224e610479a4d3f9239cc3f9ff81ec",
+    (3, 1, 2, 60): "eedf0b02481d0030ab73096007d19db3dc3c8bfc62951eeffefaae7127e6a582",
+    (2, 2, 2, 30): "0944bf1462633d59981858363a65d43fb01794d611b70389648c5f561d250436",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LOCAL_JSON_SHA256),
+                         ids=lambda spec: "".join(map(str, spec[:3])))
+def test_series_json_local_bytes_frozen(capsys, spec):
+    p, n, r, m = spec
+    code, out, _ = run(capsys, "series", "local", "--p", str(p), "--n", str(n),
+                       "--r", str(r), "--max", str(m), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_JSON_SHA256[spec]
+    # the library writes the whole document, the rational form included
+    ctx = make_context(p, n, r)
+    red = local_rational(ctx).reduced()
+    assert series_to_json(ctx, red.series(m), red) + "\n" == out
 
 
 def test_series_tsv(capsys):

@@ -25,7 +25,6 @@ from ascount.compositions import (
     leading_term_count,
     mobius_cpk,
     prefix_sums,
-    run_composition,
     structure_poly_value,
     weighted_counts,
 )
@@ -241,11 +240,6 @@ def test_leading_term_count_vanishing():
     # q = p block kill: norm^r(c) - p * norm^r(c-1) with equal powers
     assert leading_term_count(2, 1, 2, 2) == 0
     assert leading_term_count(2, 1, 4, 2) == 2
-
-
-def test_run_composition():
-    assert run_composition((5, 5, 3, 2, 2)) == (2, 1, 2)
-    assert run_composition((4,)) == (1,)
 
 
 def test_chain_disc_exponent():

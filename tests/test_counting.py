@@ -3,7 +3,7 @@
 import hashlib
 import json
 from collections import Counter
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from ascount.compositions import (
     enumerate_chains,
     flag_count,
     gaussian_binomial,
-    run_composition,
 )
 from ascount.counting import (
     _adder,
@@ -117,8 +116,9 @@ def _coefficients_by_chains(ctx, f, exponent, norms):
     at most f, each weighted by its own q-binomial and flag count."""
     totals = [0] * len(norms)
     for chain in enumerate_chains(exponent, f, ctx):
+        runs = tuple(len(list(block)) for _, block in groupby(chain))
         weight = (gaussian_binomial(f, len(chain), ctx.p)
-                  * flag_count(run_composition(chain), ctx.p))
+                  * flag_count(runs, ctx.p))
         for k, norm in enumerate(norms):
             totals[k] += weight * chain_term_count(chain, norm, ctx)
     return totals
@@ -157,7 +157,8 @@ def test_chain_table_drops_only_zeros(pnr):
         for length, flags, chains in counting._chain_table(p, ctx.r, exponent):
             for chain in chains:
                 assert len(chain) == length
-                assert flags == flag_count(run_composition(chain), p)
+                runs = tuple(len(list(block)) for _, block in groupby(chain))
+                assert flags == flag_count(runs, p)
                 kept.append(chain)
         dropped = [chain for chain in every if chain not in kept]
         assert sorted(kept + dropped) == sorted(every), exponent

@@ -25,8 +25,8 @@ from ascount.dirichlet import (
     poly_gcd,
     poly_mul,
     poly_scale,
-    poly_to_series,
     poly_trim,
+    powered_place_factor,
     psi_closed_form,
     psi_polynomial,
     rightmost_split,
@@ -37,7 +37,7 @@ from ascount import dirichlet
 from ascount.asymptotics import holomorphy_radius_check
 from ascount.counting import factor_coefficients
 from ascount.errors import InvariantViolation, TruncationError
-from ascount.fields import make_context, places
+from ascount.fields import make_context, place_count, places
 
 CTX211 = make_context(2, 1, 1)
 CTX221 = make_context(2, 2, 1)
@@ -62,7 +62,7 @@ def test_truncated_series_arithmetic():
     assert prod.truncation == 1           # min of the truncations
     assert prod.coefficients() == (1, 0)
     assert prod == TruncatedSeries((1,), 1) != TruncatedSeries((1,), 2)
-    assert a.truncate(1) != a
+    assert TruncatedSeries((1, 2), 1) != a
     with pytest.raises(TruncationError):
         prod.coefficient(2)               # beyond truncation is an error
 
@@ -89,8 +89,9 @@ def test_series_inverse_and_inflate():
     assert _inverse((1, -2), 8) == tuple(2 ** k for k in range(9))
     assert _inverse((2, -1), 3) == tuple(Fraction(1, 2 ** (k + 1))
                                          for k in range(4))
-    # u -> t^2 pins everything below t^(2*(3+1)), so the horizon widens
-    inflated = poly_to_series((1, 1), 3).inflate(2)
+    # u -> t^2 pins everything below t^(2*(3+1)), so the horizon widens;
+    # F_2(t) has one place of degree 2, so the factor is not powered
+    inflated = powered_place_factor(CTX211, 2, TruncatedSeries((1, 1), 3), 7)
     assert inflated.truncation == 7
     assert inflated.coefficients() == (1, 0, 1, 0, 0, 0, 0, 0)
 
@@ -249,7 +250,7 @@ def test_psi_trailing_zero_window():
             psi = psi_polynomial(ctx, f, norm)
             window = euler_factor_series(ctx, f, norm, len(psi) + den_deg)
             for j in range(1, f + 1):
-                window = window * poly_to_series(
+                window = window * TruncatedSeries(
                     delta_polynomial(ctx, j, norm), window.truncation)
             coeffs = window.coefficients()
             assert coeffs[:len(psi)] == psi
@@ -262,7 +263,7 @@ def test_euler_factor_norm_four_anchor():
     series = euler_factor_series(CTX211, 1, 4, 6)
     assert series.coefficients() == (1, 0, 3, 0, 12, 0, 48)
     # and the generating function is (1 - u^2) / (1 - 4 u^2)
-    check = series * poly_to_series((1, 0, -4), 6)
+    check = series * TruncatedSeries((1, 0, -4), 6)
     assert check.coefficients() == (1, 0, -1, 0, 0, 0, 0)
 
 
@@ -338,7 +339,7 @@ def test_product_matches_schoolbook(a, b):
 @example(TruncatedSeries((0, 3, 1), 2), 0)                  # exponent 0
 @example(TruncatedSeries((), 3), 3)                         # zero series
 def test_power_matches_repeated_product(a, n):
-    expected = TruncatedSeries.one(a.truncation)
+    expected = TruncatedSeries((1,), a.truncation)
     for _ in range(n):
         expected = _schoolbook(expected, a)
     assert a ** n == expected
@@ -373,21 +374,28 @@ def test_local_direct_series_rejects_a_non_count(monkeypatch):
         local_direct_series(ctx, 8)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_series(), st.integers(1, 4), st.integers(0, 9))
-def test_inflate_and_truncate_match_coefficient_lists(a, d, keep):
-    coeffs = a.coefficients()
+def _inflated(coeffs, d, truncation):
+    """u -> t^d on a coefficient list in u, cut at t^truncation."""
     spread = [0] * (d * len(coeffs))
     spread[::d] = coeffs
-    inflated = a.inflate(d)
-    assert inflated.truncation == len(spread) - 1
-    assert inflated.coefficients() == tuple(spread)
-    keep = min(keep, a.truncation)
-    cut = a.truncate(keep)
-    assert cut.truncation == keep
-    assert cut.coefficients() == coeffs[:keep + 1]
-    with pytest.raises(TruncationError):
-        a.truncate(a.truncation + 1)
+    return TruncatedSeries(spread[:truncation + 1], truncation)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((CTX211, CTX311)), _series(), st.integers(1, 4),
+       st.integers(0, 40))
+def test_inflate_and_truncate_match_coefficient_lists(ctx, a, d, keep):
+    # powered_place_factor against the factor powered by repeated
+    # products on plain lists, then spread out to t^d and cut
+    coeffs = a.coefficients()
+    powered = [1] + [0] * a.truncation
+    for _ in range(place_count(ctx, d)):
+        powered = [sum(powered[i] * coeffs[k - i] for i in range(k + 1))
+                   for k in range(len(coeffs))]
+    keep = min(keep, d * len(coeffs) - 1)  # the horizon u^M pins t^(d(M+1)-1)
+    got = powered_place_factor(ctx, d, a, keep)
+    assert got.truncation == keep
+    assert got == _inflated(powered, d, keep)
 
 
 def test_local_rational_anchor_2_1_1():
@@ -539,12 +547,12 @@ def test_global_factor_series_matches_per_place_product():
     # the zeta-factorised product against a product over the places one
     # by one; (2,1,2) at 24 reaches past 2 * sum(A_j) = 20
     for ctx, top in ((CTX211, 10), (CTX221, 6), (CTX212, 24), (CTX312, 14)):
-        one = TruncatedSeries.one(top)
+        one = TruncatedSeries((1,), top)
         for f in range(ctx.r + 1):
             naive = one
             for d in range(1, top + 1):
                 local = euler_factor_series(ctx, f, ctx.q ** d, top // d)
-                local = local.inflate(d).truncate(top)
+                local = _inflated(local.coefficients(), d, top)
                 if local != one:
                     for _ in places(ctx, d):
                         naive = naive * local
@@ -556,7 +564,7 @@ def _per_degree_reference(ctx, f, truncation):
     u-degree truncation // d, powered to the number of degree-d places and
     inflated; no zeta factor and no psi-polynomial promise."""
     if f == 0 or truncation == 0:
-        return TruncatedSeries.one(truncation)
+        return TruncatedSeries((1,), truncation)
     norms = [ctx.q ** d for d in range(1, truncation + 1)]
     in_u = [[] for _ in norms]
     for m in range(truncation + 1):
@@ -564,11 +572,10 @@ def _per_degree_reference(ctx, f, truncation):
         values = factor_coefficients(ctx, f, m, norms[:reach])
         for coeffs, value in zip(in_u, values):
             coeffs.append(value)
-    result = TruncatedSeries.one(truncation)
+    result = TruncatedSeries((1,), truncation)
     for degree, coeffs in enumerate(in_u, start=1):
-        factor = TruncatedSeries._from_ints(coeffs)
-        powered = dirichlet.powered_place_factor(ctx, degree, factor, truncation)
-        result = powered * result
+        powered = TruncatedSeries._from_ints(coeffs) ** place_count(ctx, degree)
+        result = _inflated(powered.coefficients(), degree, truncation) * result
     return result
 
 
