@@ -446,6 +446,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # TruncationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # an allocation past every size limit
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -40,9 +40,11 @@ from .artin_schreier import (
 from .compositions import (
     chain_disc_exponent,
     chain_term_count,
+    chain_weights,
     enumerate_chains,
     flag_count,
     gaussian_binomial,
+    prefix_sums,
     weighted_counts,
 )
 from .errors import InvariantViolation
@@ -68,12 +70,46 @@ __all__ = [
 
 
 # Largest local discriminant exponent e (count local --exp, a divisor
-# multiplicity ^e).  A count has about e log2(q) / 2 bits and there are
-# about e^(r-1) chains, so the cap bounds the cost only for r <= 2: at
-# e = 2^15 `count local --p 2 --exp 32768` took 0.8 s and 37 MB at r = 1,
-# 1.3 s and 37 MB at r = 2, 26 s and 663 MB at r = 3; at r = 4 already
-# e = 8192 took 15 s and 843 MB (Python 3.11, 2-core Xeon VM).
+# multiplicity ^e).  A count has about e log2(q) / 2 bits: at e = 2^15
+# `count local --p 2 --exp 32768` took 0.8 s and 37 MB at r = 1, 1.3 s
+# and 37 MB at r = 2 (Python 3.11, 2-core Xeon VM).  There are about
+# e^(r-1) chains, which _MAX_CHAINS bounds.
 _MAX_EXPONENT = 2 ** 15
+
+# Largest number of conductor chains a count may enumerate, checked by
+# local_count and global_count before _chain_table lists them all; the
+# count itself took 10 ms at r = 4, e = 2^15.  Memory grows with the
+# chains: `count local --p 2` took 26 s and 663 MB at r = 3, e = 32768
+# (3,198,001 chains) and 15 s and 843 MB at r = 4, e = 8192 (4,598,444),
+# and at r = 4, e = 16384 (36,572,952) it was still running after 170 s
+# (Python 3.11, 2-core Xeon VM).
+_MAX_CHAINS = 2 ** 23
+
+
+def _chain_count(ctx: PrimeContext, exponent: int) -> int:
+    """len(enumerate_chains(exponent, ctx.r, ctx)), in one O(r * exponent)
+    pass of ints.  Writing c_j = d_j + ... + d_h with d_h >= 1 and the
+    other d_k >= 0, a chain of length h has exponent sum_k d_k W_k over
+    the prefix sums W_k of the chain weights: it is a way to pay the
+    exponent in coins W_1, ..., W_h that uses W_h at least once."""
+    ways = [1] + [0] * exponent  # ways[m]: m paid in the coins so far
+    total = int(exponent == 0)   # the empty chain
+    for coin in prefix_sums(chain_weights(ctx)):
+        for m in range(coin, exponent + 1):
+            ways[m] += ways[m - coin]
+        if coin <= exponent:
+            total += ways[exponent - coin]
+    return total
+
+
+def _refuse_many_chains(ctx: PrimeContext, exponent: int) -> None:
+    """ValueError above _MAX_CHAINS chains; an exponent past _MAX_EXPONENT
+    or below 0 is left to factor_coefficients to refuse."""
+    if exponent <= _MAX_EXPONENT:
+        chains = _chain_count(ctx, exponent)
+        if chains > _MAX_CHAINS:
+            raise ValueError(f"discriminant exponent {exponent}: {chains} "
+                             f"conductor chains exceed {_MAX_CHAINS}")
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +177,7 @@ def factor_coefficient(ctx: PrimeContext, f: int, exponent: int,
 def local_count(ctx: PrimeContext, exponent: int) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q((t)) whose
     discriminant exponent equals `exponent`."""
+    _refuse_many_chains(ctx, exponent)
     rows = [[factor_coefficient(ctx, f, exponent, ctx.q)]
             for f in range(ctx.r + 1)]
     return weighted_counts(ctx, rows)[0]
@@ -168,6 +205,8 @@ def _depth_values(ctx: PrimeContext, divisor: Divisor, factors: dict) -> list:
 def global_count(ctx: PrimeContext, divisor: Divisor) -> int:
     """Number of degree-p^r elementary abelian extensions of F_q(t) whose
     discriminant is exactly the given effective divisor."""
+    for e in {e for _, e in divisor.items()}:
+        _refuse_many_chains(ctx, e)
     return weighted_counts(ctx, [[v] for v in _depth_values(ctx, divisor, {})])[0]
 
 

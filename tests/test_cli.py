@@ -130,6 +130,7 @@ def test_huge_p_exits_2_in_one_line(argv, message):
 
 _EXPONENT_CAP = "discriminant exponent 1000000000000 exceeds 32768"
 _TRUNCATION_CAP = "series truncation 100000000 exceeds 32768"
+_CHAIN_CAP = "discriminant exponent 16384: 36572952 conductor chains exceed 8388608"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -139,11 +140,13 @@ _TRUNCATION_CAP = "series truncation 100000000 exceeds 32768"
     ("series global --p 2 --r 1 --max 100000000", _TRUNCATION_CAP),
     ("series local --p 2 --r 1 --max 100000000", _TRUNCATION_CAP),
     ("asymptotics --p 2 --r 2 --fit-max 100000000", _TRUNCATION_CAP),
+    ("count local --p 2 --r 4 --exp 16384", _CHAIN_CAP),
+    ("count global --p 2 --r 4 --divisor t^16384", _CHAIN_CAP),
 ], ids=["exp", "multiplicity", "degree", "series-global", "series-local",
-        "fit-max"])
+        "fit-max", "chains", "chains-multiplicity"])
 def test_size_caps_exit_2_in_one_line(argv, message):
-    # refused before a count of about 10^12 bits or a list of 10^8
-    # coefficients is built
+    # refused before a count of about 10^12 bits, a list of 10^8
+    # coefficients or one of 3.7 * 10^7 chains is built
     result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv.split()],
                             capture_output=True, text=True, timeout=20)
     assert (result.returncode, result.stdout, result.stderr) == \
@@ -630,6 +633,16 @@ def test_invariant_failure_exits_1(capsys, monkeypatch):
                        "--exp", "2")
     assert code == 1
     assert "invariant violation" in err
+
+
+def test_out_of_memory_exits_2_in_one_line(capsys, monkeypatch):
+    def exhausted(ctx, exponent):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "local_count", exhausted)
+    code, out, err = run(capsys, "count", "local", "--p", "2", "--r", "1",
+                         "--exp", "2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_console_script_roundtrip():

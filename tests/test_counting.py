@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from collections import Counter
 from itertools import groupby, product
 
@@ -197,6 +198,33 @@ def test_exponent_cap_refuses_before_the_chains(monkeypatch):
     top = counting._MAX_EXPONENT + 1
     with pytest.raises(ValueError, match=f"discriminant exponent {top} exceeds"):
         local_count(CTX212, top)
+
+
+@pytest.mark.parametrize("pr", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                (5, 2), (7, 1)],
+                         ids=lambda pr: "".join(map(str, pr)))
+def test_chain_count_matches_enumeration(pr):
+    ctx = make_context(pr[0], 1, pr[1])
+    for exponent in range(80):
+        assert counting._chain_count(ctx, exponent) == \
+            len(enumerate_chains(exponent, ctx.r, ctx)), exponent
+
+
+def test_chain_cap_refuses_before_the_chains(monkeypatch):
+    # (2,1,4) at e = 16384 has 36,572,952 chains, past the cap of 2^23
+    def refuse(*args):
+        raise AssertionError("chains enumerated past the chain cap")
+
+    monkeypatch.setattr(counting, "enumerate_chains", refuse)
+    counting._chain_table.cache_clear()
+    ctx = make_context(2, 1, 4)
+    message = "discriminant exponent 16384: 36572952 conductor chains exceed"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        local_count(ctx, 16384)
+    with pytest.raises(ValueError, match=message):
+        global_count(ctx, Divisor([(INFINITY, 2), (finite_place(ctx, [0, 1]), 16384)]))
+    assert time.perf_counter() - start < 1
 
 
 def test_psi_polynomial_enumerates_each_exponent_once(monkeypatch):
