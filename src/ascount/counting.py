@@ -55,6 +55,7 @@ __all__ = [
     "factor_coefficients",
     "local_count",
     "global_count",
+    "refuse_chain_expansion",
     "counts_by_degree",
     "effective_divisors",
     "enumerate_local",
@@ -76,40 +77,58 @@ __all__ = [
 # e^(r-1) chains, which _MAX_CHAINS bounds.
 _MAX_EXPONENT = 2 ** 15
 
-# Largest number of conductor chains a count may enumerate, checked by
-# local_count and global_count before _chain_table lists them all; the
-# count itself took 10 ms at r = 4, e = 2^15.  Memory grows with the
-# chains: `count local --p 2` took 26 s and 663 MB at r = 3, e = 32768
-# (3,198,001 chains) and 15 s and 843 MB at r = 4, e = 8192 (4,598,444),
-# and at r = 4, e = 16384 (36,572,952) it was still running after 170 s
-# (Python 3.11, 2-core Xeon VM).
+# Largest number of conductor chains a count or an Euler-factor expansion
+# may enumerate, checked before _chain_table lists them all: by
+# local_count and global_count at one exponent, and by the Euler-factor
+# expansions of dirichlet over every exponent up to their horizon.  The
+# counts themselves took 6 ms at (2,1,8) for every exponent up to 7172.
+# Memory grows with the chains: `count local --p 2` took 26 s and 663 MB
+# at r = 3, e = 32768 (3,198,001 chains) and 15 s and 843 MB at r = 4,
+# e = 8192 (4,598,444), and at r = 4, e = 16384 (36,572,952) it was still
+# running after 170 s.  The local form at (2,1,r) expands out to twice the
+# pole degree: 620,700 chains at r = 6 (3-4 s), 7,112,342 at r = 7,
+# 82,104,262 at r = 8 and 953,203,121 at r = 9 (Python 3.11, 2-core Xeon
+# VM).
 _MAX_CHAINS = 2 ** 23
 
 
-def _chain_count(ctx: PrimeContext, exponent: int) -> int:
-    """len(enumerate_chains(exponent, ctx.r, ctx)), in one O(r * exponent)
-    pass of ints.  Writing c_j = d_j + ... + d_h with d_h >= 1 and the
-    other d_k >= 0, a chain of length h has exponent sum_k d_k W_k over
-    the prefix sums W_k of the chain weights: it is a way to pay the
-    exponent in coins W_1, ..., W_h that uses W_h at least once."""
-    ways = [1] + [0] * exponent  # ways[m]: m paid in the coins so far
-    total = int(exponent == 0)   # the empty chain
-    for coin in prefix_sums(chain_weights(ctx)):
-        for m in range(coin, exponent + 1):
+@lru_cache(maxsize=None)
+def _chain_counts(p: int, r: int, top: int) -> tuple:
+    """(len(enumerate_chains(e, r, ctx)) for e = 0..top), in one
+    O(r * top) pass of ints.  Writing c_j = d_j + ... + d_h with d_h >= 1
+    and the other d_k >= 0, a chain of length h has exponent
+    sum_k d_k W_k over the prefix sums W_k of the chain weights: it is a
+    way to pay the exponent in coins W_1, ..., W_h that uses W_h at least
+    once."""
+    ways = [1] + [0] * top    # ways[m]: m paid in the coins so far
+    counts = [1] + [0] * top  # the empty chain pays 0
+    for coin in prefix_sums(chain_weights(make_context(p, 1, r))):
+        for m in range(coin, top + 1):
             ways[m] += ways[m - coin]
-        if coin <= exponent:
-            total += ways[exponent - coin]
-    return total
+            counts[m] += ways[m - coin]
+    return tuple(counts)
 
 
 def _refuse_many_chains(ctx: PrimeContext, exponent: int) -> None:
     """ValueError above _MAX_CHAINS chains; an exponent past _MAX_EXPONENT
     or below 0 is left to factor_coefficients to refuse."""
-    if exponent <= _MAX_EXPONENT:
-        chains = _chain_count(ctx, exponent)
+    if 0 <= exponent <= _MAX_EXPONENT:
+        chains = _chain_counts(ctx.p, ctx.r, exponent)[exponent]
         if chains > _MAX_CHAINS:
             raise ValueError(f"discriminant exponent {exponent}: {chains} "
                              f"conductor chains exceed {_MAX_CHAINS}")
+
+
+def refuse_chain_expansion(ctx: PrimeContext, top: int) -> None:
+    """ValueError if the chains of every exponent 0..top, which an Euler
+    factor expanded out to u^top lists, exceed _MAX_CHAINS together, or if
+    top passes _MAX_EXPONENT."""
+    if top > _MAX_EXPONENT:
+        raise ValueError(f"discriminant exponent {top} exceeds {_MAX_EXPONENT}")
+    chains = sum(_chain_counts(ctx.p, ctx.r, top))
+    if chains > _MAX_CHAINS:
+        raise ValueError(f"Euler factor to u^{top}: {chains} "
+                         f"conductor chains exceed {_MAX_CHAINS}")
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,8 @@ from .compositions import (
     structure_poly_value,
     weighted_counts,
 )
-from .counting import factor_coefficient, factor_coefficients
+from .counting import (factor_coefficient, factor_coefficients,
+                       refuse_chain_expansion)
 from .errors import InvariantViolation, TruncationError
 from .fields import PrimeContext, place_count
 
@@ -45,8 +46,8 @@ ZERO = Fraction(0)
 # sized.  Coefficient m has O(m log q) bits, so memory grows like
 # M^2 log q: `series local --p 2 --r 1` took 3.3 s and 233 MB at M = 2^15,
 # 20 s and 800 MB at 2^16.  The global series is bound by time far below
-# the cap: `series global --p 2 --r 1 --max 4000` took 14 s (Python 3.11,
-# 2-core Xeon VM).
+# the cap: `series global --p 2 --r 1 --max 4000` took 14-16 s (Python
+# 3.11, 2-core Xeon VM).
 _MAX_TRUNCATION = 2 ** 15
 
 
@@ -121,9 +122,9 @@ def _scaled(coeffs) -> tuple:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _nonzero(ints) -> list:
-    """(index, value) of the nonzero entries."""
-    return [(i, c) for i, c in enumerate(ints) if c]
+def _support(ints) -> list:
+    """The indices of the nonzero entries, found in C by compress."""
+    return list(itertools.compress(range(len(ints)), ints))
 
 
 def _primitive_remainder(a, b) -> list:
@@ -132,7 +133,7 @@ def _primitive_remainder(a, b) -> list:
     its top term, visiting only the nonzero terms of b; the content of the
     remainder is then divided out, which keeps the ints small."""
     a, lead, top = list(a), b[-1], len(b) - 1
-    terms = _nonzero(b[:-1])
+    terms = [(i, b[i]) for i in _support(b[:-1])]
     while len(a) > top:
         c = a.pop()
         if c:
@@ -167,8 +168,10 @@ class TruncatedSeries:
     Every series the library builds is integral: the counting series,
     their Euler factors and the integer polynomials multiplied into them.
     `nums` is the tuple of coefficients, and every operation works on
-    these ints (products visit only the nonzero entries, since inflated
-    per-degree factors are sparse).
+    these ints.  Products and powers visit only the nonzero entries, whose
+    positions itertools.compress finds in C: a per-degree factor spread
+    out to t^d is sparse, and it has constant term 1, so its product with
+    the running series starts from a copy of that series.
 
     Binary operations propagate the minimum truncation of the operands;
     asking for a coefficient past the horizon raises TruncationError rather
@@ -216,16 +219,26 @@ class TruncatedSeries:
         return self.nums == other.nums
 
     def __mul__(self, other):
+        """The sparser operand drives the outer loop over its nonzero
+        positions; a unit constant term starts the product from a copy of
+        the other operand instead of multiplying it by 1."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         m = min(self.truncation, other.truncation)
-        out = [0] * (m + 1)
-        terms_b = _nonzero(other.nums[:m + 1])
-        for i, ca in _nonzero(self.nums[:m + 1]):
-            for j, cb in terms_b:
-                if i + j > m:
+        a, b = self.nums[:m + 1], other.nums[:m + 1]
+        at, bt = _support(a), _support(b)
+        if len(at) > len(bt):
+            a, b, at, bt = b, a, bt, at
+        if a[0] == 1:
+            out, at = list(b), at[1:]
+        else:
+            out = [0] * (m + 1)
+        for i in at:
+            ca, top = a[i], m - i
+            for j in bt:
+                if j > top:
                     break
-                out[i + j] += ca * cb
+                out[i + j] += ca * b[j]
         return TruncatedSeries._from_ints(out)
 
     def __pow__(self, exponent: int):
@@ -240,20 +253,21 @@ class TruncatedSeries:
         if exponent == 0:
             return TruncatedSeries([1], m)
         a = self.nums
-        valuation = next((v for v, c in enumerate(a) if c), m + 1)
+        valuation = next(itertools.compress(range(m + 1), a), m + 1)
         out = [0] * (m + 1)
         shift = valuation * exponent
         if shift <= m:
             width = m - shift + 1
             a = a[valuation:valuation + width]
-            a0, terms = a[0], _nonzero(a)[1:]
+            a0 = a[0]
+            terms = [(j, (exponent + 1) * j, a[j]) for j in _support(a)[1:]]
             b = [a0 ** exponent]
             for k in range(1, width):
                 acc = 0
-                for j, aj in terms:
+                for j, nj, aj in terms:
                     if j > k:
                         break
-                    acc += ((exponent + 1) * j - k) * aj * b[k - j]
+                    acc += (nj - k) * aj * b[k - j]
                 bk, rem = divmod(acc, k * a0)
                 if rem:
                     raise InvariantViolation(
@@ -307,7 +321,7 @@ class RationalSeries:
             scale, den = _scaled(self.den)
             unit, num = _scaled([c * scale for c in self.num])
             d = den[0]
-            terms = [(k, c * d ** (k - 1)) for k, c in _nonzero(den)[1:]]
+            terms = [(k, den[k] * d ** (k - 1)) for k in _support(den)[1:]]
             self._recurrence = num, unit, d, terms, []
         num, unit, d, terms, b = self._recurrence
         for k in range(len(b), m + 1):
@@ -368,7 +382,8 @@ def delta_exponents(ctx: PrimeContext, j: int):
 # memory, not time: psi_polynomial expands 2 D_f + 1 coefficients.  At
 # (127, 1, 1), D = 16002, `series local --max 5` took 1.7-1.8 s and 43 MB,
 # `asymptotics --local` 2.4-2.5 s and 48 MB; at (2, 1, 6), D = 642, they
-# took 2.8-3.9 s and 45 MB each (Python 3.11, 2-core Xeon VM).
+# took 2.8-3.9 s and 45 MB each (Python 3.11, 2-core Xeon VM).  The chains
+# that expansion lists are capped apart, by counting._MAX_CHAINS.
 _MAX_POLE_DEGREE = 2 ** 14
 
 
@@ -393,6 +408,7 @@ def euler_factor_series(ctx: PrimeContext, f: int, norm: int,
     place of the given norm, truncated at the given u-degree."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
+    refuse_chain_expansion(ctx, truncation)
     return TruncatedSeries._from_ints(
         [factor_coefficient(ctx, f, m, norm) for m in range(truncation + 1)])
 
@@ -571,13 +587,16 @@ def global_factor_series(ctx: PrimeContext, f: int,
     Psi_f(q^d, u), of u-degree at most D = sum A_j, at each degree d.
 
     The chains of each exponent up to min(truncation, 2D), shared by all
-    depths, are evaluated at every norm q^d whose factor still reaches that
-    exponent (d * exponent <= truncation).  Each degree's coefficients are
+    depths, are counted first and refused past counting._MAX_CHAINS, then
+    evaluated at every norm q^d whose factor still reaches that exponent
+    (d * exponent <= truncation).  Each degree's coefficients are
     multiplied by the deltas in place; the computed part of the window
     (D, 2D] must vanish, as psi_polynomial requires, and coefficients past
     2D are trusted to vanish too.  The checked Psi_f is then powered and
-    inflated, and the product is taken in increasing degree order, the
-    sparse factor first."""
+    inflated, and the product is taken in increasing degree order.  The
+    inflated factor has constant term 1 and at most truncation // d other
+    nonzero terms, at multiples of d, so the product copies the running
+    series and adds one shifted multiple of it per such term."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     if truncation > _MAX_TRUNCATION:
@@ -587,6 +606,7 @@ def global_factor_series(ctx: PrimeContext, f: int,
     pairs = [delta_exponents(ctx, j) for j in range(1, f + 1)]
     degree_bound = sum(big_a for _, big_a in pairs)
     top = min(truncation, 2 * degree_bound)
+    refuse_chain_expansion(ctx, top)
     norms = [ctx.q ** d for d in range(1, truncation + 1)]
     in_u = [[] for _ in norms]  # in_u[d - 1]: the degree-d factor in u
     for m in range(top + 1):
@@ -635,6 +655,8 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
     norm = ctx.q
     numerator, denominator = (), (1,)
     deltas = [delta_polynomial(ctx, j, norm) for j in range(1, ctx.r + 1)]
+    # the deepest expansion, f = r, is refused before a shallower one lists any
+    refuse_chain_expansion(ctx, 2 * _pole_degree(ctx, ctx.r))
     for f in range(ctx.r + 1):  # Horner in the deltas
         if f:
             numerator = poly_mul(numerator, deltas[f - 1])

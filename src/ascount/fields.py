@@ -431,10 +431,12 @@ def irreducibles(ctx: PrimeContext, d: int) -> tuple:
     return tuple(f for f in _monic_polys(ctx, d) if f not in composite)
 
 
+@lru_cache(maxsize=None)
 def place_count(ctx: PrimeContext, d: int) -> int:
     """Number of places of F_q(t) of degree d (infinity counts at d = 1):
     the necklace sum of (-1)^k q^(d/e) over the squarefree divisors e of d,
-    k the number of primes in e, divided by d."""
+    k the number of primes in e, divided by d.  Memoised per (ctx, d), as
+    the global product asks for every degree once per depth."""
     if d < 1:
         raise ValueError("degree must be at least 1")
     primes = _prime_factors(d)

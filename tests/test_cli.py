@@ -131,6 +131,7 @@ def test_huge_p_exits_2_in_one_line(argv, message):
 _EXPONENT_CAP = "discriminant exponent 1000000000000 exceeds 32768"
 _TRUNCATION_CAP = "series truncation 100000000 exceeds 32768"
 _CHAIN_CAP = "discriminant exponent 16384: 36572952 conductor chains exceed 8388608"
+_EXPANSION_CAP = "Euler factor to u^7172: 82104262 conductor chains exceed 8388608"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -142,15 +143,29 @@ _CHAIN_CAP = "discriminant exponent 16384: 36572952 conductor chains exceed 8388
     ("asymptotics --p 2 --r 2 --fit-max 100000000", _TRUNCATION_CAP),
     ("count local --p 2 --r 4 --exp 16384", _CHAIN_CAP),
     ("count global --p 2 --r 4 --divisor t^16384", _CHAIN_CAP),
+    ("series local --p 2 --r 8 --max 5", _EXPANSION_CAP),
+    ("asymptotics --p 2 --r 8 --local", _EXPANSION_CAP),
 ], ids=["exp", "multiplicity", "degree", "series-global", "series-local",
-        "fit-max", "chains", "chains-multiplicity"])
+        "fit-max", "chains", "chains-multiplicity", "chains-series-local",
+        "chains-asymptotics-local"])
 def test_size_caps_exit_2_in_one_line(argv, message):
     # refused before a count of about 10^12 bits, a list of 10^8
-    # coefficients or one of 3.7 * 10^7 chains is built
+    # coefficients or one of 3.7 * 10^7 (or 8.2 * 10^7) chains is built
     result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv.split()],
                             capture_output=True, text=True, timeout=20)
     assert (result.returncode, result.stdout, result.stderr) == \
         (2, "", f"error: {message}\n")
+
+
+def test_global_series_under_the_chain_cap_at_r_8():
+    # the local form at (2,1,8) is refused (82,104,262 chains out to
+    # u^7172); the global series to t^200 lists only the chains up to 200,
+    # and every extension has discriminant degree past 200
+    argv = "series global --p 2 --r 8 --max 200".split()
+    result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv],
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, ",".join(["0"] * 201) + "\n", "")
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -43,7 +43,8 @@ from ascount.artin_schreier import (
     rep_add,
     rep_scale,
 )
-from ascount.dirichlet import delta_exponents, psi_polynomial
+from ascount.asymptotics import report_json
+from ascount.dirichlet import delta_exponents, local_rational, psi_polynomial
 from ascount.errors import InvariantViolation
 from ascount.fields import Divisor, INFINITY, finite_place, make_context
 
@@ -204,10 +205,12 @@ def test_exponent_cap_refuses_before_the_chains(monkeypatch):
                                 (5, 2), (7, 1)],
                          ids=lambda pr: "".join(map(str, pr)))
 def test_chain_count_matches_enumeration(pr):
+    # one pass counts every exponent up to the top; a shorter pass gives
+    # the same prefix
     ctx = make_context(pr[0], 1, pr[1])
-    for exponent in range(80):
-        assert counting._chain_count(ctx, exponent) == \
-            len(enumerate_chains(exponent, ctx.r, ctx)), exponent
+    counts = counting._chain_counts(*pr, 79)
+    assert counts == tuple(len(enumerate_chains(e, ctx.r, ctx)) for e in range(80))
+    assert all(counting._chain_counts(*pr, e) == counts[:e + 1] for e in range(80))
 
 
 def test_chain_cap_refuses_before_the_chains(monkeypatch):
@@ -225,6 +228,27 @@ def test_chain_cap_refuses_before_the_chains(monkeypatch):
     with pytest.raises(ValueError, match=message):
         global_count(ctx, Divisor([(INFINITY, 2), (finite_place(ctx, [0, 1]), 16384)]))
     assert time.perf_counter() - start < 1
+
+
+def test_chain_expansion_refused_before_the_chains(monkeypatch):
+    # the local form at (2,1,8) expands out to u^7172, 82,104,262 chains;
+    # the global series at --max 200 lists few enough to run
+    def refuse(*args):
+        raise AssertionError("chains enumerated past the chain cap")
+
+    monkeypatch.setattr(counting, "enumerate_chains", refuse)
+    counting._chain_table.cache_clear()
+    ctx = make_context(2, 1, 8)
+    message = "Euler factor to u\\^7172: 82104262 conductor chains exceed"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        local_rational(ctx)
+    with pytest.raises(ValueError, match=message):
+        report_json(ctx)
+    with pytest.raises(ValueError, match=message):
+        psi_polynomial(ctx, 8, 2)
+    assert time.perf_counter() - start < 1
+    assert sum(counting._chain_counts(2, 8, 200)) <= counting._MAX_CHAINS
 
 
 def test_psi_polynomial_enumerates_each_exponent_once(monkeypatch):

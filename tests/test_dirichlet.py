@@ -345,6 +345,45 @@ def test_power_matches_repeated_product(a, n):
     assert a ** n == expected
 
 
+@st.composite
+def _sparse_series(draw, max_truncation=24):
+    """A series with nonzero terms only at multiples of a step d, as a
+    factor spread out to t^d: constant term 1, -1, 0 or another value,
+    coefficients up to +-2^200, now and then the all-zero series."""
+    truncation = draw(st.integers(0, max_truncation))
+    if draw(st.integers(0, 9)) == 0:
+        return TruncatedSeries((), truncation)
+    step = draw(st.integers(1, 6))
+    big = st.integers(-2 ** 200, 2 ** 200)
+    coeffs = [0] * (truncation + 1)
+    coeffs[0] = draw(st.sampled_from((1, -1, 0)) | big)
+    for k in range(step, truncation + 1, step):
+        coeffs[k] = draw(st.just(0) | big)
+    return TruncatedSeries(coeffs, truncation)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_sparse_series(), _sparse_series() | _series(max_truncation=24))
+@example(TruncatedSeries((), 5), TruncatedSeries((1, 2), 3))       # zero
+@example(TruncatedSeries((1,), 6), TruncatedSeries((3, 0, 5), 4))  # only 1
+@example(TruncatedSeries((1, 0, 0, 7), 9), TruncatedSeries((-1, 2, 0, 4), 9))
+def test_sparse_product_matches_schoolbook(a, b):
+    # either operand may be the sparser one, which the product walks outside
+    assert a * b == _schoolbook(a, b)
+    assert b * a == _schoolbook(b, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_series(max_truncation=12), st.integers(0, 5))
+@example(TruncatedSeries((), 4), 3)
+@example(TruncatedSeries((1, 0, 2 ** 200), 6), 5)
+def test_sparse_power_matches_repeated_product(a, n):
+    expected = TruncatedSeries((1,), a.truncation)
+    for _ in range(n):
+        expected = _schoolbook(expected, a)
+    assert a ** n == expected
+
+
 def test_power_with_place_count_sized_exponent():
     # (1 + u)^n for n near the number of degree-70 places of F_2(t)
     n = 2 ** 70 // 70
@@ -382,11 +421,16 @@ def _inflated(coeffs, d, truncation):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from((CTX211, CTX311)), _series(), st.integers(1, 4),
-       st.integers(0, 40))
-def test_inflate_and_truncate_match_coefficient_lists(ctx, a, d, keep):
+@given(st.sampled_from((CTX211, CTX311)), _series(), st.integers(1, 8),
+       st.integers(0, 40), _series(max_truncation=40))
+# d > keep / 2: the spread factor is 1 + c t^d or 1 alone, where the
+# product only copies the running series and adds one shifted term
+@example(CTX211, TruncatedSeries((1, 3, 1), 2), 5, 8, TruncatedSeries((2, 1, 0, 4), 12))
+@example(CTX311, TruncatedSeries((1, -2), 1), 7, 6, TruncatedSeries((5, 0, 1), 9))
+def test_inflate_and_truncate_match_coefficient_lists(ctx, a, d, keep, b):
     # powered_place_factor against the factor powered by repeated
-    # products on plain lists, then spread out to t^d and cut
+    # products on plain lists, then spread out to t^d and cut; then its
+    # product with a running series, as global_factor_series takes it
     coeffs = a.coefficients()
     powered = [1] + [0] * a.truncation
     for _ in range(place_count(ctx, d)):
@@ -396,6 +440,7 @@ def test_inflate_and_truncate_match_coefficient_lists(ctx, a, d, keep):
     got = powered_place_factor(ctx, d, a, keep)
     assert got.truncation == keep
     assert got == _inflated(powered, d, keep)
+    assert got * b == _schoolbook(got, b) == b * got
 
 
 def test_local_rational_anchor_2_1_1():
