@@ -33,7 +33,9 @@ import numpy
 
 from .compositions import chain_weights, compositions, prefix_sums
 from .dirichlet import (
+    RationalSeries,
     TruncatedSeries,
+    _scaled,
     delta_exponents,
     global_dirichlet,
     lambda_inverse,
@@ -265,13 +267,17 @@ def local_leading_constants(ctx: PrimeContext,
     rounded from a _PRECISION-bit value.  A class is zero exactly when R_k
     is.
 
-    Validation is exact: R_k >= 0, not all zero; the identity for every
-    m <= m_max; zero coefficients on zero classes; on the others, the
-    relative errors |c_m - R_k c^i| / c_m over the positive suffix of the
-    last ten samples (reported as floats) end below tolerance and do not
-    grow.  m_max starts at max(_sample_cap(ctx), 2A) and grows by up to
-    four periods while a nonzero class has no positive sample or misses
-    the tolerance.
+    Validation is exact and runs on ints: the counts c_m are the ints of
+    rational.series(m_max), R = H/h over one denominator, and T = t S is
+    the int series of S/D' scaled by the common denominator t of S (D'
+    has constant term 1).  Checked are R_k >= 0, not all zero; the
+    identity h t c_m = t H_k c^i + h T_m for every m <= m_max; zero
+    coefficients on zero classes; on the others, the relative errors
+    |h c_m - H_k c^i| / (h c_m) over the positive suffix of the last ten
+    samples (reported as floats) end below tolerance and do not grow.
+    m_max starts at max(_sample_cap(ctx), 2A) and grows by up to four
+    periods while a nonzero class has no positive sample or misses the
+    tolerance; the counts are expanded again to each new m_max.
     """
     rational, head, rest = rightmost_split(ctx)  # refuses a pole degree past the cap
     shift, period = delta_exponents(ctx, ctx.r)
@@ -281,31 +287,40 @@ def local_leading_constants(ctx: PrimeContext,
     if not nonzero or min(head) < 0:
         raise InvariantViolation(f"leading constants all zero or negative: "
                                  f"smallest R_k = {min(head)}")
+    hden, scaled_head = _scaled(head)
+    counts = rational.series(m_max).nums
 
     def trail(cls: int) -> list:
         # early entries may still be exact zeros (killed coefficient
         # chains); only the positive suffix is compared to the main term
         window = list(range(cls or period, m_max + 1, period))[-10:]
-        while window and rational.coefficient(window[0]) == 0:
+        while window and counts[window[0]] == 0:
             window.pop(0)
-        exact = [rational.coefficient(m) for m in window]
-        if any(e <= 0 for e in exact):
+        if any(counts[m] <= 0 for m in window):
             raise InvariantViolation(f"class {cls} expected positive "
                                      f"coefficients at m = {window}")
-        return [(m, abs(e - head[cls] * c ** (m // period)) / e)
-                for m, e in zip(window, exact)]
+        main = scaled_head[cls]
+        return [(m, Fraction(abs(hden * counts[m] - main * c ** (m // period)),
+                             hden * counts[m]))
+                for m in window]
 
     for _ in range(4):
         if all(t and t[-1][1] < tolerance for t in map(trail, nonzero)):
             break
         m_max += period
-    for m in range(m_max + 1):
-        i, k = divmod(m, period)
-        exact = rational.coefficient(m)
-        if exact != head[k] * c ** i + rest.coefficient(m):
+        counts = rational.series(m_max).nums
+    rden, rest_ints = _scaled(rest.num)
+    scaled_rest = RationalSeries(rest_ints, rest.den).series(m_max).nums
+    main = [rden * x for x in scaled_head]
+    power = 1  # c^i at m = Ai + k
+    for m, (count, tail) in enumerate(zip(counts, scaled_rest)):
+        k = m % period
+        if m and not k:
+            power *= c
+        if hden * rden * count != main[k] * power + hden * tail:
             raise InvariantViolation(
                 f"partial fractions disagree with the series at m = {m}")
-        if m and exact and not head[k]:
+        if m and count and not scaled_head[k]:
             raise InvariantViolation(f"class {k} has vanishing constant but "
                                      f"nonzero coefficient at m = {m}")
     constants, errors = dict.fromkeys(range(period), 0.0), {}

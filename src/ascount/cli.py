@@ -83,6 +83,16 @@ def _u_poly(coeffs) -> str:
 # count
 # ---------------------------------------------------------------------------
 
+# Largest count `count` prints, in bits, checked before str() writes it.
+# Counting is cheap next to the decimal conversion, which is quadratic in
+# the length: `count local --p 2 --n 300 --r 1 --exp 30000` (4,500,001
+# bits) counted in 0.03 s and printed in 28.5 s, at --n 100 (1,500,001
+# bits) 0.01 s and 3.1 s, and str() of 2^20 bits (315,653 digits) takes
+# about 1.6 s, of 2^21 bits 6.3 s (Python 3.11, 2-core Xeon VM).  The
+# largest count in the tests and CI, `count local --p 2 --r 1 --exp
+# 30000`, has 15,001 bits.
+_MAX_COUNT_BITS = 2 ** 20
+
 
 def cmd_count(args, parser) -> int:
     ctx = make_context(args.p, args.n, args.r)
@@ -103,6 +113,9 @@ def cmd_count(args, parser) -> int:
             value = global_dirichlet(ctx, args.degree).coefficient(args.degree)
         else:
             value = global_count(ctx, parse_divisor(ctx, args.divisor))
+    if value.bit_length() > _MAX_COUNT_BITS:
+        raise ValueError(f"count of {value.bit_length()} bits exceeds the "
+                         f"{_MAX_COUNT_BITS}-bit print limit")
     with _exact_ints():
         text = str(value)
     _emit(text, args.out)

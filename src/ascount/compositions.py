@@ -94,13 +94,19 @@ def delsarte_weight(f: int, ctx: PrimeContext) -> Fraction:
     return Fraction(num, aut_order(r, p))
 
 
+def scaled_weights(ctx: PrimeContext) -> tuple:
+    """(|GL_r(F_p)|, [delsarte_weight(f) * |GL_r(F_p)| for f = 0..r]), the
+    Delsarte weights as ints over their common denominator."""
+    order = aut_order(ctx.r, ctx.p)
+    return order, [int(delsarte_weight(f, ctx) * order) for f in range(ctx.r + 1)]
+
+
 def weighted_counts(ctx: PrimeContext, rows) -> list:
     """Column m is sum_f delsarte_weight(f) * rows[f][m] over the depth
     rows f = 0..r, as one exact division of int sums by |GL_r(F_p)|.  A
     remainder or a negative count raises InvariantViolation; a wrong
     number of rows or rows of unequal length raise ValueError."""
-    order = aut_order(ctx.r, ctx.p)
-    weights = [int(delsarte_weight(f, ctx) * order) for f in range(ctx.r + 1)]
+    order, weights = scaled_weights(ctx)
     scaled = [[w * v for v in row] for w, row in zip(weights, rows, strict=True)]
     out = []
     for m, column in enumerate(zip(*scaled, strict=True)):

@@ -12,7 +12,9 @@ over depths by compositions.weighted_counts, in ints, so a truncated
 series holds ints only.  Fractions appear only where a value is
 rational: the local numerator, which carries the Delsarte weights, and
 its reductions, recurrence weights, the rightmost split and the
-coefficients RationalSeries.coefficient reads from them.
+coefficients RationalSeries.coefficient reads from them.  The local
+numerator and the split are built in ints over one common denominator
+each, and their Fractions are made once, at the end.
 Floating point is banned from this module; the asymptotics layer is the
 only consumer of floats.
 """
@@ -26,11 +28,11 @@ from math import gcd, lcm
 
 from .compositions import (
     chain_weights,
-    delsarte_weight,
     enumerate_admissible_two_level,
     flag_count,
     gaussian_binomial,
     prefix_sums,
+    scaled_weights,
     structure_poly_value,
     weighted_counts,
 )
@@ -38,8 +40,6 @@ from .counting import (factor_coefficient, factor_coefficients,
                        refuse_chain_expansion)
 from .errors import InvariantViolation, TruncationError
 from .fields import PrimeContext, place_count
-
-ZERO = Fraction(0)
 
 # Largest series truncation M (series --max, count global --degree,
 # asymptotics --fit-max), checked before a list of M + 1 coefficients is
@@ -380,9 +380,9 @@ def delta_exponents(ctx: PrimeContext, j: int):
 
 # Largest pole degree D_f = A_1 + ... + A_f of the local form, a bound on
 # memory, not time: psi_polynomial expands 2 D_f + 1 coefficients.  At
-# (127, 1, 1), D = 16002, `series local --max 5` took 1.7-1.8 s and 43 MB,
-# `asymptotics --local` 2.4-2.5 s and 48 MB; at (2, 1, 6), D = 642, they
-# took 2.8-3.9 s and 45 MB each (Python 3.11, 2-core Xeon VM).  The chains
+# (127, 1, 1), D = 16002, `series local --max 5` took 1.0-1.1 s and 43 MB,
+# `asymptotics --local` 0.6-1.5 s and 48 MB; at (2, 1, 6), D = 642, they
+# took 1.9-3.1 s and 45 MB each (Python 3.11, 2-core Xeon VM).  The chains
 # that expansion lists are capped apart, by counting._MAX_CHAINS.
 _MAX_POLE_DEGREE = 2 ** 14
 
@@ -651,8 +651,12 @@ def global_dirichlet(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
 
 def local_rational(ctx: PrimeContext) -> RationalSeries:
     """The local counting series of F_q((t)) as an exact rational function:
-    sum_f e_f (prod_{j>f} delta_j) Psi_f over prod_{j=1..r} delta_j."""
-    norm = ctx.q
+    sum_f e_f (prod_{j>f} delta_j) Psi_f over prod_{j=1..r} delta_j.
+
+    The Horner pass in the deltas runs on ints over |GL_r(F_p)|, each
+    Psi_f weighted by the int delsarte_weight(f) * |GL_r(F_p)| as in
+    weighted_counts; the numerator becomes Fractions once, at the end."""
+    norm, (order, weights) = ctx.q, scaled_weights(ctx)
     numerator, denominator = (), (1,)
     deltas = [delta_polynomial(ctx, j, norm) for j in range(1, ctx.r + 1)]
     # the deepest expansion, f = r, is refused before a shallower one lists any
@@ -662,8 +666,8 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
             numerator = poly_mul(numerator, deltas[f - 1])
             denominator = poly_mul(denominator, deltas[f - 1])
         numerator = poly_add(numerator, poly_scale(psi_polynomial(ctx, f, norm),
-                                                   delsarte_weight(f, ctx)))
-    return RationalSeries(numerator, denominator)
+                                                   weights[f]))
+    return RationalSeries([Fraction(x, order) for x in numerator], denominator)
 
 
 @lru_cache(maxsize=None)
@@ -678,34 +682,54 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
     x^L folding to the rational lambda_j.  lambda_j = 1 (delta_j vanishing
     on the rightmost circle) and a remainder in (num - R D') / delta_r
     raise InvariantViolation.
+
+    The folds run on ints H over one common denominator h.  The
+    numerator, ints N over U, folds by Horner in c: H_k = sum_i N_(Ai+k)
+    c^(top-i) over h = U c^top, top the largest i.  For delta_j, with
+    lambda_j = l_num / l_den, the term x^t u^k = q^(a_j t) u^(Ai+k')
+    adds H_k q^(a_j t) c^(top_j-i) to the new H_k', top_j the largest
+    such i; then H is multiplied by l_den and h by c^top_j (l_den -
+    l_num), in place of dividing by 1 - lambda_j.  num - R D' and its
+    quotient by delta_r stay over h; R and S become Fractions once, at
+    the end.
     """
     rational, q = local_rational(ctx), ctx.q
     shift, period = delta_exponents(ctx, ctx.r)
     c = q ** shift
-
-    def fold(terms) -> list:
-        out = [ZERO] * period
-        for m, coeff in terms:
-            out[m % period] += Fraction(coeff, c ** (m // period))
-        return out
-
-    head, rest_den = fold(enumerate(rational.num)), (1,)
+    unit, num = _scaled(rational.num)
+    num += [0] * (-len(num) % period)
+    head = [0] * period
+    for i in range(0, len(num), period):
+        head = [h * c + x for h, x in zip(head, num[i:i + period])]
+    hden, rest_den = unit * c ** (len(num) // period - 1), (1,)
     for j in range(1, ctx.r):
         a, big_a = delta_exponents(ctx, j)
         cycle = period // gcd(big_a, period)
-        lam = Fraction(q ** (a * cycle), c ** (big_a * cycle // period))
-        if lam == 1:
+        lam_num, lam_den = q ** (a * cycle), c ** (big_a * cycle // period)
+        if lam_num == lam_den:
             raise InvariantViolation(f"delta_{j} meets the rightmost circle")
-        head = fold((k + big_a * t, coeff * q ** (a * t) / (1 - lam))
-                    for t in range(cycle) for k, coeff in enumerate(head))
+        top = (period - 1 + big_a * (cycle - 1)) // period
+        out = [0] * period
+        for t in range(cycle):  # x^t u^k = q^(a t) u^(k + s + A i)
+            i, s = divmod(big_a * t, period)
+            low = q ** (a * t) * c ** (top - i)
+            out[s:] = [o + h * low for o, h in zip(out[s:], head)]
+            if s:  # k + s >= A folds one more c
+                high = low // c
+                out[:s] = [o + h * high
+                           for o, h in zip(out[:s], head[period - s:])]
+        head = [h * lam_den for h in out]
+        hden *= c ** top * (lam_den - lam_num)
         rest_den = poly_mul(rest_den, delta_polynomial(ctx, j, q))
     # the expansion of (num - R D') / delta_r must terminate
-    rest = list(poly_add(rational.num, poly_scale(poly_mul(rest_den, head), -1)))
+    rest = list(poly_add([x * (hden // unit) for x in num],
+                         poly_scale(poly_mul(rest_den, head), -1)))
     for m in range(period, len(rest)):
         rest[m] += c * rest[m - period]
     if any(rest[-period:]):
         raise InvariantViolation("delta_r does not divide num - R D'")
-    return rational, tuple(head), RationalSeries(rest[:-period], rest_den)
+    return (rational, tuple(Fraction(h, hden) for h in head),
+            RationalSeries([Fraction(x, hden) for x in rest[:-period]], rest_den))
 
 
 def local_direct_series(ctx: PrimeContext, truncation: int) -> TruncatedSeries:

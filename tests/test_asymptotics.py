@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import math
 import operator
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -28,12 +31,14 @@ from ascount.asymptotics import (
 from ascount import asymptotics
 from ascount.compositions import chain_weights
 from ascount.dirichlet import (
+    RationalSeries,
     TruncatedSeries,
     delta_exponents,
     global_dirichlet,
     rightmost_split,
     zeta_factors,
 )
+from ascount.errors import InvariantViolation
 from ascount.fields import make_context
 
 CTX211 = make_context(2, 1, 1)
@@ -283,6 +288,46 @@ def test_local_constants_precision_has_headroom():
                                              -mpmath.mpf(a * k) / period))
                         for k, R in enumerate(head)]
         assert [got.constants[k] for k in range(period)] == expected, (p, n, r)
+
+
+def _raised_head(split):
+    # one nonzero R_k raised by 1/h, h the common denominator of R
+    rational, head, rest = split
+    k = next(k for k, value in enumerate(head) if value)
+    step = Fraction(1, math.lcm(*(value.denominator for value in head)))
+    return rational, head[:k] + (head[k] + step,) + head[k + 1:], rest
+
+
+def _changed_rest(split):
+    # one coefficient of S, the numerator of S/D', moved by 1/t, t its
+    # common denominator
+    rational, head, rest = split
+    step = Fraction(1, math.lcm(*(value.denominator for value in rest.num)))
+    num = (rest.num[0] + step,) + rest.num[1:]
+    return rational, head, RationalSeries(num, rest.den)
+
+
+@pytest.mark.parametrize("change", [_raised_head, _changed_rest])
+def test_local_constants_reject_a_split_off_by_one_unit(monkeypatch, change):
+    # the integer identity h t c_m = t H_k c^i + h T_m catches the smallest
+    # change either side of the split can take
+    ctx = make_context(3, 1, 2)
+    wrong = change(rightmost_split(ctx))
+    monkeypatch.setattr(asymptotics, "rightmost_split", lambda _: wrong)
+    with pytest.raises(InvariantViolation,
+                       match="partial fractions disagree"):
+        local_leading_constants(ctx)
+
+
+def test_local_report_at_p_127():
+    # the largest rank-one pole degree under the cap, D = 16002: the
+    # horizon 2D = 32004 sits just under the truncation cap of 32768
+    argv = "asymptotics --p 127 --r 1 --local".split()
+    result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv],
+                            capture_output=True, timeout=20)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == \
+        "b8f9569fb69b9a4eecadc7458bb2811090da1ad4a847c08b5e8513633bfe2ded"
 
 
 def test_local_report_builds_the_rational_form_once(capsys, monkeypatch):

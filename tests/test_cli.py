@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -155,6 +156,18 @@ def test_size_caps_exit_2_in_one_line(argv, message):
                             capture_output=True, text=True, timeout=20)
     assert (result.returncode, result.stdout, result.stderr) == \
         (2, "", f"error: {message}\n")
+
+
+def test_count_past_the_print_limit_exits_2_in_one_line():
+    # 2^2250000 counts in a few ms but takes about 30 s to write in decimal
+    argv = "count local --p 2 --n 300 --r 1 --exp 30000".split()
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "ascount.cli", *argv],
+                            capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 2
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (2, "", "error: count of 4500001 bits exceeds the 1048576-bit "
+                "print limit\n")
 
 
 def test_global_series_under_the_chain_cap_at_r_8():

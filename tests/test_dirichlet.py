@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from ascount.dirichlet import (
     local_direct_series,
     local_rational,
     nested_geometric_check,
+    poly_add,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -776,6 +778,51 @@ def test_rightmost_split_identity(spec):
         i, k = divmod(m, period)
         assert direct.coefficient(m) == \
             head[k] * ctx.q ** (shift * i) + rest.coefficient(m), (spec, m)
+
+
+def _fraction_split(ctx):
+    """rightmost_split folded one Fraction at a time: u^(Ai+k) -> c^(-i) u^k
+    term by term, and each delta_j inverted by its cycle over 1 - lambda_j;
+    the reference for the integer folds."""
+    rational, q = local_rational(ctx), ctx.q
+    shift, period = delta_exponents(ctx, ctx.r)
+    c = q ** shift
+
+    def fold(terms) -> list:
+        out = [Fraction(0)] * period
+        for m, coeff in terms:
+            out[m % period] += Fraction(coeff, c ** (m // period))
+        return out
+
+    head, rest_den = fold(enumerate(rational.num)), (1,)
+    for j in range(1, ctx.r):
+        a, big_a = delta_exponents(ctx, j)
+        cycle = period // math.gcd(big_a, period)
+        lam = Fraction(q ** (a * cycle), c ** (big_a * cycle // period))
+        head = fold((k + big_a * t, coeff * q ** (a * t) / (1 - lam))
+                    for t in range(cycle) for k, coeff in enumerate(head))
+        rest_den = poly_mul(rest_den, delta_polynomial(ctx, j, q))
+    rest = list(poly_add(rational.num, poly_scale(poly_mul(rest_den, head), -1)))
+    for m in range(period, len(rest)):
+        rest[m] += c * rest[m - period]
+    assert not any(rest[-period:])
+    return rational, tuple(head), RationalSeries(rest[:-period], rest_den)
+
+
+@pytest.mark.parametrize("spec", [
+    *((2, 1, r) for r in range(1, 6)), *((3, 1, r) for r in range(1, 5)),
+    *((5, 1, r) for r in range(1, 4)), (7, 1, 2), (2, 2, 2), (3, 2, 2),
+    (13, 1, 1)])
+def test_rightmost_split_matches_fraction_fold(spec):
+    ctx = make_context(*spec)
+    rational, head, rest = rightmost_split(ctx)
+    expected = _fraction_split(ctx)
+    got = (rational.num, rational.den, head, rest.num, rest.den)
+    want = (expected[0].num, expected[0].den, expected[1], expected[2].num,
+            expected[2].den)
+    assert got == want
+    assert [[type(c) for c in poly] for poly in got] == \
+        [[type(c) for c in poly] for poly in want]
 
 
 # ---------------------------------------------------------------------------
