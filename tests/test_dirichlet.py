@@ -48,6 +48,9 @@ CTX212 = make_context(2, 1, 2)
 CTX222 = make_context(2, 2, 2)
 CTX312 = make_context(3, 1, 2)
 CTX213 = make_context(2, 1, 3)
+CTX512 = make_context(5, 1, 2)
+CTX313 = make_context(3, 1, 3)
+CTX711 = make_context(7, 1, 1)
 
 GRID = (CTX211, CTX221, CTX311, CTX212, CTX222, CTX312)
 
@@ -627,9 +630,12 @@ def _per_degree_reference(ctx, f, truncation):
 
 
 # truncations reach past 2 * sum(A_j) at f = r, where the engine trusts
-# the psi-polynomial promise instead of checking it
+# the psi-polynomial promise instead of checking it; at (5,1,2), (3,1,3)
+# and (7,1,1) Psi_f is 1 + O(u^low) with low = 40, 36 and 12, so nearly
+# every degree is 1 below the truncation and skipped
 _REFERENCE_TOPS = {CTX211: 80, CTX221: 80, CTX311: 80, CTX212: 80, CTX222: 80,
-                   CTX312: 100, CTX213: 100}
+                   CTX312: 100, CTX213: 100, CTX512: 120, CTX313: 120,
+                   CTX711: 120}
 
 
 @st.composite
@@ -643,6 +649,9 @@ def _context_and_truncation(draw):
 @example((CTX212, 80))
 @example((CTX312, 100))
 @example((CTX213, 100))
+@example((CTX512, 120))
+@example((CTX313, 120))
+@example((CTX711, 120))
 def test_global_factor_series_matches_per_degree_reference(case):
     ctx, truncation = case
     for f in range(ctx.r + 1):
@@ -680,6 +689,28 @@ def test_global_factor_series_stops_chains_at_twice_psi_degree(monkeypatch):
         seen.clear()
         global_factor_series(CTX212, f, 200)
         assert max(seen) == top, f
+
+
+def test_global_product_powers_only_the_degrees_it_reaches(monkeypatch):
+    # Psi_f(N, u) = 1 + O(u^low), so a degree d with d * low > M is 1 below
+    # t^(M + 1) and is never powered.  (2,1,2) has low = 4 at both depths
+    # (Psi_1 = 1 - u^4 at norm 2), (2,1,1) has low = 2, and at p = 2^31 - 1
+    # low is about p^3, so no degree reaches t^3
+    honest, powered = dirichlet.powered_place_factor, []
+
+    def spy(ctx, degree, factor, truncation):
+        powered.append(degree)
+        return honest(ctx, degree, factor, truncation)
+
+    monkeypatch.setattr(dirichlet, "powered_place_factor", spy)
+    huge = make_context(2 ** 31 - 1, 1, 2)
+    for ctx, f, truncation, last in ((CTX212, 1, 200, 50), (CTX212, 2, 200, 50),
+                                     (CTX211, 1, 200, 100), (huge, 1, 3, 0),
+                                     (huge, 2, 3, 0)):
+        powered.clear()
+        got = global_factor_series(ctx, f, truncation)
+        assert powered == list(range(1, last + 1)), (ctx, f)
+        assert got == _per_degree_reference(ctx, f, truncation), (ctx, f)
 
 
 def test_global_factor_multiplicativity_spot():
