@@ -25,6 +25,7 @@ change the last digits.
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -424,6 +425,16 @@ def main_term_fit(ctx: PrimeContext, coefficients) -> dict:
             "classes": classes}
 
 
+def _block_maximum(gains, corners) -> tuple:
+    """(value, tuple): the largest sum(g * v) over the nonincreasing
+    tuples v over corners (given in decreasing order) of length
+    len(gains), with the first tuple that reaches it."""
+    return max(((sum(map(operator.mul, gains, ell)), ell)
+                for ell in itertools.combinations_with_replacement(
+                    corners, len(gains))),
+               key=operator.itemgetter(0))
+
+
 def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
     """Exact check of the four abscissa comparison lemmas.
 
@@ -447,11 +458,23 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
         the bound is strict for every admissible inner assignment.
 
     The (p, r) grid is walked once; one loop over the compositions of h
-    serves both block families, in integers.  Each comparison is affine in
-    the inner values, so it is checked at the nonincreasing tuples over
+    serves both block families, in integers.  For an inner tuple ell the
+    bound is num/den with num = 1 + sum(ell) + extra_num and den =
+    extra_den + sum_k w_k (ell_k + 1), the extra terms fixed by the
+    composition (zero for one part).  Each comparison is affine in the
+    inner values, so it is checked at the nonincreasing tuples over
     {p-1, p-2, 1}: they hold every vertex of a block's chain polytope,
     also without the all-(p-1) tuple (the constraints are totally
-    unimodular; Schrijver 1986, ch. 19).  "checked" counts all C(b+p-2, b).
+    unimodular; Schrijver 1986, ch. 19).  The single block walks those
+    tuples one by one.  With two or more blocks the excess
+        E = num mid.den - mid.num den
+          = mid.den (1 + extra_num) - mid.num (extra_den + sum_{k<h} w_k)
+            + sum_k (mid.den - mid.num w_k) ell_k
+    separates over the blocks, so its maximum is the constant plus the
+    sum of the block maxima (_block_maximum, each block over its own
+    corner tuples): one check per composition, and a violation (max E >=
+    0) lists the tuple that reaches it.  "checked" counts all C(b+p-2, b)
+    tuples of each block, as a tuple-by-tuple sweep would.
 
     Returns a report mapping family name to counts, equality witnesses and
     violations; all violations lists are expected to stay empty.
@@ -460,6 +483,8 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
               for name in ("local_abscissa_chain", "zeta_abscissa_chain",
                            "single_block_bound", "multi_block_bound")}
     local, zeta, single, multi = report.values()
+    shapes = {h: compositions(h) if h <= 5 else [(h,)]
+              for h in range(2, r_max + 1)}
     for p in (v for v in range(2, p_max + 1) if _prime_factors(v) == [v]):
         corners = sorted({p - 1, p - 2, 1} - {0}, reverse=True)
         for r in range(2, r_max + 1):
@@ -496,37 +521,52 @@ def verify_inequalities(p_max: int = 7, r_max: int = 6) -> dict:
                     zeta["violations"].append((p, r, h, "expected left equality "
                                                         "missing"))
 
-                # the bound num/den (extra terms vanish for one part) against
-                # mid and edge, cross-multiplied
+                # the bound num/den against mid and edge, cross-multiplied
                 edge_num, edge_den = a + 1, big_a
-                for outer in compositions(h) if h <= 5 else [(h,)]:
-                    spread = len(outer)
-                    family = single if spread == 1 else multi
-                    where = (p, r, h) if spread == 1 else (p, r, h, outer)
-                    bounds = prefix_sums(outer)
+                base = sum(weights[:h])
+                gains = [mid.denominator - mid.numerator * w for w in weights[:h]]
+                peaks = {}  # (end, b) -> maximum over positions end-b..end-1
+                for outer in shapes[h]:
+                    if len(outer) == 1:
+                        single["checked"] += math.comb(h + p - 2, h)
+                        for ell in itertools.combinations_with_replacement(
+                                corners, h):
+                            num = 1 + sum(ell)
+                            den = sum(w * (v + 1) for w, v in zip(weights, ell))
+                            if all(v == p - 1 for v in ell):
+                                if num * edge_den == edge_num * den:
+                                    single["equalities"].append((p, r, h, ell))
+                                else:
+                                    single["violations"].append(
+                                        (p, r, h, ell, "edge equality broken"))
+                            elif num * mid.denominator >= mid.numerator * den:
+                                single["violations"].append(
+                                    (p, r, h, ell, str(Fraction(num, den))))
+                        continue
+                    spread, bounds = len(outer), prefix_sums(outer)
                     extra_num = (p - 1) * sum((spread - i) * outer[i - 1]
                                               for i in range(1, spread))
                     extra_den = p * sum(
                         (spread - i) * sum(weights[end - b:end])
                         for i, (b, end) in enumerate(zip(outer, bounds[:-1]), 1))
-                    family["checked"] += math.prod(math.comb(b + p - 2, b)
-                                                   for b in outer)
-                    pools = [itertools.combinations_with_replacement(corners, b)
-                             for b in outer]
-                    for pieces in itertools.product(*pools):
-                        ell = tuple(itertools.chain.from_iterable(pieces))
+                    multi["checked"] += math.prod(math.comb(b + p - 2, b)
+                                                  for b in outer)
+                    tops = []
+                    for b, end in zip(outer, bounds):
+                        if (end, b) not in peaks:
+                            peaks[end, b] = _block_maximum(gains[end - b:end],
+                                                           corners)
+                        tops.append(peaks[end, b])
+                    if (mid.denominator * (1 + extra_num)
+                            - mid.numerator * (extra_den + base)
+                            + sum(value for value, _ in tops)) >= 0:
+                        ell = tuple(itertools.chain.from_iterable(
+                            piece for _, piece in tops))
                         num = 1 + sum(ell) + extra_num
-                        den = extra_den + sum(
-                            w * (v + 1) for w, v in zip(weights, ell))
-                        if spread == 1 and all(v == p - 1 for v in ell):
-                            if num * edge_den == edge_num * den:
-                                family["equalities"].append(where + (ell,))
-                            else:
-                                family["violations"].append(
-                                    where + (ell, "edge equality broken"))
-                        elif num * mid.denominator >= mid.numerator * den:
-                            family["violations"].append(
-                                where + (ell, str(Fraction(num, den))))
+                        den = extra_den + base + sum(
+                            w * v for w, v in zip(weights, ell))
+                        multi["violations"].append(
+                            (p, r, h, outer, ell, str(Fraction(num, den))))
     report["ok"] = not any(family["violations"]
                            for family in (local, zeta, single, multi))
     return report

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -375,7 +376,10 @@ def _add_context_flags(sub) -> None:
                      help="rank of the elementary-abelian group C_p^r")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process; a parse keeps no state in
+    it, so every main call shares it."""
     parser = _Parser(
         prog="ascount",
         description="Exact counts of wildly ramified C_p^r-extensions of "

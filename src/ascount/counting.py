@@ -7,7 +7,9 @@ layer, so agreement is a meaningful check.  The chains and their flag
 counts depend on neither n, the depth nor the norm, so _chain_table
 enumerates them once per (p, r, exponent) and every closed-form count
 reads that one table.  The table leaves out the chains with an entry
-1 mod p, whose term count is 0 at every norm.
+1 mod p, whose term count is 0 at every norm, and sums the others by
+run composition and free-index total, on which their term count
+depends alone.
 
 The oracles.  A C_p^r-extension is an r-dimensional subspace of
 Artin-Schreier classes; its discriminant is (p-1) times the sum of the
@@ -43,6 +45,7 @@ from .compositions import (
     chain_weights,
     enumerate_chains,
     flag_count,
+    free_index_count,
     gaussian_binomial,
     prefix_sums,
     weighted_counts,
@@ -82,11 +85,12 @@ _MAX_EXPONENT = 2 ** 15
 # local_count and global_count at one exponent, and by the Euler-factor
 # expansions of dirichlet over every exponent up to their horizon.  The
 # counts themselves took 6 ms at (2,1,8) for every exponent up to 7172.
-# Memory grows with the chains: `count local --p 2` took 26 s and 663 MB
-# at r = 3, e = 32768 (3,198,001 chains) and 15 s and 843 MB at r = 4,
-# e = 8192 (4,598,444), and at r = 4, e = 16384 (36,572,952) it was still
-# running after 170 s.  The local form at (2,1,r) expands out to twice the
-# pole degree: 620,700 chains at r = 6 (3-4 s), 7,112,342 at r = 7,
+# Memory grows with the chains, which enumerate_chains lists in full:
+# `count local --p 2` took 8.5 s and 662 MB at r = 3, e = 32768
+# (3,198,001 chains) and 11.5 s and 841 MB at r = 4, e = 8192
+# (4,598,444), and at r = 4, e = 16384 (36,572,952) it was still
+# running after 170 s.  The local form at (2,1,r) expands out to twice
+# the pole degree: 620,700 chains at r = 6 (3-4 s), 7,112,342 at r = 7,
 # 82,104,262 at r = 8 and 953,203,121 at r = 9 (Python 3.11, 2-core Xeon
 # VM).
 _MAX_CHAINS = 2 ** 23
@@ -134,22 +138,30 @@ def refuse_chain_expansion(ctx: PrimeContext, top: int) -> None:
 @lru_cache(maxsize=None)
 def _chain_table(p: int, r: int, exponent: int) -> tuple:
     """The chains of length at most r with the given discriminant exponent,
-    grouped by run composition as (length, flag_count, chains), shortest
-    first.  Nothing here depends on n, the depth or the norm, so one table
-    per (p, r, exponent) serves every context, depth and norm.
+    grouped by run composition omega as (length, flag_count, buckets),
+    shortest first.  Nothing here depends on n, the depth or the norm, so
+    one table per (p, r, exponent) serves every context, depth and norm.
 
     A chain with an entry c = 1 mod p is left out: its block of c starts
     with leading_term_count(c, 0, N, p) = 0, so its chain_term_count
-    vanishes at every norm N."""
+    vanishes at every norm N.  Every other entry has free_index_count(c)
+    = free_index_count(c - 1) + 1, so leading_term_count(c, j, N, p) =
+    N^fic(c - 1) (N - p^j) and a kept chain counts N^K times a product
+    fixed by omega, K = sum_i fic(c_i - 1).  The buckets of omega are
+    therefore one (number of chains, representative chain) per K."""
     groups: dict = {}
     for chain in enumerate_chains(exponent, r, make_context(p, 1, r)):
         if any(c % p == 1 for c in chain):
             continue
-        omega = tuple(len(list(block)) for _, block in groupby(chain))
-        groups.setdefault(omega, []).append(chain)
+        runs = [(c, len(list(block))) for c, block in groupby(chain)]
+        omega = tuple(b for _, b in runs)
+        total = sum(b * free_index_count(c - 1, p) for c, b in runs)
+        buckets = groups.setdefault(omega, {})
+        count, rep = buckets.get(total, (0, chain))
+        buckets[total] = count + 1, rep
     # the chains come sorted by length, so the groups are too
-    return tuple((sum(omega), flag_count(omega, p), tuple(chains))
-                 for omega, chains in groups.items())
+    return tuple((sum(omega), flag_count(omega, p), tuple(buckets.values()))
+                 for omega, buckets in groups.items())
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +179,8 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
     with that chain.  Depth f is the number of ramified generators tracked;
     the exponent-0 coefficient is 1 for every f.  The chains come from
     _chain_table, enumerated once per (p, r, exponent) for every depth,
-    norm and call; only chain_term_count is evaluated per norm.
+    norm and call; chain_term_count is evaluated once per bucket and norm,
+    on the bucket's representative, and weighted by its number of chains.
     """
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
@@ -177,13 +190,13 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
         raise ValueError(f"depth f = {f} outside [0, r]")
     binomials = _binomial_row(ctx.p, f)
     totals = [0] * len(norms)
-    for length, flags, chains in _chain_table(ctx.p, ctx.r, exponent):
+    for length, flags, buckets in _chain_table(ctx.p, ctx.r, exponent):
         if length > f:
             break
         weight = binomials[length] * flags
         for k, norm in enumerate(norms):
-            totals[k] += weight * sum(chain_term_count(chain, norm, ctx)
-                                      for chain in chains)
+            totals[k] += weight * sum(count * chain_term_count(rep, norm, ctx)
+                                      for count, rep in buckets)
     return totals
 
 

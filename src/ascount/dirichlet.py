@@ -661,9 +661,12 @@ def global_dirichlet(ctx: PrimeContext, truncation: int) -> TruncatedSeries:
                                   for f in range(ctx.r + 1)])
 
 
+@lru_cache(maxsize=None)
 def local_rational(ctx: PrimeContext) -> RationalSeries:
     """The local counting series of F_q((t)) as an exact rational function:
-    sum_f e_f (prod_{j>f} delta_j) Psi_f over prod_{j=1..r} delta_j.
+    sum_f e_f (prod_{j>f} delta_j) Psi_f over prod_{j=1..r} delta_j; built
+    once per context, so `series local`, rightmost_split and the local
+    report on one context share one expansion of the Euler numerators.
 
     The Horner pass in the deltas runs on ints over |GL_r(F_p)|, each
     Psi_f weighted by the int delsarte_weight(f) * |GL_r(F_p)| as in

@@ -29,7 +29,7 @@ from ascount.asymptotics import (
     verify_inequalities,
 )
 from ascount import asymptotics
-from ascount.compositions import chain_weights
+from ascount.compositions import chain_weights, compositions, prefix_sums
 from ascount.dirichlet import (
     RationalSeries,
     TruncatedSeries,
@@ -342,10 +342,11 @@ def test_local_report_builds_the_rational_form_once(capsys, monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, name, counted)
 
+    dirichlet.local_rational.cache_clear()
+    dirichlet.rightmost_split.cache_clear()
     for module in (dirichlet, asymptotics):
         count(module, "psi_polynomial")
     count(dirichlet, "local_rational")
-    dirichlet.rightmost_split.cache_clear()
     assert cli.main(["asymptotics", "--p", "3", "--r", "2", "--local"]) == 0
     capsys.readouterr()
     assert calls == {"local_rational": 1, "psi_polynomial": 3}
@@ -480,6 +481,104 @@ def test_corner_tuples_reach_every_block_maximum(monkeypatch):
                 assert peak(coeffs, every) == peak(coeffs, picked), (p, b, coeffs)
                 assert peak(coeffs, every, top) == peak(coeffs, picked, top), \
                     (p, b, coeffs)
+
+
+def test_block_maximum_matches_brute_force():
+    # over the corner tuples, the same maximum as over every nonincreasing
+    # tuple in [1, p-1]^b, reached by the tuple returned with it
+    rng = Random(27)
+    for p in (2, 3, 5, 7, 11, 13):
+        corners = sorted({p - 1, p - 2, 1} - {0}, reverse=True)
+        for b in range(1, 6):
+            every = list(itertools.combinations_with_replacement(
+                range(p - 1, 0, -1), b))
+            for _ in range(20):
+                gains = [rng.randint(-99, 99) for _ in range(b)]
+                value, ell = asymptotics._block_maximum(gains, corners)
+                assert value == max(sum(map(operator.mul, gains, t))
+                                    for t in every), (p, b, gains)
+                assert ell in every
+                assert sum(map(operator.mul, gains, ell)) == value
+
+
+def _block_sweep(p_max, r_max):
+    """The single- and multi-block families of verify_inequalities, tuple
+    by tuple over the product of the per-block corner pools.  A
+    multi-block composition lists its first tuple of largest excess
+    num mid.den - mid.num den when that excess is >= 0."""
+    single = {"checked": 0, "equalities": [], "violations": []}
+    multi = {"checked": 0, "equalities": [], "violations": []}
+    for p in (v for v in range(2, p_max + 1)
+              if all(v % d for d in range(2, v))):
+        corners = sorted({p - 1, p - 2, 1} - {0}, reverse=True)
+        for r in range(2, r_max + 1):
+            ctx = make_context(p, 1, r)
+            weights = asymptotics.chain_weights(ctx)
+            for h in range(2, r + 1):
+                a, big_a = delta_exponents(ctx, h)
+                mid = Fraction(p * (a + 1) - 1, p * big_a)
+                for outer in compositions(h) if h <= 5 else [(h,)]:
+                    spread, bounds = len(outer), prefix_sums(outer)
+                    extra_num = (p - 1) * sum((spread - i) * outer[i - 1]
+                                              for i in range(1, spread))
+                    extra_den = p * sum(
+                        (spread - i) * sum(weights[end - b:end])
+                        for i, (b, end) in enumerate(zip(outer, bounds[:-1]), 1))
+                    family = single if spread == 1 else multi
+                    family["checked"] += math.prod(math.comb(b + p - 2, b)
+                                                   for b in outer)
+                    best = None
+                    for pieces in itertools.product(*(
+                            itertools.combinations_with_replacement(corners, b)
+                            for b in outer)):
+                        ell = tuple(itertools.chain.from_iterable(pieces))
+                        num = 1 + sum(ell) + extra_num
+                        den = extra_den + sum(w * (v + 1)
+                                              for w, v in zip(weights, ell))
+                        excess = num * mid.denominator - mid.numerator * den
+                        bound = str(Fraction(num, den))
+                        if spread > 1:
+                            if best is None or excess > best[0]:
+                                best = excess, ell, bound
+                        elif all(v == p - 1 for v in ell):
+                            if num * big_a == (a + 1) * den:
+                                single["equalities"].append((p, r, h, ell))
+                            else:
+                                single["violations"].append(
+                                    (p, r, h, ell, "edge equality broken"))
+                        elif excess >= 0:
+                            single["violations"].append((p, r, h, ell, bound))
+                    if best is not None and best[0] >= 0:
+                        multi["violations"].append((p, r, h, outer) + best[1:])
+    return single, multi
+
+
+@pytest.mark.parametrize("p_max, r_max", [(7, 6), (13, 6)])
+def test_verify_inequalities_matches_tuple_sweep(p_max, r_max):
+    report = verify_inequalities(p_max, r_max)
+    expected = dict(report)
+    expected["single_block_bound"], expected["multi_block_bound"] = \
+        _block_sweep(p_max, r_max)
+    assert json.dumps(report).encode() == json.dumps(expected).encode()
+
+
+def test_verify_inequalities_reports_the_argmax_tuple(monkeypatch):
+    # reversed chain weights break the bound; each failing composition
+    # lists the tuple of largest excess, one that mixes inner values too
+    def reversed_weights(ctx):
+        return chain_weights(ctx)[::-1]
+
+    monkeypatch.setattr(asymptotics, "chain_weights", reversed_weights)
+    report = verify_inequalities(7, 6)
+    single, multi = _block_sweep(7, 6)
+    assert not report["ok"]
+    assert report["single_block_bound"] == single
+    assert report["multi_block_bound"] == multi
+    violations = multi["violations"]  # one per failing composition
+    assert violations and len(violations) == len(
+        {(p, r, h, outer) for p, r, h, outer, *_ in violations})
+    assert (3, 2, 2, (1, 1), (2, 1), "1/4") in violations
+    assert any(len(set(ell)) > 1 for *_, ell, _ in violations)
 
 
 # ---------------------------------------------------------------------------

@@ -652,6 +652,23 @@ def test_unknown_flag_prints_subcommand_usage(capsys):
         "ascount asymptotics: error: unrecognized arguments: --precision 80")
 
 
+def test_shared_parser_answers_like_fresh_ones(capsys):
+    # main reuses one parser per process; a usage error, a count and a
+    # series in a row answer as each would on a parser of its own
+    calls = (["count", "local", "--p", "2", "--r", "1"],
+             ["count", "local", "--p", "2", "--r", "1", "--exp", "6"],
+             ["series", "local", "--p", "3", "--r", "1", "--max", "8"])
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared[0][2].startswith("usage: ascount count")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_invariant_failure_exits_1(capsys, monkeypatch):
     def boom(ctx, exponent):
         raise InvariantViolation("synthetic failure")

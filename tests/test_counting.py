@@ -15,6 +15,7 @@ from ascount.compositions import (
     chain_term_count,
     enumerate_chains,
     flag_count,
+    free_index_count,
     gaussian_binomial,
 )
 from ascount.counting import (
@@ -147,26 +148,41 @@ def test_factor_coefficients_match_chain_sum(pnr):
 @pytest.mark.parametrize("pnr", [pnr for pnr in _TABLE_GRID if pnr[1] == 1],
                          ids=lambda pnr: "".join(map(str, pnr)))
 def test_chain_table_drops_only_zeros(pnr):
-    # the table keeps each enumerated chain at most once, under its own
-    # length and flag count; the chains it leaves out count 0 at every norm
+    # every chain without an entry 1 mod p falls in exactly one bucket, the
+    # one of its run composition and free-index total, under its own
+    # length and flag count; a bucket's count times its representative's
+    # term is the sum of its chains' terms; the chains the table leaves
+    # out count 0 at every norm
     ctx = make_context(*pnr)
     p = ctx.p
     norms = (p, p ** 2, p ** 3, p ** 5)
     horizon = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, ctx.r + 1))
+
+    def bucket(chain):
+        runs = tuple(len(list(block)) for _, block in groupby(chain))
+        return runs, sum(free_index_count(c - 1, p) for c in chain)
+
     for exponent in range(horizon + 1):
-        every = enumerate_chains(exponent, ctx.r, ctx)
-        kept = []
-        for length, flags, chains in counting._chain_table(p, ctx.r, exponent):
-            for chain in chains:
-                assert len(chain) == length
-                runs = tuple(len(list(block)) for _, block in groupby(chain))
-                assert flags == flag_count(runs, p)
-                kept.append(chain)
-        dropped = [chain for chain in every if chain not in kept]
-        assert sorted(kept + dropped) == sorted(every), exponent
-        for chain in dropped:
-            assert [chain_term_count(chain, norm, ctx) for norm in norms] == \
-                [0] * len(norms), (exponent, chain)
+        members = {}
+        for chain in enumerate_chains(exponent, ctx.r, ctx):
+            if any(c % p == 1 for c in chain):
+                assert [chain_term_count(chain, norm, ctx) for norm in norms] \
+                    == [0] * len(norms), (exponent, chain)
+            else:
+                members.setdefault(bucket(chain), []).append(chain)
+        seen = []
+        for length, flags, buckets in counting._chain_table(p, ctx.r, exponent):
+            for count, rep in buckets:
+                key = bucket(rep)
+                seen.append(key)
+                assert len(rep) == length and flags == flag_count(key[0], p)
+                assert count == len(members[key]), (exponent, rep)
+                assert [count * chain_term_count(rep, norm, ctx)
+                        for norm in norms] == \
+                    [sum(chain_term_count(chain, norm, ctx)
+                         for chain in members[key]) for norm in norms], \
+                    (exponent, rep)
+        assert sorted(seen) == sorted(members), exponent
 
 
 def test_factor_coefficients_digest():
