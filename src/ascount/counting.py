@@ -23,7 +23,11 @@ so no line of a subspace within a budget B costs more than B // p^(r-1)
 alone; candidates are built against that cap.  _subspaces walks reduced
 row-echelon bases and drops a partial basis once one of its lines is no
 candidate or their costs pass B: costs are non-negative and those lines
-lie in every subspace containing it, so no subspace within B is lost.
+lie in every subspace containing it, so no subspace within B is lost.  The
+last row completes the subspace, which is yielded on the spot: its span is
+never built.  enumerate_global packs the conductors of each candidate line
+into one int, a fixed-width slot per place, so the conductor sums of a
+subspace are one sum of ints, decoded to a Divisor once per distinct sum.
 """
 
 from __future__ import annotations
@@ -264,11 +268,12 @@ def counts_by_degree(tally: dict) -> dict:
 # Largest divisor sweep: effective_divisors (and global_count_by_degree,
 # the test-suite oracle) lists all (q^(m+1)-1)/(q-1) effective divisors of
 # degree m, refused above this many before any list is sized.  Time and
-# memory grow with the divisors: global_count_by_degree took 2.0 s and
-# 55 MB at q = 2, m = 15 (65,535 divisors), 4.1 s and 96 MB at m = 16, and
-# 8.8 s and 178 MB at m = 17 (262,143, the largest sweep under the cap);
-# at q = 3, m = 11 (265,720, refused) it took 6.7 s and 156 MB (Python
-# 3.11, 2-core Xeon VM).
+# memory grow with the divisors: global_count_by_degree at r = 1, one run
+# each in a fresh process, took 0.64 s and 45 MB at q = 2, m = 15 (65,535
+# divisors), 1.5 s and 70 MB at m = 16, and 2.7 s and 125 MB at m = 17
+# (262,143, the largest sweep under the cap); at q = 3, m = 11 (265,720,
+# refused) it took 2.7 s and 108 MB with the cap lifted (Python 3.11,
+# 2-core Xeon VM).
 _MAX_DIVISORS = 2 ** 18
 
 
@@ -367,12 +372,7 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
     expected = (p ** r - 1) // (p - 1)
 
     def extend(start, basis, span, lines, total, pivot_digits):
-        if len(basis) == r:
-            if len(set(lines)) != expected:
-                raise InvariantViolation(f"{len(set(lines))} distinct lines, "
-                                         f"expected {expected}")
-            yield basis, lines, total
-            return
+        last = len(basis) == r - 1
         for g in range(start, len(pivots)):
             for c, row in groups[pivots[g]]:
                 if total + c > budget:
@@ -388,12 +388,19 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
                     running += line_cost
                     new.append(line)
                 else:
-                    grown = span + new
-                    for _ in range(p - 2):
-                        grown += [add(s, row) for s in grown[-len(span):]]
-                    yield from extend(
-                        g + 1, basis + [row], grown, lines + new, running,
-                        pivot_digits | (((1 << w) - 1) << (w * pivots[g])))
+                    if last:  # the leaf: its span is never read
+                        every = lines + new
+                        if len(set(every)) != expected:
+                            raise InvariantViolation(f"{len(set(every))} distinct "
+                                                     f"lines, expected {expected}")
+                        yield basis + [row], every, running
+                    else:
+                        grown = span + new
+                        for _ in range(p - 2):
+                            grown += [add(s, row) for s in grown[-len(span):]]
+                        yield from extend(
+                            g + 1, basis + [row], grown, lines + new, running,
+                            pivot_digits | (((1 << w) - 1) << (w * pivots[g])))
 
     yield from extend(0, [], [0], [], 0, 0)
 
@@ -509,8 +516,12 @@ def enumerate_global(ctx: PrimeContext, max_degree: int, check: bool = False) ->
     """Brute-force global tally {Divisor: count} up to discriminant degree.
 
     _subspaces searches the spans of the candidates within the p^(r-1) cap
-    of the module docstring; the conductors of the lines are summed on
-    place indices, one Divisor per distinct sum.  With check=True each
+    of the module docstring.  Each candidate's conductors are packed into
+    one int, conductor c at the k-th place as c << (slot * k): a slot of
+    max_degree.bit_length() + 1 bits holds any conductor sum within the
+    budget, so the packed ints of a subspace's lines add without carries
+    to its conductor sums.  The tally counts these sums, in first-seen
+    order, and decodes each to a Divisor once.  With check=True each
     basis is decoded to GlobalReps, whose line_reps must give the same
     divisor and valid conductor chains: the representative layer referees
     the coordinates.
@@ -520,22 +531,30 @@ def enumerate_global(ctx: PrimeContext, max_degree: int, check: bool = False) ->
     p, cap = ctx.p, max_degree // ctx.p ** (ctx.r - 1)
     blocks = _blocks(ctx, cap)
     found = list(dict.fromkeys(pl for pl, _, _ in blocks))
-    index = {place: k for k, place in enumerate(found)}
-    conductors = {v: [(index[pl], c) for pl, c in conds]
-                  for v, conds in candidate_vectors(ctx, cap) if v}
-    cost = {v: (p - 1) * sum(found[k].degree * c for k, c in conds)
-            for v, conds in conductors.items()}
+    # a place's conductor sum is at most max_degree, so it fits its slot
+    slot = max_degree.bit_length() + 1
+    where = {place: (slot * k, place.degree) for k, place in enumerate(found)}
+    packed, cost = {}, {}
+    for v, conds in candidate_vectors(ctx, cap):
+        if v:
+            key = degree = 0
+            for place, c in conds:
+                shift, d = where[place]
+                key += c << shift
+                degree += d * c
+            packed[v], cost[v] = key, (p - 1) * degree
 
-    def divisor(key) -> Divisor:
-        return Divisor((found[k], (p - 1) * s) for k, s in key)
+    def divisor(key: int) -> Divisor:
+        pairs, mask = [], (1 << slot) - 1
+        for place in found:
+            if key & mask:
+                pairs.append((place, (p - 1) * (key & mask)))
+            key >>= slot
+        return Divisor(pairs)
 
     tally: dict = {}
     for basis, lines, _ in _subspaces(p, ctx.r, cost, max_degree):
-        sums: dict = {}
-        for line in lines:
-            for k, c in conductors[line]:
-                sums[k] = sums.get(k, 0) + c
-        key = tuple(sorted(sums.items()))
+        key = sum(map(packed.__getitem__, lines))
         if check:
             disc = divisor(key)
             reps = line_reps(ctx, [_decode(ctx, blocks, v) for v in basis])

@@ -22,7 +22,9 @@ Conventions used throughout the package:
 * Irreducibility tests and factoring share one distinct-degree split: the
   factors of degree d are gcd(f, x^(q^d) - x) once the lower degrees are
   divided out.  The exhaustive sieve `irreducibles` lists the places of one
-  degree; factoring uses it only to separate factors of equal degree.
+  degree, making each composite once from its least factor, and checks
+  their number against the necklace count; factoring uses it only to
+  separate factors of equal degree.
 """
 
 from __future__ import annotations
@@ -397,38 +399,64 @@ def factor_monic(ctx: PrimeContext, f: Poly) -> list:
     return out
 
 
-def _monic_polys(ctx: PrimeContext, d: int) -> Iterator[Poly]:
-    # lexicographic in the coefficient tuple (c_0, ..., c_{d-1}), c_0 first
-    for coeffs in itertools.product(range(ctx.q), repeat=d):
-        yield coeffs + (1,)
+@lru_cache(maxsize=None)
+def _least_factors(ctx: PrimeContext, d: int):
+    """The least irreducible factor of every monic polynomial of degree d,
+    indexed by its lexicographic rank: the rank of (c_0, ..., c_{d-1}, 1)
+    is c_0 q^(d-1) + ... + c_{d-1}, the order of itertools.product.  A
+    factor of degree e and rank k is stored as the key (q^e-1)/(q-1) + k,
+    which orders factors by degree, then rank; an irreducible is its own
+    least factor, so it alone has a key >= (q^d-1)/(q-1).
+
+    Each composite h is made once, as f*g with f its least factor (degree
+    e <= d/2) and g of degree d-e with least factor >= f, read off the
+    table of degree d-e: no product of lower degree is formed again.  The
+    table is an array of 8-byte ints.
+    """
+    from array import array  # loaded only by the commands that sieve
+
+    q, mul, add = ctx.q, ctx._mul_table, ctx._add_table  # q > 2^10 refused here
+    least = array("q", range((q ** d - 1) // (q - 1), (q ** (d + 1) - 1) // (q - 1)))
+    for e in range(1, d // 2 + 1):
+        below, start = _least_factors(ctx, d - e), (q ** e - 1) // (q - 1)
+        for key in filter(start.__le__, _least_factors(ctx, e)):
+            f = _decode_full(key - start, q, e)[::-1]  # below t^e
+            rows = [(i, mul[a]) for i, a in enumerate(f + [1]) if a]
+            shifted = [0] * (d - e) + f  # f * t^(d-e) below t^d
+            for g in itertools.compress(itertools.product(range(q), repeat=d - e),
+                                        map(key.__le__, below)):
+                h = shifted[:]  # f * (g + t^(d-e)) below t^d
+                for i, row in rows:
+                    for j, b in enumerate(g, i):
+                        if b:
+                            h[j] = add[h[j]][row[b]]
+                rank = 0
+                for c in h:
+                    rank = rank * q + c
+                least[rank] = key
+    return least
 
 
 @lru_cache(maxsize=None)
 def irreducibles(ctx: PrimeContext, d: int) -> tuple:
     """All monic irreducibles of degree d over F_q, lexicographic order.
 
-    Computed by a sieve: every monic polynomial of degree d that factors
-    does so as a product of lower-degree irreducibles, and each composite
-    arises from exactly one multiset of factors.  Exhaustive, desk scale.
+    Computed by a sieve on least factors (_least_factors): every monic
+    polynomial of degree d that factors is made once from its least
+    factor, and the rest are irreducible.  Their number must be the
+    necklace count of place_count.  Exhaustive, desk scale.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    lower = [(e, f) for e in range(1, d) for f in irreducibles(ctx, e)]
-    composite = set()
-
-    def rec(start, prod, deg_left):
-        for i in range(start, len(lower)):
-            e, f = lower[i]
-            if e > deg_left:
-                break
-            nxt = pmul(ctx, prod, f)
-            if e == deg_left:
-                composite.add(nxt)
-            else:
-                rec(i, nxt, deg_left - e)
-
-    rec(0, PONE, d)
-    return tuple(f for f in _monic_polys(ctx, d) if f not in composite)
+    # its own least factor, with a key past every lower degree's
+    irreducible = map(((ctx.q ** d - 1) // (ctx.q - 1)).__le__, _least_factors(ctx, d))
+    out = tuple(coeffs + (1,) for coeffs in itertools.compress(
+        itertools.product(range(ctx.q), repeat=d), irreducible))
+    expected = place_count(ctx, d) - (d == 1)
+    if len(out) != expected:
+        raise InvariantViolation(f"sieve found {len(out)} irreducibles of "
+                                 f"degree {d}, the necklace count is {expected}")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -603,22 +631,32 @@ def parse_divisor(ctx: PrimeContext, spec: str) -> Divisor:
     return Divisor(pairs)
 
 
+def _pair_order(pair) -> tuple:
+    """Place.sort_key order of a (place, multiplicity) pair, read off the
+    poly alone: (len, poly) sorts by degree, then poly, and infinity's
+    (2, ()) comes before every poly of degree 1."""
+    poly = pair[0].poly
+    return (2, ()) if poly is None else (len(poly), poly)
+
+
 class Divisor:
-    """An effective divisor of F_q(t): places with positive multiplicities."""
+    """An effective divisor of F_q(t): places with positive multiplicities,
+    built from (place, multiplicity) tuples, which it keeps as given."""
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
-        seen = {}
+        pairs = tuple(pairs)
+        seen = set()  # polys: place equality is poly equality
         for place, e in pairs:
             if not isinstance(place, Place):
                 raise ValueError("divisor keys must be places")
             if e < 1:
                 raise ValueError("divisor multiplicities must be positive")
-            if place in seen:
+            if place.poly in seen:
                 raise ValueError("repeated place in divisor")
-            seen[place] = e
-        self._pairs = tuple(sorted(seen.items(), key=lambda kv: kv[0].sort_key()))
+            seen.add(place.poly)
+        self._pairs = tuple(sorted(pairs, key=_pair_order))
 
     @classmethod
     def one(cls) -> "Divisor":

@@ -484,3 +484,52 @@ def test_global_tallies_frozen(case):
     ctx, degree = case
     tally = enumerate_global(ctx, degree, check=True)
     assert {str(d): c for d, c in tally.items()} == FROZEN_GLOBAL_TALLIES[case]
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 of each oracle tally in dict order, and of the subspace search's
+# yield order: a faster search must find the same subspaces in the same order
+ORACLE_DIGESTS = {
+    ("global", 2, 1, 2, 6, True):
+        "1a87c5b9a7ea977f9a16bba3364176de6a33b97d5bff8b60a901a5398cb695bb",
+    ("global", 2, 2, 1, 6, False):
+        "b682648ba965e6ca7096be9822ebf6d7b9fae55013ac6a241ea8ef6640007cac",
+    ("global", 2, 1, 1, 10, False):
+        "93623921bafdc27c7355878ddb04f086ee2cbf8cd9d6a43d965b93bb79ecdeac",
+    ("local", 2, 2, 2, 16):
+        "716aefad014223f1fcb5f804b4cdab6a95b4fe73e9b846ce85e2c1c4a9809042",
+    ("local", 2, 1, 2, 24):
+        "fd4d62efb5eddcf32a5d8e9481380367cbfa3ee88a466dddb39c1295afaf15b3",
+    ("local", 3, 2, 1, 12):
+        "578756ed2bdcb21a75929b3c5dd07c58df00cfc6a3b54e79537c81514dd818e3",
+    ("subspaces", 3, 2, 8):
+        "143090db994173805a4b44aa128c95a76a3d7b56856f10c86eead933b4c32729",
+    ("subspaces", 3, 2, 12):
+        "793ed6e7dfc2e26d2121c0b0086c0cc833760da3541e48ab850a76bfb2755823",
+}
+
+
+def test_oracle_tallies_and_search_order_pinned():
+    got = {}
+    for kind, *args in ORACLE_DIGESTS:
+        if kind == "global":
+            p, n, r, degree, check = args
+            tally = enumerate_global(make_context(p, n, r), degree, check=check)
+            got[(kind, *args)] = _sha256([(str(d), c) for d, c in tally.items()])
+        elif kind == "local":
+            p, n, r, exponent = args
+            tally = enumerate_local(make_context(p, n, r), exponent)
+            got[(kind, *args)] = _sha256(list(tally.items()))
+        else:
+            # every nonzero vector of F_3^4 a candidate, costing its pivot:
+            # budget 8 prunes 117 of the 130 planes, budget 12 none
+            p, r, budget = args
+            w = _width(p)
+            cost = {v: (v.bit_length() - 1) // w for v in _all_vectors(p, 4)[1:]}
+            found = _subspaces(p, r, cost, budget)
+            got[(kind, *args)] = _sha256([(tuple(b), tuple(lines), total)
+                                          for b, lines, total in found])
+    assert got == ORACLE_DIGESTS

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ascount import fields
+from ascount.errors import InvariantViolation
 from ascount.fields import (
     INFINITY,
     Divisor,
+    Place,
     _decode_full,
     _encode,
     factor_monic,
@@ -188,6 +191,16 @@ def test_irreducible_counts_match_necklace_formula():
             assert all(f[-1] == 1 and pdeg(f) == d for f in got)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_sieve_count_is_checked_against_place_count(monkeypatch, d):
+    sieve = fields.irreducibles.__wrapped__  # past the cache
+    assert len(sieve(CTX2, d)) == necklace_count(2, d)
+    wrong = place_count(CTX2, d) + 1
+    monkeypatch.setattr(fields, "place_count", lambda ctx, e: wrong)
+    with pytest.raises(InvariantViolation, match=f"degree {d}"):
+        sieve(CTX2, d)
+
+
 def test_place_count_includes_infinity():
     # degree 1 gets the place at infinity on top of the q finite ones
     assert place_count(CTX2, 1) == 3
@@ -239,6 +252,29 @@ def test_divisor_basics():
         Divisor([(t, 1), (t, 2)])
     with pytest.raises(ValueError):
         Divisor([(t, 0)])
+
+
+def test_divisor_refusals_in_order():
+    t = finite_place(CTX2, [0, 1])
+    t1 = finite_place(CTX2, [1, 1])
+    with pytest.raises(ValueError, match="must be places"):
+        Divisor([(t, 1), ((0, 1), 1)])
+    for e in (0, -1):
+        with pytest.raises(ValueError, match="must be positive"):
+            Divisor([(t, 1), (t1, e)])
+    # ctx only tells __str__ how to write coefficients: the copies are one place
+    with pytest.raises(ValueError, match="repeated place"):
+        Divisor([(t, 1), (Place(t.poly), 2)])
+    # each pair is checked in turn, so a repeat listed first is the one reported
+    with pytest.raises(ValueError, match="repeated place"):
+        Divisor([(t, 1), (Place(t.poly), 2), (t1, 0)])
+
+
+def test_divisor_orders_places_by_sort_key():
+    chosen = [pl for d in (3, 1, 4, 2) for pl in places(CTX2, d)[::-1]]
+    d = Divisor((pl, k + 1) for k, pl in enumerate(chosen))
+    assert [pl for pl, _ in d.items()] == sorted(chosen, key=Place.sort_key)
+    assert d.items()[0][0] is INFINITY
 
 
 def test_residue_field_gf4_structure():
