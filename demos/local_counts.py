@@ -6,7 +6,7 @@ function with its linear recurrence.
 """
 
 from ascount.counting import enumerate_local, local_count
-from ascount.dirichlet import local_direct_series, local_rational
+from ascount.dirichlet import local_direct_series, local_reduced
 from ascount.fields import make_context
 
 ## C_2-extensions of F_2((t))
@@ -25,7 +25,7 @@ print("enumeration agrees:",
       brute == {e: local_count(ctx, e) for e in range(9)})
 
 ## The generating function is rational
-rational = local_rational(ctx).reduced()
+rational = local_reduced(ctx)
 print("numerator:  ", rational.num)
 print("denominator:", rational.den)
 print("recurrence weights:", rational.recurrence())

@@ -28,7 +28,7 @@ from random import Random
 from .asymptotics import report_json
 from .counting import (counts_by_degree, enumerate_global, enumerate_local,
                        global_count, global_count_by_degree, local_count)
-from .dirichlet import (global_dirichlet, local_rational,
+from .dirichlet import (global_dirichlet, local_reduced,
                         nested_geometric_check, psi_closed_form,
                         psi_polynomial, series_to_json)
 from .errors import InvariantViolation
@@ -136,7 +136,7 @@ def cmd_series(args, parser) -> int:
         series = global_dirichlet(ctx, args.max)
         rational = None
     else:
-        rational = local_rational(ctx).reduced()
+        rational = local_reduced(ctx)
         series = rational.series(args.max)
     coeffs = series.coefficients()
 

@@ -179,9 +179,14 @@ def chain_disc_exponent(chain, ctx: PrimeContext) -> int:
     return sum(w * c for w, c in zip(chain_weights(ctx), chain))
 
 
-def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
+def enumerate_chains(target: int, max_len: int, ctx: PrimeContext, *,
+                     nonvanishing: bool = False):
     """All chains C of length <= max_len with chain_disc_exponent(C) = target,
-    sorted by (length, entries).  target = 0 yields only the empty chain.
+    sorted by (length, entries).  target = 0 yields only the empty chain,
+    and a target off the lattice of the weights, all multiples of p - 1,
+    none.  With nonvanishing=True only the chains with no entry = 1 mod p
+    are listed: the others have chain_term_count 0 at every norm, and no
+    prefix ending in such an entry is extended.
 
     The entries after position j are at most c_j, so a prefix ending in c_j
     with `remaining` still to cover can reach the target only if
@@ -193,6 +198,9 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
         raise ValueError("max_len out of range")
     if target == 0:
         return [()]
+    p = ctx.p
+    if target % (p - 1):
+        return []
     weights = chain_weights(ctx)
     # tails[j - 1] = w_j + ... + w_max_len
     tails = list(itertools.accumulate(reversed(weights[:max_len])))[::-1]
@@ -207,11 +215,14 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext):
         weight = weights[j - 1]
         if j == max_len:
             # the last entry has to use up the remainder exactly
-            if remaining % weight == 0 and remaining // weight <= bound:
-                found.append(tuple(prefix) + (remaining // weight,))
+            c, rem = divmod(remaining, weight)
+            if not rem and c <= bound and not (nonvanishing and c % p == 1):
+                found.append(tuple(prefix) + (c,))
             return
         for c in range(-(-remaining // tails[j - 1]),
                        min(bound, remaining // weight) + 1):
+            if nonvanishing and c % p == 1:
+                continue
             prefix.append(c)
             rec(prefix, j + 1, remaining - weight * c, c)
             prefix.pop()

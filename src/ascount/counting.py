@@ -6,10 +6,11 @@ tally the same discriminants.  The two paths share no code beyond the field
 layer, so agreement is a meaningful check.  The chains and their flag
 counts depend on neither n, the depth nor the norm, so _chain_table
 enumerates them once per (p, r, exponent) and every closed-form count
-reads that one table.  The table leaves out the chains with an entry
-1 mod p, whose term count is 0 at every norm, and sums the others by
-run composition and free-index total, on which their term count
-depends alone.
+reads that one table.  The walk skips every entry 1 mod p, since such a
+chain's term count is 0 at every norm, and the table keeps only how many
+of the other chains share each run composition omega and free-index
+total K: such a chain counts N^K times a product fixed by omega, which
+_run_product evaluates once per (p, omega, norm).
 
 The oracles.  A C_p^r-extension is an r-dimensional subspace of
 Artin-Schreier classes; its discriminant is (p-1) times the sum of the
@@ -33,8 +34,8 @@ subspace are one sum of ints, decoded to a Divisor once per distinct sum.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import groupby, product
-from operator import itemgetter, xor
+from itertools import islice, product
+from operator import eq, itemgetter, xor
 
 from .artin_schreier import (
     chain_at_place,
@@ -79,24 +80,24 @@ __all__ = [
 
 # Largest local discriminant exponent e (count local --exp, a divisor
 # multiplicity ^e).  A count has about e log2(q) / 2 bits: at e = 2^15
-# `count local --p 2 --exp 32768` took 0.8 s and 37 MB at r = 1, 1.3 s
-# and 37 MB at r = 2 (Python 3.11, 2-core Xeon VM).  There are about
+# `count local --p 2 --exp 32768` took 0.6 s and 37 MB at r = 1, 0.65 s
+# and 39 MB at r = 2 (Python 3.11, 2-core Xeon VM).  There are about
 # e^(r-1) chains, which _MAX_CHAINS bounds.
 _MAX_EXPONENT = 2 ** 15
 
 # Largest number of conductor chains a count or an Euler-factor expansion
-# may enumerate, checked before _chain_table lists them all: by
-# local_count and global_count at one exponent, and by the Euler-factor
+# may enumerate, counted by _chain_counts before _chain_table walks any:
+# by local_count and global_count at one exponent, and by the Euler-factor
 # expansions of dirichlet over every exponent up to their horizon.  The
 # counts themselves took 6 ms at (2,1,8) for every exponent up to 7172.
-# Memory grows with the chains, which enumerate_chains lists in full:
-# `count local --p 2` took 8.5 s and 662 MB at r = 3, e = 32768
-# (3,198,001 chains) and 11.5 s and 841 MB at r = 4, e = 8192
-# (4,598,444), and at r = 4, e = 16384 (36,572,952) it was still
-# running after 170 s.  The local form at (2,1,r) expands out to twice
-# the pole degree: 620,700 chains at r = 6 (3-4 s), 7,112,342 at r = 7,
-# 82,104,262 at r = 8 and 953,203,121 at r = 9 (Python 3.11, 2-core Xeon
-# VM).
+# The walk lists only the chains with no entry 1 mod p, and memory grows
+# with those: `count local --p 2` took 3.0-3.6 s and 194 MB at r = 3,
+# e = 32768 (3,198,001 chains, 800,086 listed), and 2.5-2.7 s and 139 MB at
+# r = 4, e = 8192 (4,598,444 chains, 581,532 listed).  The local form at
+# (2,1,r) expands out to twice the pole degree: 620,700 chains at r = 6
+# (17,812 listed; `series local` about 1 s), 7,112,342 at r = 7 (112,749;
+# about 2 s), 82,104,262 at r = 8 and 953,203,121 at r = 9 (Python 3.11,
+# 2-core Xeon VM).
 _MAX_CHAINS = 2 ** 23
 
 
@@ -142,30 +143,54 @@ def refuse_chain_expansion(ctx: PrimeContext, top: int) -> None:
 @lru_cache(maxsize=None)
 def _chain_table(p: int, r: int, exponent: int) -> tuple:
     """The chains of length at most r with the given discriminant exponent,
-    grouped by run composition omega as (length, flag_count, buckets),
+    summed by run composition omega as (length, flag_count, omega, buckets),
     shortest first.  Nothing here depends on n, the depth or the norm, so
     one table per (p, r, exponent) serves every context, depth and norm.
 
-    A chain with an entry c = 1 mod p is left out: its block of c starts
-    with leading_term_count(c, 0, N, p) = 0, so its chain_term_count
-    vanishes at every norm N.  Every other entry has free_index_count(c)
-    = free_index_count(c - 1) + 1, so leading_term_count(c, j, N, p) =
-    N^fic(c - 1) (N - p^j) and a kept chain counts N^K times a product
-    fixed by omega, K = sum_i fic(c_i - 1).  The buckets of omega are
-    therefore one (number of chains, representative chain) per K."""
+    Only the chains with no entry c = 1 mod p are listed: such an entry's
+    block starts with leading_term_count(c, 0, N, p) = 0, so the chain's
+    chain_term_count vanishes at every norm N.  Every other entry has
+    free_index_count(c) = free_index_count(c - 1) + 1, so
+    leading_term_count(c, j, N, p) = N^fic(c - 1) (N - p^j) and a kept
+    chain counts N^K _run_product(p, omega, N), K = sum_i fic(c_i - 1).
+    The buckets of omega are therefore the (K, number of chains) pairs.
+
+    The chains are first tallied by length, the pattern of equal
+    neighbours, which fixes omega, and K, with fic(c - 1) written out as
+    c - 2 - (c - 2) // p."""
+    tally: dict = {}
+    for chain in enumerate_chains(exponent, r, make_context(p, 1, r),
+                                  nonvanishing=True):
+        key = (len(chain), tuple(map(eq, chain, chain[1:])),
+               sum([c - 2 - (c - 2) // p for c in chain]))
+        tally[key] = tally.get(key, 0) + 1
     groups: dict = {}
-    for chain in enumerate_chains(exponent, r, make_context(p, 1, r)):
-        if any(c % p == 1 for c in chain):
-            continue
-        runs = [(c, len(list(block))) for c, block in groupby(chain)]
-        omega = tuple(b for _, b in runs)
-        total = sum(b * free_index_count(c - 1, p) for c, b in runs)
-        buckets = groups.setdefault(omega, {})
-        count, rep = buckets.get(total, (0, chain))
-        buckets[total] = count + 1, rep
+    for (length, equal, total), count in tally.items():
+        cuts = [0, *(i for i, same in enumerate(equal, 1) if not same), length]
+        # b > a drops the one empty run of the empty chain
+        omega = tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a)
+        groups.setdefault(omega, []).append((total, count))
     # the chains come sorted by length, so the groups are too
-    return tuple((sum(omega), flag_count(omega, p), tuple(buckets.values()))
+    return tuple((sum(omega), flag_count(omega, p), omega, tuple(buckets))
                  for omega, buckets in groups.items())
+
+
+@lru_cache(maxsize=None)
+def _run_product(p: int, omega: tuple, norm: int) -> int:
+    """prod over the blocks b of omega of prod_{j<b} (norm - p^j): the
+    chain_term_count of any kept chain of run composition omega over
+    norm^K, taken on the chain p k, ..., 2p, p (k = len(omega)) with each
+    entry repeated by its block.  A remainder raises InvariantViolation."""
+    chain = tuple(p * (len(omega) - i) for i, b in enumerate(omega)
+                  for _ in range(b))
+    total = sum(free_index_count(c - 1, p) for c in chain)
+    # chain_term_count reads only the context's p
+    value, rem = divmod(chain_term_count(chain, norm, make_context(p, 1, 1)),
+                        norm ** total)
+    if rem:
+        raise InvariantViolation(f"chain {chain} at norm {norm}: term count "
+                                 f"is not a multiple of norm^{total}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +208,8 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
     with that chain.  Depth f is the number of ramified generators tracked;
     the exponent-0 coefficient is 1 for every f.  The chains come from
     _chain_table, enumerated once per (p, r, exponent) for every depth,
-    norm and call; chain_term_count is evaluated once per bucket and norm,
-    on the bucket's representative, and weighted by its number of chains.
+    norm and call; a run composition omega adds _run_product(p, omega, N)
+    times sum_K (number of chains) N^K over its buckets.
     """
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
@@ -194,13 +219,13 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
         raise ValueError(f"depth f = {f} outside [0, r]")
     binomials = _binomial_row(ctx.p, f)
     totals = [0] * len(norms)
-    for length, flags, buckets in _chain_table(ctx.p, ctx.r, exponent):
+    for length, flags, omega, buckets in _chain_table(ctx.p, ctx.r, exponent):
         if length > f:
             break
         weight = binomials[length] * flags
         for k, norm in enumerate(norms):
-            totals[k] += weight * sum(count * chain_term_count(rep, norm, ctx)
-                                      for count, rep in buckets)
+            totals[k] += (weight * _run_product(ctx.p, omega, norm)
+                          * sum(count * norm ** total for total, count in buckets))
     return totals
 
 
@@ -357,7 +382,10 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
 
     The reduced row-echelon basis is chosen bottom-up: each row has leading
     digit 1, its pivot above the earlier rows' and zeros at their pivots,
-    and adds the p^(k-1) lines row + s, s in the span so far.
+    and adds the p^(k-1) lines row + s, s in the span so far.  These lines
+    all have the row's pivot, so none costs less than the cheapest row of
+    that pivot, and the rows of a pivot, cheapest first, stop at the first
+    whose cost plus p^(k-1) - 1 such minima passes the budget.
     """
     w = _width(p)
     groups: dict = {}
@@ -374,13 +402,15 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
     def extend(start, basis, span, lines, total, pivot_digits):
         last = len(basis) == r - 1
         for g in range(start, len(pivots)):
-            for c, row in groups[pivots[g]]:
-                if total + c > budget:
+            group = groups[pivots[g]]
+            rest = (len(span) - 1) * group[0][0]
+            for c, row in group:
+                if total + c + rest > budget:
                     break
                 if row & pivot_digits:
                     continue
-                new, running = [], total
-                for s in span:
+                new, running = [row], total + c
+                for s in islice(span, 1, None):  # span[0] is 0
                     line = add(row, s)
                     line_cost = cost.get(line)
                     if line_cost is None or running + line_cost > budget:

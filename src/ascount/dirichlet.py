@@ -381,10 +381,11 @@ def delta_exponents(ctx: PrimeContext, j: int):
 
 # Largest pole degree D_f = A_1 + ... + A_f of the local form, a bound on
 # memory, not time: psi_polynomial expands 2 D_f + 1 coefficients.  At
-# (127, 1, 1), D = 16002, `series local --max 5` took 1.0-1.1 s and 43 MB,
-# `asymptotics --local` 0.6-1.5 s and 48 MB; at (2, 1, 6), D = 642, they
-# took 1.9-3.1 s and 45 MB each (Python 3.11, 2-core Xeon VM).  The chains
-# that expansion lists are capped apart, by counting._MAX_CHAINS.
+# (127, 1, 1), D = 16002, `series local --max 5` took 1.1 s and 44 MB,
+# `asymptotics --local` 1.2 s and 48 MB; at (2, 1, 6), D = 642, they took
+# 0.8 s and 1.0 s at 40 MB, and at (2, 1, 7), D = 1538, `series local`
+# took 1.9 s and 53 MB (Python 3.11, 2-core Xeon VM).  The chains that
+# expansion lists are capped apart, by counting._MAX_CHAINS.
 _MAX_POLE_DEGREE = 2 ** 14
 
 
@@ -685,6 +686,53 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
     return RationalSeries([Fraction(x, order) for x in numerator], denominator)
 
 
+def _fold(ints, c: int, period: int) -> tuple:
+    """(H, top) with H / c^top = ints mod 1 - c u^period, by Horner in c:
+    u^(period i + k) folds to c^(-i) u^k, so H_k = sum_i
+    ints[period i + k] c^(top - i), top the largest i."""
+    ints = list(ints) + [0] * (-len(ints) % period)
+    head = [0] * period
+    for i in range(0, len(ints), period):
+        head = [h * c + x for h, x in zip(head, ints[i:i + period])]
+    return head, len(ints) // period - 1
+
+
+@lru_cache(maxsize=None)
+def local_reduced(ctx: PrimeContext) -> RationalSeries:
+    """local_rational(ctx).reduced(), by one gcd per delta; built once per
+    context.
+
+    The roots of delta_j = 1 - q^(a_j) u^(A_j) lie on the circle |u| =
+    q^(-a_j / A_j), so deltas on distinct circles are pairwise coprime
+    (two on one circle raise InvariantViolation), and gcd(num, prod_j
+    delta_j) = prod_j gcd(num mod delta_j, delta_j).  num mod delta_j is
+    the Horner fold of rightmost_split, and each gcd is a primitive
+    remainder sequence of degree below A_j.  Numerator and denominator
+    are divided exactly by the product of the monic gcds (a remainder
+    raises InvariantViolation) and scaled to den(0) = 1."""
+    rational, q = local_rational(ctx), ctx.q
+    pairs = [delta_exponents(ctx, j) for j in range(1, ctx.r + 1)]
+    for k, (a, big_a) in enumerate(pairs):
+        for b, big_b in pairs[k + 1:]:
+            if a * big_b == b * big_a:
+                raise InvariantViolation(f"two deltas on the circle "
+                                         f"|u| = q^(-{a}/{big_a})")
+    num = _scaled(rational.num)[1]
+    common = (1,)
+    for j, (a, big_a) in enumerate(pairs, start=1):
+        fold = _fold(num, q ** a, big_a)[0]
+        common = poly_mul(common, poly_gcd(fold, delta_polynomial(ctx, j, q)))
+    reduced = []
+    for poly in (rational.num, rational.den):
+        quotient, rem = poly_divmod(poly, common)
+        if rem:
+            raise InvariantViolation(f"the local form at {ctx} leaves a remainder "
+                                     f"of degree {len(rem) - 1} by its gcd")
+        reduced.append(quotient)
+    scale = 1 / Fraction(reduced[1][0])
+    return RationalSeries(*(poly_scale(poly, scale) for poly in reduced))
+
+
 @lru_cache(maxsize=None)
 def rightmost_split(ctx: PrimeContext) -> tuple:
     """(num/den, R, S/D') with num/den = local_rational(ctx) = R/delta_r +
@@ -712,11 +760,8 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
     shift, period = delta_exponents(ctx, ctx.r)
     c = q ** shift
     unit, num = _scaled(rational.num)
-    num += [0] * (-len(num) % period)
-    head = [0] * period
-    for i in range(0, len(num), period):
-        head = [h * c + x for h, x in zip(head, num[i:i + period])]
-    hden, rest_den = unit * c ** (len(num) // period - 1), (1,)
+    head, top = _fold(num, c, period)
+    hden, rest_den = unit * c ** top, (1,)
     for j in range(1, ctx.r):
         a, big_a = delta_exponents(ctx, j)
         cycle = period // gcd(big_a, period)

@@ -288,6 +288,23 @@ def test_enumerate_chains_matches_brute_force(p):
                     (r, max_len, target)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumerate_nonvanishing_chains_filters_the_full_list(p):
+    # the walk that skips entries 1 mod p lists exactly the full list
+    # without the chains that have one; a target off the lattice of the
+    # weights, all multiples of p - 1, has no chain at all
+    for r in range(1, 5):
+        ctx = make_context(p, 1, r)
+        for max_len in range(r + 1):
+            for target in range(241):
+                full = enumerate_chains(target, max_len, ctx)
+                kept = enumerate_chains(target, max_len, ctx, nonvanishing=True)
+                assert kept == [c for c in full if all(x % p != 1 for x in c)], \
+                    (r, max_len, target)
+                if target % (p - 1):
+                    assert full == [], (r, max_len, target)
+
+
 def test_chain_term_count_q_equals_p_kill():
     # equal-pair chains die at q = p because the j = 1 slot hits q = p
     assert chain_term_count((2, 2), 2, CTX212) == 0

@@ -148,41 +148,35 @@ def test_factor_coefficients_match_chain_sum(pnr):
 @pytest.mark.parametrize("pnr", [pnr for pnr in _TABLE_GRID if pnr[1] == 1],
                          ids=lambda pnr: "".join(map(str, pnr)))
 def test_chain_table_drops_only_zeros(pnr):
-    # every chain without an entry 1 mod p falls in exactly one bucket, the
-    # one of its run composition and free-index total, under its own
-    # length and flag count; a bucket's count times its representative's
-    # term is the sum of its chains' terms; the chains the table leaves
-    # out count 0 at every norm
+    # every chain without an entry 1 mod p counts N^K times the product of
+    # its run composition omega, and falls in the one bucket (omega, K),
+    # under its own length and flag count, whose count is the number of
+    # such chains; the chains the table leaves out have an entry 1 mod p
+    # and count 0 at every norm
     ctx = make_context(*pnr)
     p = ctx.p
     norms = (p, p ** 2, p ** 3, p ** 5)
     horizon = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, ctx.r + 1))
-
-    def bucket(chain):
-        runs = tuple(len(list(block)) for _, block in groupby(chain))
-        return runs, sum(free_index_count(c - 1, p) for c in chain)
-
     for exponent in range(horizon + 1):
-        members = {}
+        members = Counter()
         for chain in enumerate_chains(exponent, ctx.r, ctx):
             if any(c % p == 1 for c in chain):
                 assert [chain_term_count(chain, norm, ctx) for norm in norms] \
                     == [0] * len(norms), (exponent, chain)
-            else:
-                members.setdefault(bucket(chain), []).append(chain)
-        seen = []
-        for length, flags, buckets in counting._chain_table(p, ctx.r, exponent):
-            for count, rep in buckets:
-                key = bucket(rep)
-                seen.append(key)
-                assert len(rep) == length and flags == flag_count(key[0], p)
-                assert count == len(members[key]), (exponent, rep)
-                assert [count * chain_term_count(rep, norm, ctx)
-                        for norm in norms] == \
-                    [sum(chain_term_count(chain, norm, ctx)
-                         for chain in members[key]) for norm in norms], \
-                    (exponent, rep)
-        assert sorted(seen) == sorted(members), exponent
+                continue
+            omega = tuple(len(list(block)) for _, block in groupby(chain))
+            total = sum(free_index_count(c - 1, p) for c in chain)
+            assert [chain_term_count(chain, norm, ctx) for norm in norms] == \
+                [norm ** total * counting._run_product(p, omega, norm)
+                 for norm in norms], (exponent, chain)
+            members[omega, total] += 1
+        table = Counter()
+        for length, flags, omega, buckets in counting._chain_table(p, ctx.r, exponent):
+            assert length == sum(omega) and flags == flag_count(omega, p)
+            for total, count in buckets:
+                assert (omega, total) not in table, (exponent, omega, total)
+                table[omega, total] = count
+        assert table == members, exponent
 
 
 def test_factor_coefficients_digest():
@@ -271,9 +265,9 @@ def test_psi_polynomial_enumerates_each_exponent_once(monkeypatch):
     calls = Counter()
     enumerate_all = counting.enumerate_chains
 
-    def counted(target, max_len, ctx):
+    def counted(target, max_len, ctx, **kwargs):
         calls[target] += 1
-        return enumerate_all(target, max_len, ctx)
+        return enumerate_all(target, max_len, ctx, **kwargs)
 
     monkeypatch.setattr(counting, "enumerate_chains", counted)
     counting._chain_table.cache_clear()

@@ -21,6 +21,7 @@ from ascount.dirichlet import (
     lambda_inverse,
     local_direct_series,
     local_rational,
+    local_reduced,
     nested_geometric_check,
     poly_add,
     poly_divmod,
@@ -204,6 +205,32 @@ def test_local_rational_gcd_frozen():
     red = rat.reduced()
     assert len(red.den) == len(rat.den) - 2 and red.den[0] == 1
     assert red.series(60) == rat.series(60)
+
+
+_REDUCED_GRID = ([(2, 1, r) for r in range(1, 5)] + [(3, 1, r) for r in range(1, 4)]
+                 + [(5, 1, 1), (5, 1, 2)] + [(2, 2, r) for r in range(1, 4)]
+                 + [(3, 2, 1), (3, 2, 2)])
+
+
+@pytest.mark.parametrize("pnr", _REDUCED_GRID, ids=lambda pnr: "".join(map(str, pnr)))
+def test_local_reduced_matches_euclid(pnr):
+    # one gcd per delta gives the Euclidean reduced form, coefficient for
+    # coefficient; at (2,2,2) the gcd has degree 2
+    ctx = make_context(*pnr)
+    want = local_rational(ctx).reduced()
+    got = local_reduced(ctx)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert len(local_rational(ctx).den) - len(got.den) == (2 if pnr == (2, 2, 2) else 0)
+
+
+def test_local_reduced_refuses_deltas_on_one_circle(monkeypatch):
+    # the product of per-delta gcds is the gcd only for coprime deltas
+    ctx = make_context(2, 1, 2)
+    local_rational(ctx)
+    monkeypatch.setattr(dirichlet, "delta_exponents", lambda ctx, j: (j, 2 * j))
+    local_reduced.cache_clear()
+    with pytest.raises(InvariantViolation, match="two deltas on the circle"):
+        local_reduced(ctx)
 
 
 # ---------------------------------------------------------------------------
