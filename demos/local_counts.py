@@ -26,9 +26,9 @@ print("enumeration agrees:",
 
 ## The generating function is rational
 rational = local_reduced(ctx)
-print("numerator:  ", rational.num)
-print("denominator:", rational.den)
-print("recurrence weights:", rational.recurrence())
+print("numerator:  ", ", ".join(map(str, rational.num)))
+print("denominator:", ", ".join(map(str, rational.den)))
+print("recurrence weights:", ", ".join(map(str, rational.recurrence())))
 # den = 1 - 2u^2, so c_m = 2 c_{m-2} once past the numerator degree
 
 series = rational.series(16)

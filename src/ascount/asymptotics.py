@@ -270,10 +270,10 @@ def local_leading_constants(ctx: PrimeContext,
 
     Validation is exact and runs on ints: the counts c_m are the ints of
     rational.series(m_max), R = H/h over one denominator, and T = t S is
-    the int series of S/D' scaled by the common denominator t of S (D'
-    has constant term 1).  Checked are R_k >= 0, not all zero; the
-    identity h t c_m = t H_k c^i + h T_m for every m <= m_max; zero
-    coefficients on zero classes; on the others, the relative errors
+    the int series of S's ints over D', t the unit of S (D' has constant
+    term 1).  Checked are R_k >= 0, not all zero; the identity t (h c_m -
+    H_k c^i) = h T_m for every m <= m_max; zero coefficients on zero
+    classes; on the others, the relative errors
     |h c_m - H_k c^i| / (h c_m) over the positive suffix of the last ten
     samples (reported as floats) end below tolerance and do not grow.
     m_max starts at max(_sample_cap(ctx), 2A) and grows by up to four
@@ -310,15 +310,13 @@ def local_leading_constants(ctx: PrimeContext,
             break
         m_max += period
         counts = rational.series(m_max).nums
-    rden, rest_ints = _scaled(rest.num)
-    scaled_rest = RationalSeries(rest_ints, rest.den).series(m_max).nums
-    main = [rden * x for x in scaled_head]
+    scaled_rest = RationalSeries(rest.ints, rest.den).series(m_max).nums
     power = 1  # c^i at m = Ai + k
     for m, (count, tail) in enumerate(zip(counts, scaled_rest)):
         k = m % period
         if m and not k:
             power *= c
-        if hden * rden * count != main[k] * power + hden * tail:
+        if rest.unit * (hden * count - scaled_head[k] * power) != hden * tail:
             raise InvariantViolation(
                 f"partial fractions disagree with the series at m = {m}")
         if m and count and not scaled_head[k]:

@@ -154,7 +154,7 @@ def cmd_series(args, parser) -> int:
                          in enumerate(rational.recurrence(), start=1) if w]
                 lines.append("recurrence: c[m] = "
                              + (" + ".join(terms) if terms else "0")
-                             + f" for m > {len(rational.num) - 1}")
+                             + f" for m > {len(rational.ints) - 1}")
             text = "\n".join(lines)
     _emit(text, args.out)
     return 0

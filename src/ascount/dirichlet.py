@@ -9,14 +9,13 @@ numerator Psi_f powered to the number of places.  Integer data stays
 int: the delta factors, both Euler numerators Psi_f and the zeta-factor
 polynomials have int coefficients, and the counting series are weighted
 over depths by compositions.weighted_counts, in ints, so a truncated
-series holds ints only.  Fractions appear only where a value is
-rational: the local numerator, which carries the Delsarte weights, and
-its reductions, recurrence weights, the rightmost split and the
-coefficients RationalSeries.coefficient reads from them.  The local
-numerator and the split are built in ints over one common denominator
-each, and their Fractions are made once, at the end.
-Floating point is banned from this module; the asymptotics layer is the
-only consumer of floats.
+series holds ints only.  A rational series holds its numerator (the
+local one carries the Delsarte weights) as ints over one int unit, and
+the local stages hand those ints on; Fractions are made only where a
+value leaves the library: RationalSeries.num, its recurrence weights and
+coefficients, and the R of the rightmost split.  Floating point is
+banned from this module; the asymptotics layer is the only consumer of
+floats.
 """
 
 import itertools
@@ -289,42 +288,44 @@ class TruncatedSeries:
 
 
 class RationalSeries:
-    """A rational function num/den in t with den(0) != 0.
+    """A rational function num/den in t with den(0) != 0, num held as ints
+    over one int unit N in lowest terms (N > 0); the constructor takes
+    ints or Fractions and an optional unit, and `num` rebuilds Fractions.
 
-    Coefficients are produced by the linear recurrence the denominator
-    induces, so expansion to any degree is exact and incremental:
-        den[0]*c_m = num_m - sum_{k>=1} den[k]*c_{m-k}.
-    It runs on ints: on first use den is scaled to an integer polynomial
-    with constant term d, num to integers over one denominator N, and only
-    the nonzero terms of den are visited (a product of r binomials has at
-    most 2^r).  Then b_m = N d^(m+1) c_m is an integer with
-        b_m = d^m num_m - sum_{k>=1} den[k] d^(k-1) b_{m-k},
-    so no step divides; coefficient(m) returns b_m / (N d^(m+1)), and
-    series(M) divides each b_m by N d^(m+1) exactly, since the series it
-    hands over counts extensions (a remainder raises InvariantViolation).
+    Coefficients follow the recurrence den[0] c_m = num_m - sum_{k>=1}
+    den[k] c_{m-k}, expanded incrementally in ints: with den scaled to an
+    integer polynomial with constant term d and the ints by the same
+    factor to n, b_m = N d^(m+1) c_m is an integer with
+        b_m = d^m n_m - sum_{k>=1} den[k] d^(k-1) b_{m-k},
+    so no step divides, and only the nonzero terms of den are visited (at
+    most 2^r for a product of r binomials).  coefficient(m) returns
+    b_m / (N d^(m+1)); series(M) divides each b_m by it exactly, since the
+    series it hands over counts extensions (else InvariantViolation).
     """
 
-    __slots__ = ("num", "den", "_recurrence")
+    __slots__ = ("ints", "unit", "den", "_recurrence")
 
-    def __init__(self, num, den):
-        self.num = poly_trim(num)
+    def __init__(self, num, den, unit: int = 1):
         self.den = poly_trim(den)
         if not self.den or self.den[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
-        self._recurrence = None
+        scale, ints = _scaled(poly_trim(num))
+        common = gcd(unit * scale, *ints) * (1 if unit > 0 else -1)
+        self.ints, self.unit = tuple(x // common for x in ints), unit * scale // common
+        scale, den = _scaled(self.den)
+        terms = [(k, den[k] * den[0] ** (k - 1)) for k in _support(den)[1:]]
+        self._recurrence = [x * scale for x in self.ints], den[0], terms, []
+
+    @property
+    def num(self) -> tuple:
+        return tuple(Fraction(x, self.unit) for x in self.ints)
 
     def coefficient(self, m: int) -> Fraction:
         if m < 0:
             raise ValueError("negative degree")
         if m > _MAX_TRUNCATION:
             raise ValueError(f"series truncation {m} exceeds {_MAX_TRUNCATION}")
-        if self._recurrence is None:
-            scale, den = _scaled(self.den)
-            unit, num = _scaled([c * scale for c in self.num])
-            d = den[0]
-            terms = [(k, den[k] * d ** (k - 1)) for k in _support(den)[1:]]
-            self._recurrence = num, unit, d, terms, []
-        num, unit, d, terms, b = self._recurrence
+        num, d, terms, b = self._recurrence
         for k in range(len(b), m + 1):
             acc = num[k] * d ** k if k < len(num) else 0
             for j, w in terms:
@@ -332,12 +333,12 @@ class RationalSeries:
                     break
                 acc -= w * b[k - j]
             b.append(acc)
-        return Fraction(b[m], unit * d ** (m + 1))
+        return Fraction(b[m], self.unit * d ** (m + 1))
 
     def series(self, truncation: int) -> TruncatedSeries:
         self.coefficient(truncation)  # expands b through b_truncation
-        _, unit, d, _, b = self._recurrence
-        out, scale = [], unit * d  # scale = N d^(m+1)
+        _, d, _, b = self._recurrence
+        out, scale = [], self.unit * d  # scale = N d^(m+1)
         for m in range(truncation + 1):
             c, rem = divmod(b[m], scale)
             if rem:
@@ -350,8 +351,7 @@ class RationalSeries:
     def recurrence(self) -> tuple:
         """Weights (w_1, ..., w_k): for m > deg num,
         c_m = w_1 c_{m-1} + ... + w_k c_{m-k}."""
-        inv0 = 1 / Fraction(self.den[0])
-        return tuple(-c * inv0 for c in self.den[1:])
+        return tuple(Fraction(-c, self.den[0]) for c in self.den[1:])
 
     def reduced(self) -> "RationalSeries":
         """Cancel the numerator/denominator gcd (denominator kept den(0)=1)."""
@@ -362,7 +362,7 @@ class RationalSeries:
         return RationalSeries(poly_scale(num, scale), poly_scale(den, scale))
 
     def __repr__(self):
-        return f"RationalSeries(num={self.num}, den={self.den})"
+        return f"RationalSeries(num={self.ints}, den={self.den}, unit={self.unit})"
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +671,7 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
 
     The Horner pass in the deltas runs on ints over |GL_r(F_p)|, each
     Psi_f weighted by the int delsarte_weight(f) * |GL_r(F_p)| as in
-    weighted_counts; the numerator becomes Fractions once, at the end."""
+    weighted_counts; the ints are the numerator over the unit |GL_r(F_p)|."""
     norm, (order, weights) = ctx.q, scaled_weights(ctx)
     numerator, denominator = (), (1,)
     deltas = [delta_polynomial(ctx, j, norm) for j in range(1, ctx.r + 1)]
@@ -683,7 +683,7 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
             denominator = poly_mul(denominator, deltas[f - 1])
         numerator = poly_add(numerator, poly_scale(psi_polynomial(ctx, f, norm),
                                                    weights[f]))
-    return RationalSeries([Fraction(x, order) for x in numerator], denominator)
+    return RationalSeries(numerator, denominator, order)
 
 
 def _fold(ints, c: int, period: int) -> tuple:
@@ -707,30 +707,33 @@ def local_reduced(ctx: PrimeContext) -> RationalSeries:
     (two on one circle raise InvariantViolation), and gcd(num, prod_j
     delta_j) = prod_j gcd(num mod delta_j, delta_j).  num mod delta_j is
     the Horner fold of rightmost_split, and each gcd is a primitive
-    remainder sequence of degree below A_j.  Numerator and denominator
-    are divided exactly by the product of the monic gcds (a remainder
-    raises InvariantViolation) and scaled to den(0) = 1."""
+    remainder sequence of degree below A_j.  By Gauss's lemma a factor of
+    delta_j scaled to constant term 1 is integral, so num's ints and den
+    are divided by the product exactly, from the low end (else InvariantViolation)."""
     rational, q = local_rational(ctx), ctx.q
     pairs = [delta_exponents(ctx, j) for j in range(1, ctx.r + 1)]
-    for k, (a, big_a) in enumerate(pairs):
-        for b, big_b in pairs[k + 1:]:
-            if a * big_b == b * big_a:
-                raise InvariantViolation(f"two deltas on the circle "
-                                         f"|u| = q^(-{a}/{big_a})")
-    num = _scaled(rational.num)[1]
+    for (a, big_a), (b, big_b) in itertools.combinations(pairs, 2):
+        if a * big_b == b * big_a:
+            raise InvariantViolation(f"two deltas on the circle "
+                                     f"|u| = q^(-{a}/{big_a})")
     common = (1,)
     for j, (a, big_a) in enumerate(pairs, start=1):
-        fold = _fold(num, q ** a, big_a)[0]
-        common = poly_mul(common, poly_gcd(fold, delta_polynomial(ctx, j, q)))
+        fold = _fold(rational.ints, q ** a, big_a)[0]
+        factor = poly_gcd(fold, delta_polynomial(ctx, j, q))
+        common = poly_mul(common, poly_scale(factor, 1 / factor[0]))
+    if any(c.denominator != 1 for c in common):
+        raise InvariantViolation(f"the gcd at {ctx} is not integral: {common}")
+    terms = [(i, common[i].numerator) for i in _support(common)[1:]]
     reduced = []
-    for poly in (rational.num, rational.den):
-        quotient, rem = poly_divmod(poly, common)
-        if rem:
-            raise InvariantViolation(f"the local form at {ctx} leaves a remainder "
-                                     f"of degree {len(rem) - 1} by its gcd")
-        reduced.append(quotient)
-    scale = 1 / Fraction(reduced[1][0])
-    return RationalSeries(*(poly_scale(poly, scale) for poly in reduced))
+    for poly in (list(rational.ints), list(rational.den)):
+        size = max(len(poly) - len(common) + 1, 0)
+        for k in range(size):  # quotient coefficient k, common[0] = 1
+            for i, g in terms:
+                poly[k + i] -= g * poly[k]
+        if any(poly[size:]):
+            raise InvariantViolation(f"the gcd at {ctx} leaves a remainder")
+        reduced.append(poly[:size])
+    return RationalSeries(*reduced, rational.unit)
 
 
 @lru_cache(maxsize=None)
@@ -753,13 +756,12 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
     adds H_k q^(a_j t) c^(top_j-i) to the new H_k', top_j the largest
     such i; then H is multiplied by l_den and h by c^top_j (l_den -
     l_num), in place of dividing by 1 - lambda_j.  num - R D' and its
-    quotient by delta_r stay over h; R and S become Fractions once, at
-    the end.
+    quotient by delta_r, S, stay over the unit h; R is made Fractions H/h.
     """
     rational, q = local_rational(ctx), ctx.q
     shift, period = delta_exponents(ctx, ctx.r)
     c = q ** shift
-    unit, num = _scaled(rational.num)
+    unit, num = rational.unit, rational.ints
     head, top = _fold(num, c, period)
     hden, rest_den = unit * c ** top, (1,)
     for j in range(1, ctx.r):
@@ -789,7 +791,7 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
     if any(rest[-period:]):
         raise InvariantViolation("delta_r does not divide num - R D'")
     return (rational, tuple(Fraction(h, hden) for h in head),
-            RationalSeries([Fraction(x, hden) for x in rest[:-period]], rest_den))
+            RationalSeries(rest[:-period], rest_den, hden))
 
 
 def local_direct_series(ctx: PrimeContext, truncation: int) -> TruncatedSeries:

@@ -134,13 +134,16 @@ def _rational(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_rational(), st.integers(0, 30))
-@example(((1, Fraction(1, 2)), (3, 0, 0, 0, 0, 0, 0, 0, -6)), 20)  # sparse
-@example(((), (2, 1)), 5)                                # zero numerator
-def test_rational_series_matches_series_division(rational, extra):
+@given(_rational(), st.integers(0, 30), st.integers(-12, 12).filter(bool))
+@example(((1, Fraction(1, 2)), (3, 0, 0, 0, 0, 0, 0, 0, -6)), 20, 1)  # sparse
+@example(((), (2, 1)), 5, 4)                             # zero numerator
+@example(((2, 0, 4), (1, -1)), 3, -6)                    # unit not in lowest terms
+def test_rational_series_matches_series_division(rational, extra, unit):
     num, den = rational
     truncation = max(len(num), len(den)) + extra
-    rat = RationalSeries(num, den)
+    rat = RationalSeries([c * unit for c in num], den, unit)
+    assert rat.num == poly_trim(num)
+    assert math.gcd(rat.unit, *rat.ints) == 1 and rat.unit > 0
     rat.coefficient(truncation // 2)            # expansion is incremental
     inverse = _inverse(den, truncation)
     expected = [sum(c * inverse[m - i] for i, c in enumerate(num[:m + 1]))
@@ -230,6 +233,20 @@ def test_local_reduced_refuses_deltas_on_one_circle(monkeypatch):
     monkeypatch.setattr(dirichlet, "delta_exponents", lambda ctx, j: (j, 2 * j))
     local_reduced.cache_clear()
     with pytest.raises(InvariantViolation, match="two deltas on the circle"):
+        local_reduced(ctx)
+
+
+@pytest.mark.parametrize("gcd, message", [((3, 1), "not integral"),
+                                          ((1, 1), "leaves a remainder")])
+def test_local_reduced_refuses_a_wrong_gcd(monkeypatch, gcd, message):
+    # 3 + u scales to 1 + u/3, which no factor of a delta does (Gauss's
+    # lemma), and 1 + u divides neither num nor den at (2,1,2)
+    ctx = make_context(2, 1, 2)
+    local_rational(ctx)
+    monkeypatch.setattr(dirichlet, "poly_gcd",
+                        lambda a, b: tuple(Fraction(c, gcd[-1]) for c in gcd))
+    local_reduced.cache_clear()
+    with pytest.raises(InvariantViolation, match=message):
         local_reduced(ctx)
 
 
@@ -578,11 +595,12 @@ def test_truncation_cap_refuses_before_any_list_is_sized(monkeypatch):
         raise AssertionError("a series was sized past the truncation cap")
 
     rational = local_rational(CTX211)  # its numerator expands a series
+    zeta = zeta_shift(CTX211, 1, 0)  # its constructor scales the denominator
     monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
     monkeypatch.setattr(dirichlet, "_scaled", refuse)
     top = dirichlet._MAX_TRUNCATION + 1
     for build in (lambda: global_dirichlet(CTX211, top),
-                  lambda: zeta_shift(CTX211, 1, 0).series(top),
+                  lambda: zeta.series(top),
                   lambda: rational.coefficient(top)):
         with pytest.raises(ValueError, match=f"series truncation {top} exceeds"):
             build()
