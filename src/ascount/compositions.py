@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvariantViolation
 from .fields import PrimeContext
@@ -63,7 +64,13 @@ def prefix_sums(parts) -> tuple:
 
 def flag_count(omega, p: int) -> int:
     """Number of flags of F_p-subspaces with successive dimensions given by
-    the prefix sums of the composition omega."""
+    the prefix sums of the composition omega (any sequence of parts)."""
+    return _flag_count(tuple(omega), p)
+
+
+@lru_cache(maxsize=None)
+def _flag_count(omega: tuple, p: int) -> int:
+    """flag_count, memoised per (omega, p)."""
     if any(a < 1 for a in omega):
         raise ValueError("composition parts must be positive")
     result = 1
@@ -179,6 +186,19 @@ def chain_disc_exponent(chain, ctx: PrimeContext) -> int:
     return sum(w * c for w, c in zip(chain_weights(ctx), chain))
 
 
+def kept_step(p: int) -> int:
+    """The step of the lattice that holds the exponent of every chain with
+    no entry 1 mod p (a kept chain): 2 at p = 2, p - 1 otherwise.
+
+    Every weight w_j = (p-1) p^(r-j) is a multiple of p - 1, so every
+    chain's exponent sum_j w_j c_j is too.  At p = 2 an entry that is not
+    1 mod 2 is even, so every term w_j c_j of a kept chain, and its
+    exponent, is even.  Off this lattice every depth-f Euler-factor
+    coefficient is 0.  Every delta exponent A_j = p^(r+1-j) (p^j - 1) lies
+    on it: a multiple of p - 1 and, at p = 2, of 2, as r + 1 - j >= 1."""
+    return 2 if p == 2 else p - 1
+
+
 def enumerate_chains(target: int, max_len: int, ctx: PrimeContext, *,
                      nonvanishing: bool = False):
     """All chains C of length <= max_len with chain_disc_exponent(C) = target,
@@ -186,7 +206,8 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext, *,
     and a target off the lattice of the weights, all multiples of p - 1,
     none.  With nonvanishing=True only the chains with no entry = 1 mod p
     are listed: the others have chain_term_count 0 at every norm, and no
-    prefix ending in such an entry is extended.
+    prefix ending in such an entry is extended; a target off the lattice
+    of kept_step yields none before any walk.
 
     The entries after position j are at most c_j, so a prefix ending in c_j
     with `remaining` still to cover can reach the target only if
@@ -199,7 +220,7 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext, *,
     if target == 0:
         return [()]
     p = ctx.p
-    if target % (p - 1):
+    if target % (kept_step(p) if nonvanishing else p - 1):
         return []
     weights = chain_weights(ctx)
     # tails[j - 1] = w_j + ... + w_max_len
@@ -284,8 +305,11 @@ def enumerate_two_level(h: int):
     return out
 
 
-def enumerate_admissible_two_level(h: int, p: int):
-    return [t for t in enumerate_two_level(h) if t.admissible(p)]
+@lru_cache(maxsize=None)
+def enumerate_admissible_two_level(h: int, p: int) -> tuple:
+    """The admissible two-level compositions of h at p, in the order of
+    enumerate_two_level; built once per (h, p)."""
+    return tuple(t for t in enumerate_two_level(h) if t.admissible(p))
 
 
 def structure_poly_value(theta: TwoLevelComposition, x, p: int):

@@ -10,7 +10,9 @@ reads that one table.  The walk skips every entry 1 mod p, since such a
 chain's term count is 0 at every norm, and the table keeps only how many
 of the other chains share each run composition omega and free-index
 total K: such a chain counts N^K times a product fixed by omega, which
-_run_product evaluates once per (p, omega, norm).
+_run_product evaluates once per (p, omega, norm).  The exponents of the
+kept chains lie on the lattice of compositions.kept_step, and
+factor_support lists the exponents an Euler-factor expansion must sum.
 
 The oracles.  A C_p^r-extension is an r-dimensional subspace of
 Artin-Schreier classes; its discriminant is (p-1) times the sum of the
@@ -52,6 +54,7 @@ from .compositions import (
     flag_count,
     free_index_count,
     gaussian_binomial,
+    kept_step,
     prefix_sums,
     weighted_counts,
 )
@@ -61,6 +64,7 @@ from .fields import Divisor, PrimeContext, make_context, places
 __all__ = [
     "factor_coefficient",
     "factor_coefficients",
+    "factor_support",
     "local_count",
     "global_count",
     "refuse_chain_expansion",
@@ -96,7 +100,7 @@ _MAX_EXPONENT = 2 ** 15
 # r = 4, e = 8192 (4,598,444 chains, 581,532 listed).  The local form at
 # (2,1,r) expands out to twice the pole degree: 620,700 chains at r = 6
 # (17,812 listed; `series local` about 1 s), 7,112,342 at r = 7 (112,749;
-# about 2 s), 82,104,262 at r = 8 and 953,203,121 at r = 9 (Python 3.11,
+# about 1.5 s), 82,104,262 at r = 8 and 953,203,121 at r = 9 (Python 3.11,
 # 2-core Xeon VM).
 _MAX_CHAINS = 2 ** 23
 
@@ -155,12 +159,18 @@ def _chain_table(p: int, r: int, exponent: int) -> tuple:
     chain counts N^K _run_product(p, omega, N), K = sum_i fic(c_i - 1).
     The buckets of omega are therefore the (K, number of chains) pairs.
 
-    The chains are first tallied by length, the pattern of equal
-    neighbours, which fixes omega, and K, with fic(c - 1) written out as
+    Every kept chain's exponent lies on the lattice of
+    compositions.kept_step (2 at p = 2, p - 1 otherwise; the proof is in
+    its docstring), so off it the walk is empty and the table is ().  The
+    chains are first tallied by length, the pattern of equal neighbours,
+    which fixes omega, and K, with fic(c - 1) written out as
     c - 2 - (c - 2) // p."""
+    chains = enumerate_chains(exponent, r, make_context(p, 1, r),
+                              nonvanishing=True)
+    if not chains:
+        return ()
     tally: dict = {}
-    for chain in enumerate_chains(exponent, r, make_context(p, 1, r),
-                                  nonvanishing=True):
+    for chain in chains:
         key = (len(chain), tuple(map(eq, chain, chain[1:])),
                sum([c - 2 - (c - 2) // p for c in chain]))
         tally[key] = tally.get(key, 0) + 1
@@ -227,6 +237,16 @@ def factor_coefficients(ctx: PrimeContext, f: int, exponent: int,
             totals[k] += (weight * _run_product(ctx.p, omega, norm)
                           * sum(count * norm ** total for total, count in buckets))
     return totals
+
+
+def factor_support(ctx: PrimeContext, f: int, top: int) -> list:
+    """The exponents 0..top at which the depth-f factor coefficient can be
+    nonzero: those on the lattice of compositions.kept_step whose chain
+    table lists a chain of length at most f.  factor_coefficients is 0 at
+    every other exponent, whatever the norm."""
+    p, r = ctx.p, ctx.r
+    return [m for m in range(0, top + 1, kept_step(p))
+            if (table := _chain_table(p, r, m)) and table[0][0] <= f]
 
 
 def factor_coefficient(ctx: PrimeContext, f: int, exponent: int,

@@ -30,13 +30,14 @@ from .compositions import (
     enumerate_admissible_two_level,
     flag_count,
     gaussian_binomial,
+    kept_step,
     prefix_sums,
     scaled_weights,
     structure_poly_value,
     weighted_counts,
 )
 from .counting import (factor_coefficient, factor_coefficients,
-                       refuse_chain_expansion)
+                       factor_support, refuse_chain_expansion)
 from .errors import InvariantViolation, TruncationError
 from .fields import PrimeContext, place_count
 
@@ -55,8 +56,11 @@ _MAX_TRUNCATION = 2 ** 15
 # polynomials over Q (dense coefficient tuples, index = power of t)
 #
 # The helpers keep the type of the numbers they are given: int
-# coefficients give int results and a Fraction operand gives Fractions.
-# Only division needs a field, so poly_divmod divides by a Fraction.
+# coefficients give int results and a Fraction operand gives Fractions
+# (a zero term may come out as int 0).  Only division needs a field, so
+# poly_divmod divides by a Fraction.  poly_add and poly_mul walk only the
+# nonzero terms, which _support finds in C: a delta 1 - c u^A has two,
+# and a product with it costs two passes over the other operand's terms.
 # ---------------------------------------------------------------------------
 
 
@@ -69,22 +73,25 @@ def poly_trim(a) -> tuple:
 
 def poly_add(a, b) -> tuple:
     out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
+    for poly in (a, b):
+        for i in _support(poly):
+            out[i] += poly[i]
     return poly_trim(out)
 
 
 def poly_mul(a, b) -> tuple:
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
+    """The product over the nonzero terms only, the sparser operand's in
+    the inner loop."""
+    at, bt = _support(a), _support(b)
+    if not at or not bt:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
+    if len(at) < len(bt):
+        a, b, at, bt = b, a, bt, at
+    terms = [(j, b[j]) for j in bt]
+    out = [0] * (at[-1] + bt[-1] + 1)
+    for i in at:
+        ca = a[i]
+        for j, cb in terms:
             out[i + j] += ca * cb
     return tuple(out)
 
@@ -147,10 +154,44 @@ def _primitive_remainder(a, b) -> list:
     return [x // content for x in a] if content > 1 else a
 
 
+def _gcd_degree_mod(a, b, prime: int) -> int:
+    """The degree of gcd(a mod prime, b mod prime) over F_prime, by
+    Euclid on int lists reduced mod prime; each step makes the divisor
+    monic and cancels the top term (-1 if both vanish mod prime)."""
+    a, b = (list(poly_trim(x % prime for x in c)) for c in (a, b))
+    while b:
+        inv, top = pow(b[-1], -1, prime), len(b) - 1
+        low = [x * inv % prime for x in b[:-1]]
+        while len(a) > top:
+            c = a.pop()
+            if c:
+                shift = len(a) - top
+                a[shift:] = [(x - c * y) % prime for x, y in zip(a[shift:], low)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+# The prime of poly_gcd's certificate, a word-size Mersenne prime.
+_CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
 def poly_gcd(a, b) -> tuple:
     """Monic gcd in Q[t], by the primitive pseudo-remainder sequence over Z
-    on the inputs scaled to integer polynomials."""
+    on the inputs scaled to integer polynomials, after a certificate
+    modulo the prime l = _CERTIFICATE_PRIME (Knuth, TAOCP vol. 2, 4.6.1).
+
+    The primitive gcd g over Z divides a and b in Z[t] (Gauss's lemma),
+    so its leading coefficient divides theirs.  If l does not divide the
+    leading coefficient of one of them, then g mod l keeps its degree and
+    divides both reductions, so a gcd of degree 0 mod l proves g = 1.
+    Only a positive degree mod l runs the remainder sequence."""
     a, b = (_scaled(poly_trim(x))[1] for x in (a, b))
+    prime = _CERTIFICATE_PRIME
+    if ((a and a[-1] % prime or b and b[-1] % prime)
+            and _gcd_degree_mod(a, b, prime) == 0):
+        return (Fraction(1),)
     while b:
         a, b = b, _primitive_remainder(a, b)
     return tuple(Fraction(c, a[-1]) for c in a)
@@ -384,7 +425,7 @@ def delta_exponents(ctx: PrimeContext, j: int):
 # (127, 1, 1), D = 16002, `series local --max 5` took 1.1 s and 44 MB,
 # `asymptotics --local` 1.2 s and 48 MB; at (2, 1, 6), D = 642, they took
 # 0.8 s and 1.0 s at 40 MB, and at (2, 1, 7), D = 1538, `series local`
-# took 1.9 s and 53 MB (Python 3.11, 2-core Xeon VM).  The chains that
+# took 1.5 s and 52 MB (Python 3.11, 2-core Xeon VM).  The chains that
 # expansion lists are capped apart, by counting._MAX_CHAINS.
 _MAX_POLE_DEGREE = 2 ** 14
 
@@ -407,12 +448,17 @@ def delta_polynomial(ctx: PrimeContext, j: int, norm: int) -> tuple:
 def euler_factor_series(ctx: PrimeContext, f: int, norm: int,
                         truncation: int) -> TruncatedSeries:
     """The depth-f Euler factor 1 + sum_n factor_coefficient(n) u^n at a
-    place of the given norm, truncated at the given u-degree."""
+    place of the given norm, truncated at the given u-degree.  Only the
+    exponents of counting.factor_support are summed: they lie on the
+    lattice of compositions.kept_step and have a chain of length at most
+    f.  Every other coefficient is 0 and is written without a call."""
     if not 0 <= f <= ctx.r:
         raise ValueError(f"f = {f} outside [0, r]")
     refuse_chain_expansion(ctx, truncation)
-    return TruncatedSeries._from_ints(
-        [factor_coefficient(ctx, f, m, norm) for m in range(truncation + 1)])
+    coeffs = [0] * (truncation + 1)
+    for m in factor_support(ctx, f, truncation):
+        coeffs[m] = factor_coefficient(ctx, f, m, norm)
+    return TruncatedSeries._from_ints(coeffs)
 
 
 def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
@@ -589,9 +635,12 @@ def global_factor_series(ctx: PrimeContext, f: int,
     Psi_f(q^d, u), of u-degree at most D = sum A_j, at each degree d.
 
     The chains of each exponent up to min(truncation, 2D), shared by all
-    depths, are counted first and refused past counting._MAX_CHAINS, then
-    evaluated at every norm q^d whose factor still reaches that exponent
-    (d * exponent <= truncation).  Psi_f is 1 + O(u^low), low the smaller
+    depths, are counted first and refused past counting._MAX_CHAINS.  Only
+    the exponents of counting.factor_support, on the lattice of
+    compositions.kept_step, are evaluated, at every norm q^d whose factor
+    still reaches that exponent (d * exponent <= truncation); every other
+    coefficient is 0.  Each A_j is on the lattice too, so the delta pass
+    below visits the lattice only.  Psi_f is 1 + O(u^low), low the smaller
     of A_1 and the first exponent whose coefficients are nonzero at some
     norm, so only the degrees d <= truncation // low are built: every
     larger degree has Psi_f = 1 below u^(truncation // d + 1), and its
@@ -617,22 +666,26 @@ def global_factor_series(ctx: PrimeContext, f: int,
     top = min(truncation, 2 * degree_bound)
     refuse_chain_expansion(ctx, top)
     norms = [ctx.q ** d for d in range(1, truncation + 1)]
-    columns = [factor_coefficients(ctx, f, m, norms[:truncation // max(m, 1)])
-               for m in range(top + 1)]
-    low = next((m for m in range(1, top + 1) if any(columns[m])), top + 1)
+    columns = {m: factor_coefficients(ctx, f, m, norms[:truncation // max(m, 1)])
+               for m in factor_support(ctx, f, top)}
+    low = next((m for m, values in columns.items() if m and any(values)), top + 1)
     low = min(low, pairs[0][1])  # A_1, the smallest delta degree
-    in_u = [[] for _ in range(truncation // low)]  # in_u[d - 1]: degree d in u
-    for values in columns:
+    # in_u[d - 1]: degree d in u, out to u^min(top, truncation // d)
+    in_u = [[0] * (min(top, truncation // d) + 1)
+            for d in range(1, truncation // low + 1)]
+    for m, values in columns.items():
         for coeffs, value in zip(in_u, values):
-            coeffs.append(value)
+            coeffs[m] = value
+    step = kept_step(ctx.p)
     zeta = (zeta_shift(ctx, big_a, a).den for a, big_a in pairs
             if big_a <= truncation)  # 1 below t^(truncation + 1) otherwise
     result = RationalSeries((1,), reduce(poly_mul, zeta, (1,))).series(truncation)
     for degree, (norm, coeffs) in enumerate(zip(norms, in_u), start=1):
+        last = (len(coeffs) - 1) // step * step
         for a, big_a in pairs:  # times delta_j, backwards so each read is old
             if big_a < len(coeffs):
                 scale = norm ** a
-                for m in range(len(coeffs) - 1, big_a - 1, -1):
+                for m in range(last, big_a - 1, -step):
                     coeffs[m] -= scale * coeffs[m - big_a]
         tail = [m for m in range(degree_bound + 1, len(coeffs)) if coeffs[m]]
         if tail:
@@ -706,10 +759,15 @@ def local_reduced(ctx: PrimeContext) -> RationalSeries:
     q^(-a_j / A_j), so deltas on distinct circles are pairwise coprime
     (two on one circle raise InvariantViolation), and gcd(num, prod_j
     delta_j) = prod_j gcd(num mod delta_j, delta_j).  num mod delta_j is
-    the Horner fold of rightmost_split, and each gcd is a primitive
-    remainder sequence of degree below A_j.  By Gauss's lemma a factor of
+    the Horner fold of rightmost_split.  By Gauss's lemma a factor of
     delta_j scaled to constant term 1 is integral, so num's ints and den
-    are divided by the product exactly, from the low end (else InvariantViolation)."""
+    are divided by the product exactly, from the low end (else
+    InvariantViolation).
+
+    delta_j's leading coefficient q^(a_j) is prime to poly_gcd's
+    certificate prime, so each gcd of degree 0 modulo that prime is
+    proved 1 by one word-size Euclid, and only the others run the
+    primitive remainder sequence, of degree below A_j, over Z."""
     rational, q = local_rational(ctx), ctx.q
     pairs = [delta_exponents(ctx, j) for j in range(1, ctx.r + 1)]
     for (a, big_a), (b, big_b) in itertools.combinations(pairs, 2):

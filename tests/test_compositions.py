@@ -22,12 +22,14 @@ from ascount.compositions import (
     flag_count,
     free_index_count,
     gaussian_binomial,
+    kept_step,
     leading_term_count,
     mobius_cpk,
     prefix_sums,
     structure_poly_value,
     weighted_counts,
 )
+from ascount.dirichlet import delta_exponents
 from ascount.errors import InvariantViolation
 from ascount.fields import PrimeContext, make_context
 
@@ -82,6 +84,16 @@ def test_flag_count_chains_binomials():
     assert flag_count((1, 1), 2) == 3
     assert flag_count((1, 1, 1), 2) == 21
     assert flag_count((2, 1), 3) == 13
+
+
+def test_flag_count_takes_any_sequence():
+    # memoised per (tuple(omega), p): a list gives the tuple's value, and a
+    # part below 1 is refused on every call
+    assert flag_count([1, 1, 1], 2) == flag_count((1, 1, 1), 2) == 21
+    assert flag_count(iter([2, 1]), 3) == 13
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            flag_count([1, 0], 2)
 
 
 @settings(max_examples=60)
@@ -305,6 +317,27 @@ def test_enumerate_nonvanishing_chains_filters_the_full_list(p):
                     assert full == [], (r, max_len, target)
 
 
+_LATTICE_GRID = [(2, 1, r) for r in range(1, 6)] + [(3, 1, 3), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("pnr", _LATTICE_GRID,
+                         ids=lambda pnr: "".join(map(str, pnr)))
+def test_no_kept_chain_off_the_lattice(pnr):
+    # a chain with no entry 1 mod p has an exponent on the lattice of
+    # kept_step (even at p = 2, a multiple of p - 1 otherwise): out to
+    # twice the pole degree D_r, every other target has no kept chain,
+    # neither in the pruned walk nor in the full list
+    p, _, r = pnr
+    ctx = make_context(*pnr)
+    top = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, r + 1))
+    off = [target for target in range(top + 1) if target % kept_step(p)]
+    assert len(off) == top - top // kept_step(p)
+    for target in off:
+        assert enumerate_chains(target, r, ctx, nonvanishing=True) == [], target
+        assert all(any(x % p == 1 for x in chain)
+                   for chain in enumerate_chains(target, r, ctx)), target
+
+
 def test_chain_term_count_q_equals_p_kill():
     # equal-pair chains die at q = p because the j = 1 slot hits q = p
     assert chain_term_count((2, 2), 2, CTX212) == 0
@@ -339,6 +372,10 @@ def test_admissible_two_level_census():
     for h in range(1, 5):
         # p large enough never cuts anything
         assert len(list(enumerate_admissible_two_level(h, 7))) == 3 ** (h - 1)
+    # built once per (h, p), in the order of enumerate_two_level
+    built = enumerate_admissible_two_level(4, 3)
+    assert enumerate_admissible_two_level(4, 3) is built
+    assert built == tuple(t for t in enumerate_two_level(4) if t.admissible(3))
 
 
 # Reference two-level structure of a chain, by its (k, l) profile; the

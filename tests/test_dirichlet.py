@@ -38,7 +38,7 @@ from ascount.dirichlet import (
 )
 from ascount import dirichlet
 from ascount.asymptotics import holomorphy_radius_check
-from ascount.counting import factor_coefficients
+from ascount.counting import factor_coefficient, factor_coefficients
 from ascount.errors import InvariantViolation, TruncationError
 from ascount.fields import make_context, place_count, places
 
@@ -175,6 +175,8 @@ def _naive_gcd(a, b):
 
 
 _POLYS = st.lists(st.integers(-4, 4), max_size=6).map(poly_trim)
+_SMALL_POLYS = [(), (1,), (2,), (0, 1), (1, 1), (2, 3), (1, 0, -4), (3, 4, 1),
+                (1, 0, 2), poly_mul((1, 2), (1, 0, 3)), poly_mul((1, 5), (3, 1))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,6 +226,51 @@ def test_local_reduced_matches_euclid(pnr):
     got = local_reduced(ctx)
     assert (got.num, got.den) == (want.num, want.den)
     assert len(local_rational(ctx).den) - len(got.den) == (2 if pnr == (2, 2, 2) else 0)
+
+
+@pytest.mark.parametrize("pnr", [(2, 2, 1), (3, 1, 2)],
+                         ids=lambda pnr: "".join(map(str, pnr)))
+def test_local_reduced_falls_back_where_the_certificate_fails(monkeypatch, pnr):
+    # with the certificate prime patched to 3, the first fold vanishes
+    # mod 3 (its content is 6 at (2,2,1) and 3 at (3,1,2)), so its gcd
+    # mod 3 is delta_1 itself at (2,2,1), of positive degree, and at
+    # (3,1,2) delta_1's leading coefficient 3^2 vanishes too; either way
+    # the primitive remainder sequence runs and gives the same reduced form
+    ctx = make_context(*pnr)
+    want = local_reduced(ctx)
+    a, big_a = delta_exponents(ctx, 1)
+    fold = dirichlet._fold(local_rational(ctx).ints, ctx.q ** a, big_a)[0]
+    assert all(c % 3 == 0 for c in fold)
+    honest, calls = dirichlet._primitive_remainder, []
+
+    def counted(a, b):
+        calls.append(len(b))
+        return honest(a, b)
+
+    monkeypatch.setattr(dirichlet, "_primitive_remainder", counted)
+    local_reduced.cache_clear()
+    local_reduced(ctx)
+    assert calls == []  # certified modulo 2^61 - 1 without a sequence
+    monkeypatch.setattr(dirichlet, "_CERTIFICATE_PRIME", 3)
+    local_reduced.cache_clear()
+    got = local_reduced(ctx)
+    assert calls
+    assert (got.ints, got.unit, got.den) == (want.ints, want.unit, want.den)
+
+
+def test_poly_gcd_certificate_needs_a_unit_leading_coefficient(monkeypatch):
+    # g = 1 + 3u is a common factor of a = g (1 + u) and b = g (2 + u),
+    # but g = 1 mod 3, where a and b are coprime: with both leading
+    # coefficients 0 mod 3, degree 0 mod 3 proves nothing
+    a, b = poly_mul((1, 3), (1, 1)), poly_mul((1, 3), (2, 1))
+    monkeypatch.setattr(dirichlet, "_CERTIFICATE_PRIME", 3)
+    assert dirichlet._gcd_degree_mod(a, b, 3) == 0
+    assert poly_gcd(a, b) == (Fraction(1, 3), 1) == _naive_gcd(a, b)
+    # a unit leading coefficient: degree 0 mod the prime is a proof
+    for prime in (2, 3, 5, 7):
+        monkeypatch.setattr(dirichlet, "_CERTIFICATE_PRIME", prime)
+        for x, y in itertools.product(_SMALL_POLYS, repeat=2):
+            assert poly_gcd(x, y) == _naive_gcd(x, y), (prime, x, y)
 
 
 def test_local_reduced_refuses_deltas_on_one_circle(monkeypatch):
@@ -304,6 +351,58 @@ def test_psi_trailing_zero_window():
             coeffs = window.coefficients()
             assert coeffs[:len(psi)] == psi
             assert all(c == 0 for c in coeffs[len(psi):])
+
+
+@pytest.mark.parametrize("pnr", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 1, 3),
+                                 (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2)],
+                         ids=lambda pnr: "".join(map(str, pnr)))
+def test_euler_factor_series_matches_the_sum_over_every_exponent(pnr):
+    # euler_factor_series sums only the exponents of factor_support; the
+    # plain sum over every exponent, with no skip, must give the same
+    # series at every depth and at norms p, p^2, p^3, out to twice D_r
+    ctx = make_context(*pnr)
+    top = 2 * sum(delta_exponents(ctx, j)[1] for j in range(1, ctx.r + 1))
+    for f in range(ctx.r + 1):
+        for norm in (ctx.p, ctx.p ** 2, ctx.p ** 3):
+            want = tuple(factor_coefficient(ctx, f, m, norm)
+                         for m in range(top + 1))
+            assert euler_factor_series(ctx, f, norm, top).nums == want, (f, norm)
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def _dense_add(a, b):
+    return poly_trim(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+_MIXED_POLYS = st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                                  st.fractions(min_value=-9, max_value=9,
+                                               max_denominator=12)),
+                        max_size=12).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED_POLYS, _MIXED_POLYS)
+@example((), ())
+@example((), (1, 2))
+@example((0, 0), (3,))
+@example((1,) + (0,) * 6 + (-49,), (1, 0, 0, -7))
+@example((Fraction(1, 2), 0, 0), (0, 0, Fraction(-2, 3), 0))
+def test_sparse_kernels_match_dense_reference(a, b):
+    # poly_mul and poly_add walk only the nonzero terms: the same values as
+    # the dense sums, zero entries and empty operands included, and int
+    # operands still give ints
+    for x, y in ((a, b), (b, a)):
+        assert poly_mul(x, y) == _dense_mul(x, y)
+        assert poly_add(x, y) == _dense_add(x, y)
+    if all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in poly_mul(a, b) + poly_add(a, b))
 
 
 def test_euler_factor_norm_four_anchor():
@@ -705,13 +804,14 @@ def test_global_factor_series_matches_per_degree_reference(case):
 
 
 def test_global_factor_series_rejects_a_non_polynomial_numerator(monkeypatch):
-    # (2,1,2) f = 2: sum(A_j) = 10, so exponent 15 lies in the checked
-    # window (10, 20]; one coefficient off by one at norm 2 must be caught
+    # (2,1,2) f = 2: sum(A_j) = 10, so exponent 16 lies in the checked
+    # window (10, 20] and on the lattice of even exponents that is summed;
+    # one coefficient off by one at norm 2 must be caught
     honest = dirichlet.factor_coefficients
 
     def perturbed(ctx, f, exponent, norms):
         values = honest(ctx, f, exponent, norms)
-        if exponent == 15:
+        if exponent == 16:
             values[0] += 1
         return values
 
