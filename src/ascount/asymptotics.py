@@ -36,7 +36,6 @@ from .compositions import chain_weights, compositions, prefix_sums
 from .dirichlet import (
     RationalSeries,
     TruncatedSeries,
-    _scaled,
     delta_exponents,
     global_dirichlet,
     lambda_inverse,
@@ -151,7 +150,7 @@ def local_pole_catalog(ctx: PrimeContext) -> tuple:
     for upper, lower in zip(lines, lines[1:]):
         if not upper.real_part > lower.real_part:
             raise InvariantViolation("local pole lines out of order")
-    if not any(rightmost_split(ctx)[1]):
+    if not any(rightmost_split(ctx)[1][0]):
         raise InvariantViolation("rightmost local pole cancelled by the "
                                  "numerator")
     return tuple(lines)
@@ -234,10 +233,9 @@ def _sample_cap(ctx: PrimeContext) -> int:
     shift, period = delta_exponents(ctx, ctx.r)
     need = 60
     if ctx.r > 1:
-        gap = (Fraction(shift, period)
-               - Fraction(*delta_exponents(ctx, ctx.r - 1)))
-        need = max(need, math.ceil(4 * math.log(10)
-                                   / (float(gap) * math.log(ctx.q))))
+        a, big_a = delta_exponents(ctx, ctx.r - 1)
+        gap = (shift * big_a - a * period) / (period * big_a)
+        need = max(need, math.ceil(4 * math.log(10) / (gap * math.log(ctx.q))))
     return period * math.ceil(need / period)
 
 
@@ -262,33 +260,31 @@ def local_leading_constants(ctx: PrimeContext,
     """Leading constants of the local count per residue class mod p(p^r-1).
 
     With A = p(p^r - 1), a = r(p-1), c = q^a and the exact split
-    num/den = R/delta_r + S/D' of dirichlet.rightmost_split, the count at
-    m = Ai + k is c_m = R_k c^i + [S/D']_m, so it behaves like
+    num/den = R/delta_r + S/D', R = H/h, of dirichlet.rightmost_split, the
+    count at m = Ai + k is c_m = R_k c^i + [S/D']_m, so it behaves like
     constant(k) * q^(m a/A), constant(k) = R_k q^(-a k/A): the one float,
-    rounded from a _PRECISION-bit value.  A class is zero exactly when R_k
-    is.
+    rounded from a _PRECISION-bit value; a class is zero exactly when R_k is.
 
     Validation is exact and runs on ints: the counts c_m are the ints of
-    rational.series(m_max), R = H/h over one denominator, and T = t S is
-    the int series of S's ints over D', t the unit of S (D' has constant
-    term 1).  Checked are R_k >= 0, not all zero; the identity t (h c_m -
-    H_k c^i) = h T_m for every m <= m_max; zero coefficients on zero
-    classes; on the others, the relative errors
-    |h c_m - H_k c^i| / (h c_m) over the positive suffix of the last ten
-    samples (reported as floats) end below tolerance and do not grow.
-    m_max starts at max(_sample_cap(ctx), 2A) and grows by up to four
-    periods while a nonzero class has no positive sample or misses the
-    tolerance; the counts are expanded again to each new m_max.
-    """
-    rational, head, rest = rightmost_split(ctx)  # refuses a pole degree past the cap
+    rational.series(m_max), and T = t S is the int series of S's ints
+    over D', t the unit of S (D' has constant term 1).  Checked are
+    R_k >= 0, not all zero; the identity t (h c_m - H_k c^i) = h T_m for
+    every m <= m_max; zero coefficients on zero classes; on the others,
+    the relative errors |h c_m - H_k c^i| / (h c_m) over the positive
+    suffix of the last ten samples end below tolerance and do not grow,
+    compared as int pairs by cross-multiplication.  m_max starts at
+    max(_sample_cap(ctx), 2A) and grows by up to four periods while a
+    nonzero class has no positive sample or misses the tolerance; the
+    counts are expanded again to each new m_max."""
+    rational, (head, hden), rest = rightmost_split(ctx)  # refuses a pole degree past the cap
     shift, period = delta_exponents(ctx, ctx.r)
     c = ctx.q ** shift
     m_max = max(_sample_cap(ctx), 2 * period)
     nonzero = [cls for cls in range(period) if head[cls]]
     if not nonzero or min(head) < 0:
         raise InvariantViolation(f"leading constants all zero or negative: "
-                                 f"smallest R_k = {min(head)}")
-    hden, scaled_head = _scaled(head)
+                                 f"smallest R_k = {Fraction(min(head), hden)}")
+    tol_num, tol_den = tolerance.as_integer_ratio()
     counts = rational.series(m_max).nums
 
     def trail(cls: int) -> list:
@@ -300,13 +296,14 @@ def local_leading_constants(ctx: PrimeContext,
         if any(counts[m] <= 0 for m in window):
             raise InvariantViolation(f"class {cls} expected positive "
                                      f"coefficients at m = {window}")
-        main = scaled_head[cls]
-        return [(m, Fraction(abs(hden * counts[m] - main * c ** (m // period)),
-                             hden * counts[m]))
-                for m in window]
+        return [(m, abs(hden * counts[m] - head[cls] * c ** (m // period)),
+                 hden * counts[m]) for m in window]
+
+    def below(sample) -> bool:  # its relative error under the tolerance
+        return sample[1] * tol_den < tol_num * sample[2]
 
     for _ in range(4):
-        if all(t and t[-1][1] < tolerance for t in map(trail, nonzero)):
+        if all(t and below(t[-1]) for t in map(trail, nonzero)):
             break
         m_max += period
         counts = rational.series(m_max).nums
@@ -316,24 +313,25 @@ def local_leading_constants(ctx: PrimeContext,
         k = m % period
         if m and not k:
             power *= c
-        if rest.unit * (hden * count - scaled_head[k] * power) != hden * tail:
+        if rest.unit * (hden * count - head[k] * power) != hden * tail:
             raise InvariantViolation(
                 f"partial fractions disagree with the series at m = {m}")
-        if m and count and not scaled_head[k]:
+        if m and count and not head[k]:
             raise InvariantViolation(f"class {k} has vanishing constant but "
                                      f"nonzero coefficient at m = {m}")
     constants, errors = dict.fromkeys(range(period), 0.0), {}
     for cls in nonzero:
         samples = trail(cls)
-        errors[cls] = tuple((m, float(err)) for m, err in samples)
-        if not samples or samples[-1][1] >= tolerance \
-                or samples[-1][1] > samples[0][1]:
+        errors[cls] = tuple((m, err / size) for m, err, size in samples)
+        if not samples or not below(samples[-1]) \
+                or samples[-1][1] * samples[0][2] > samples[0][1] * samples[-1][2]:
             raise InvariantViolation(
                 f"class {cls} fails validation up to m = {m_max}: relative "
                 f"errors {errors[cls]} must end below {tolerance} and not grow")
+        common = math.gcd(head[cls], hden)  # R_k in lowest terms
         with mpmath.workprec(_PRECISION):
             constants[cls] = float(
-                mpmath.mpf(head[cls].numerator) / head[cls].denominator
+                mpmath.mpf(head[cls] // common) / (hden // common)
                 * mpmath.power(ctx.q, -mpmath.mpf(shift * cls) / period))
     return LocalConstants(period, constants, errors, m_max)
 

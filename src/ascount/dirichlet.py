@@ -11,11 +11,10 @@ polynomials have int coefficients, and the counting series are weighted
 over depths by compositions.weighted_counts, in ints, so a truncated
 series holds ints only.  A rational series holds its numerator (the
 local one carries the Delsarte weights) as ints over one int unit, and
-the local stages hand those ints on; Fractions are made only where a
-value leaves the library: RationalSeries.num, its recurrence weights and
-coefficients, and the R of the rightmost split.  Floating point is
-banned from this module; the asymptotics layer is the only consumer of
-floats.
+the local stages (the gcd, the R of the rightmost split) stay in ints.
+Only RationalSeries.num, its recurrence weights and coefficients, where
+values leave the library, are Fractions; floats are banned from this
+module, and the asymptotics layer is their only consumer.
 """
 
 import itertools
@@ -178,9 +177,10 @@ _CERTIFICATE_PRIME = 2 ** 61 - 1
 
 
 def poly_gcd(a, b) -> tuple:
-    """Monic gcd in Q[t], by the primitive pseudo-remainder sequence over Z
-    on the inputs scaled to integer polynomials, after a certificate
-    modulo the prime l = _CERTIFICATE_PRIME (Knuth, TAOCP vol. 2, 4.6.1).
+    """The primitive gcd over Z, leading coefficient positive ((1,) if
+    coprime, () for two zeros), of the inputs scaled to integer
+    polynomials, by the primitive pseudo-remainder sequence (Knuth, TAOCP
+    vol. 2, 4.6.1) after a certificate modulo l = _CERTIFICATE_PRIME.
 
     The primitive gcd g over Z divides a and b in Z[t] (Gauss's lemma),
     so its leading coefficient divides theirs.  If l does not divide the
@@ -191,10 +191,21 @@ def poly_gcd(a, b) -> tuple:
     prime = _CERTIFICATE_PRIME
     if ((a and a[-1] % prime or b and b[-1] % prime)
             and _gcd_degree_mod(a, b, prime) == 0):
-        return (Fraction(1),)
+        return (1,)
     while b:
         a, b = b, _primitive_remainder(a, b)
-    return tuple(Fraction(c, a[-1]) for c in a)
+    content = gcd(*a) * (1 if a and a[-1] > 0 else -1)  # 0 for two zeros
+    return tuple(c // content for c in a)
+
+
+def _low_division(poly, divisor) -> tuple:
+    """(quotient, excess) of poly by divisor from the low end, divisor[0] = 1."""
+    poly, terms = list(poly), [(i, divisor[i]) for i in _support(divisor)[1:]]
+    size = max(len(poly) - len(divisor) + 1, 0)
+    for k in range(size):
+        for i, g in terms:
+            poly[k + i] -= g * poly[k]
+    return poly[:size], poly[size:]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +372,8 @@ class RationalSeries:
     def num(self) -> tuple:
         return tuple(Fraction(x, self.unit) for x in self.ints)
 
-    def coefficient(self, m: int) -> Fraction:
+    def _expanded(self, m: int) -> tuple:
+        """(b, d) with the ints b expanded through b_m."""
         if m < 0:
             raise ValueError("negative degree")
         if m > _MAX_TRUNCATION:
@@ -374,11 +386,14 @@ class RationalSeries:
                     break
                 acc -= w * b[k - j]
             b.append(acc)
+        return b, d
+
+    def coefficient(self, m: int) -> Fraction:
+        b, d = self._expanded(m)
         return Fraction(b[m], self.unit * d ** (m + 1))
 
     def series(self, truncation: int) -> TruncatedSeries:
-        self.coefficient(truncation)  # expands b through b_truncation
-        _, d, _, b = self._recurrence
+        b, d = self._expanded(truncation)
         out, scale = [], self.unit * d  # scale = N d^(m+1)
         for m in range(truncation + 1):
             c, rem = divmod(b[m], scale)
@@ -752,22 +767,19 @@ def _fold(ints, c: int, period: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def local_reduced(ctx: PrimeContext) -> RationalSeries:
-    """local_rational(ctx).reduced(), by one gcd per delta; built once per
-    context.
+    """local_rational(ctx).reduced() by one gcd per delta, built once.
 
     The roots of delta_j = 1 - q^(a_j) u^(A_j) lie on the circle |u| =
     q^(-a_j / A_j), so deltas on distinct circles are pairwise coprime
     (two on one circle raise InvariantViolation), and gcd(num, prod_j
-    delta_j) = prod_j gcd(num mod delta_j, delta_j).  num mod delta_j is
-    the Horner fold of rightmost_split.  By Gauss's lemma a factor of
-    delta_j scaled to constant term 1 is integral, so num's ints and den
-    are divided by the product exactly, from the low end (else
-    InvariantViolation).
+    delta_j) = prod_j gcd(num mod delta_j, delta_j), num mod delta_j by
+    _fold.  By Gauss's lemma each primitive gcd has constant term +-1, so
+    num's ints and den are divided by their product exactly, from the low
+    end (else InvariantViolation).
 
     delta_j's leading coefficient q^(a_j) is prime to poly_gcd's
-    certificate prime, so each gcd of degree 0 modulo that prime is
-    proved 1 by one word-size Euclid, and only the others run the
-    primitive remainder sequence, of degree below A_j, over Z."""
+    certificate prime, so a gcd of degree 0 modulo it is proved 1 by one
+    word-size Euclid; only the others run the remainder sequence over Z."""
     rational, q = local_rational(ctx), ctx.q
     pairs = [delta_exponents(ctx, j) for j in range(1, ctx.r + 1)]
     for (a, big_a), (b, big_b) in itertools.combinations(pairs, 2):
@@ -778,50 +790,40 @@ def local_reduced(ctx: PrimeContext) -> RationalSeries:
     for j, (a, big_a) in enumerate(pairs, start=1):
         fold = _fold(rational.ints, q ** a, big_a)[0]
         factor = poly_gcd(fold, delta_polynomial(ctx, j, q))
-        common = poly_mul(common, poly_scale(factor, 1 / factor[0]))
-    if any(c.denominator != 1 for c in common):
-        raise InvariantViolation(f"the gcd at {ctx} is not integral: {common}")
-    terms = [(i, common[i].numerator) for i in _support(common)[1:]]
-    reduced = []
-    for poly in (list(rational.ints), list(rational.den)):
-        size = max(len(poly) - len(common) + 1, 0)
-        for k in range(size):  # quotient coefficient k, common[0] = 1
-            for i, g in terms:
-                poly[k + i] -= g * poly[k]
-        if any(poly[size:]):
-            raise InvariantViolation(f"the gcd at {ctx} leaves a remainder")
-        reduced.append(poly[:size])
-    return RationalSeries(*reduced, rational.unit)
+        if factor[0] not in (1, -1):
+            raise InvariantViolation(f"the gcd at {ctx} is not integral: "
+                                     f"{factor} over its constant term")
+        common = poly_mul(common, poly_scale(factor, factor[0]))
+    (num, num_excess), (den, den_excess) = (
+        _low_division(poly, common) for poly in (rational.ints, rational.den))
+    if any(num_excess) or any(den_excess):
+        raise InvariantViolation(f"the gcd at {ctx} leaves a remainder")
+    return RationalSeries(num, den, rational.unit)
 
 
 @lru_cache(maxsize=None)
 def rightmost_split(ctx: PrimeContext) -> tuple:
-    """(num/den, R, S/D') with num/den = local_rational(ctx) = R/delta_r +
-    S/D', where D' = prod_{j<r} delta_j and R is given by its A = A_r
-    coefficients; built once per context.
+    """(num/den, (H, h), S/D') with num/den = local_rational(ctx) =
+    R/delta_r + S/D', where D' = prod_{j<r} delta_j and R = H/h: the A =
+    A_r ints H over one int h > 0, gcd(h, *H) = 1; built once per context.
 
-    Modulo delta_r = 1 - c u^A, u^(Ai+k) folds to c^(-i) u^k, and
-    delta_j = 1 - x, x = q^(a_j) u^(A_j), has the inverse
-    (1 + x + ... + x^(L-1)) / (1 - lambda_j) for L = A / gcd(A_j, A),
-    x^L folding to the rational lambda_j.  lambda_j = 1 (delta_j vanishing
-    on the rightmost circle) and a remainder in (num - R D') / delta_r
-    raise InvariantViolation.
+    Modulo delta_r = 1 - c u^A, delta_j = 1 - x, x = q^(a_j) u^(A_j), has
+    the inverse (1 + x + ... + x^(L-1)) / (1 - lambda_j) for L = A /
+    gcd(A_j, A), x^L folding to the rational lambda_j.  lambda_j = 1
+    (delta_j vanishing on the rightmost circle) and a remainder in
+    (num - R D') / delta_r raise InvariantViolation.
 
-    The folds run on ints H over one common denominator h.  The
-    numerator, ints N over U, folds by Horner in c: H_k = sum_i N_(Ai+k)
-    c^(top-i) over h = U c^top, top the largest i.  For delta_j, with
-    lambda_j = l_num / l_den, the term x^t u^k = q^(a_j t) u^(Ai+k')
-    adds H_k q^(a_j t) c^(top_j-i) to the new H_k', top_j the largest
-    such i; then H is multiplied by l_den and h by c^top_j (l_den -
-    l_num), in place of dividing by 1 - lambda_j.  num - R D' and its
-    quotient by delta_r, S, stay over the unit h; R is made Fractions H/h.
-    """
+    The numerator, ints N over U, folds by _fold to H over h = U c^top.
+    For delta_j, with lambda_j = l_num / l_den, the term x^t u^k =
+    q^(a_j t) u^(Ai+k') adds H_k q^(a_j t) c^(top_j-i) to the new H_k',
+    top_j the largest such i; then H is multiplied by l_den and h by
+    c^top_j (l_den - l_num), in place of dividing by 1 - lambda_j.
+    num - R D' and its quotient by delta_r, S, stay over the unit h."""
     rational, q = local_rational(ctx), ctx.q
     shift, period = delta_exponents(ctx, ctx.r)
     c = q ** shift
-    unit, num = rational.unit, rational.ints
-    head, top = _fold(num, c, period)
-    hden, rest_den = unit * c ** top, (1,)
+    head, top = _fold(rational.ints, c, period)
+    hden, rest_den = rational.unit * c ** top, (1,)
     for j in range(1, ctx.r):
         a, big_a = delta_exponents(ctx, j)
         cycle = period // gcd(big_a, period)
@@ -841,15 +843,15 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
         head = [h * lam_den for h in out]
         hden *= c ** top * (lam_den - lam_num)
         rest_den = poly_mul(rest_den, delta_polynomial(ctx, j, q))
-    # the expansion of (num - R D') / delta_r must terminate
-    rest = list(poly_add([x * (hden // unit) for x in num],
-                         poly_scale(poly_mul(rest_den, head), -1)))
-    for m in range(period, len(rest)):
-        rest[m] += c * rest[m - period]
-    if any(rest[-period:]):
+    rest, excess = _low_division(
+        poly_add([x * (hden // rational.unit) for x in rational.ints],
+                 poly_scale(poly_mul(rest_den, head), -1)),
+        delta_polynomial(ctx, ctx.r, q))
+    if any(excess):
         raise InvariantViolation("delta_r does not divide num - R D'")
-    return (rational, tuple(Fraction(h, hden) for h in head),
-            RationalSeries(rest[:-period], rest_den, hden))
+    common = gcd(hden, *head) * (1 if hden > 0 else -1)
+    return (rational, (tuple(h // common for h in head), hden // common),
+            RationalSeries(rest, rest_den, hden))
 
 
 def local_direct_series(ctx: PrimeContext, truncation: int) -> TruncatedSeries:

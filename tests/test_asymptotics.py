@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ascount.asymptotics import (
     holomorphy_radius_check,
@@ -28,7 +30,7 @@ from ascount.asymptotics import (
     value_bounds_at_real_root,
     verify_inequalities,
 )
-from ascount import asymptotics
+from ascount import asymptotics, dirichlet
 from ascount.compositions import chain_weights, compositions, prefix_sums
 from ascount.dirichlet import (
     RationalSeries,
@@ -279,7 +281,8 @@ def test_local_constants_precision_has_headroom():
     for p, n, r in ((7, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2)):
         ctx = make_context(p, n, r)
         a, period = r * (p - 1), p * (p ** r - 1)
-        head = rightmost_split(ctx)[1]
+        ints, den = rightmost_split(ctx)[1]
+        head = [Fraction(x, den) for x in ints]
         got = local_leading_constants(ctx)
         assert got.modulus == period == len(head)
         with mpmath.workprec(240):
@@ -291,11 +294,10 @@ def test_local_constants_precision_has_headroom():
 
 
 def _raised_head(split):
-    # one nonzero R_k raised by 1/h, h the common denominator of R
-    rational, head, rest = split
+    # one nonzero R_k = H_k / h raised by 1/h, h the common denominator of R
+    rational, (head, den), rest = split
     k = next(k for k, value in enumerate(head) if value)
-    step = Fraction(1, math.lcm(*(value.denominator for value in head)))
-    return rational, head[:k] + (head[k] + step,) + head[k + 1:], rest
+    return rational, (head[:k] + (head[k] + 1,) + head[k + 1:], den), rest
 
 
 def _changed_rest(split):
@@ -317,6 +319,44 @@ def test_local_constants_reject_a_split_off_by_one_unit(monkeypatch, change):
     with pytest.raises(InvariantViolation,
                        match="partial fractions disagree"):
         local_leading_constants(ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 200), st.integers(1, 2 ** 200),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(1, 100, 0.01)      # the float 0.01 lies just above 1/100
+@example(3, 7, 3 / 7)
+def test_relative_error_gate_matches_the_fraction(err, size, tolerance):
+    # local_leading_constants holds a relative error as the int pair
+    # (err, size): the cross-multiplied gate and the reported float are
+    # what the Fraction err/size gives
+    tol_num, tol_den = tolerance.as_integer_ratio()
+    assert (err * tol_den < tol_num * size) == (Fraction(err, size) < tolerance)
+    assert err / size == float(Fraction(err, size))
+
+
+@pytest.mark.parametrize("pnr", [(3, 1, 3), (2, 2, 2)],
+                         ids=lambda pnr: "".join(map(str, pnr)))
+def test_local_stages_make_no_fraction(monkeypatch, pnr):
+    # once local_rational is built, the split, the reduced form and the
+    # constants run on ints; at (2,2,2) the gcd has degree 2
+    ctx = make_context(*pnr)
+    dirichlet.local_rational(ctx)
+    dirichlet.rightmost_split.cache_clear()
+    dirichlet.local_reduced.cache_clear()
+    made, honest = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return honest(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    Fraction(1, 2)  # the patch counts
+    dirichlet.rightmost_split(ctx)
+    dirichlet.local_reduced(ctx)
+    local_leading_constants(ctx)
+    monkeypatch.undo()
+    assert made == [(1, 2)]
 
 
 def test_local_report_at_p_127():

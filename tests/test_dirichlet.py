@@ -171,7 +171,11 @@ def _naive_gcd(a, b):
     a, b = poly_trim(a), poly_trim(b)
     while b:
         a, b = b, poly_divmod(a, b)[1]
-    return tuple(Fraction(c) / a[-1] for c in a) if a else ()
+    return _monic(a)
+
+
+def _monic(poly) -> tuple:
+    return tuple(Fraction(c) / poly[-1] for c in poly) if poly else ()
 
 
 _POLYS = st.lists(st.integers(-4, 4), max_size=6).map(poly_trim)
@@ -187,14 +191,30 @@ def test_poly_gcd_matches_fraction_euclid(g, x, y, scale):
     a = poly_scale(poly_mul(g, x), scale)
     b = poly_mul(g, y)
     gcd = poly_gcd(a, b)
-    assert gcd == _naive_gcd(a, b)
+    assert _monic(gcd) == _naive_gcd(a, b)
     if gcd:
-        assert gcd[-1] == 1
         assert all(not poly_divmod(p, gcd)[1] for p in (a, b))
         cofactors = [poly_divmod(p, gcd)[0] for p in (a, b)]
         assert len(_naive_gcd(*cofactors)) <= 1     # 1, or () for 0 and 0
     else:
         assert not a and not b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLYS, _POLYS, _POLYS, st.sampled_from((1, -2, Fraction(-3, 5))))
+@example((0, -2), (1,), (3,), 1)                    # gcd u of -2u and -6u
+@example((), (1, 1), (), 1)                         # zero inputs
+def test_poly_gcd_is_primitive_with_a_positive_lead(g, x, y, scale):
+    # ints with content 1 and a positive leading coefficient, the monic
+    # Euclidean gcd up to a rational factor, and () for two zeros
+    a, b = poly_scale(poly_mul(g, x), scale), poly_mul(g, y)
+    gcd = poly_gcd(a, b)
+    if not a and not b:
+        assert gcd == ()
+        return
+    assert {type(c) for c in gcd} == {int}
+    assert math.gcd(*gcd) == 1 and gcd[-1] > 0
+    assert _monic(gcd) == _naive_gcd(a, b)
 
 
 def test_local_rational_gcd_frozen():
@@ -206,7 +226,7 @@ def test_local_rational_gcd_frozen():
     assert sum(1 for c in red.den if c) == 8
     # (2,2,2): a degree-2 gcd, 1 + 2u^2 up to scale
     rat = local_rational(CTX222)
-    assert poly_gcd(rat.num, rat.den) == (Fraction(1, 2), 0, 1)
+    assert poly_gcd(rat.num, rat.den) == (1, 0, 2)
     red = rat.reduced()
     assert len(red.den) == len(rat.den) - 2 and red.den[0] == 1
     assert red.series(60) == rat.series(60)
@@ -265,12 +285,13 @@ def test_poly_gcd_certificate_needs_a_unit_leading_coefficient(monkeypatch):
     a, b = poly_mul((1, 3), (1, 1)), poly_mul((1, 3), (2, 1))
     monkeypatch.setattr(dirichlet, "_CERTIFICATE_PRIME", 3)
     assert dirichlet._gcd_degree_mod(a, b, 3) == 0
-    assert poly_gcd(a, b) == (Fraction(1, 3), 1) == _naive_gcd(a, b)
+    assert poly_gcd(a, b) == (1, 3)
+    assert _monic((1, 3)) == _naive_gcd(a, b)
     # a unit leading coefficient: degree 0 mod the prime is a proof
     for prime in (2, 3, 5, 7):
         monkeypatch.setattr(dirichlet, "_CERTIFICATE_PRIME", prime)
         for x, y in itertools.product(_SMALL_POLYS, repeat=2):
-            assert poly_gcd(x, y) == _naive_gcd(x, y), (prime, x, y)
+            assert _monic(poly_gcd(x, y)) == _naive_gcd(x, y), (prime, x, y)
 
 
 def test_local_reduced_refuses_deltas_on_one_circle(monkeypatch):
@@ -290,8 +311,7 @@ def test_local_reduced_refuses_a_wrong_gcd(monkeypatch, gcd, message):
     # lemma), and 1 + u divides neither num nor den at (2,1,2)
     ctx = make_context(2, 1, 2)
     local_rational(ctx)
-    monkeypatch.setattr(dirichlet, "poly_gcd",
-                        lambda a, b: tuple(Fraction(c, gcd[-1]) for c in gcd))
+    monkeypatch.setattr(dirichlet, "poly_gcd", lambda a, b: gcd)
     local_reduced.cache_clear()
     with pytest.raises(InvariantViolation, match=message):
         local_reduced(ctx)
@@ -931,12 +951,22 @@ def test_serialization_roundtrip():
 # ---------------------------------------------------------------------------
 
 
+def _r_values(head) -> tuple:
+    """R_k = H_k / h from the split's (H, h), which must be ints over one
+    positive denominator in lowest terms."""
+    ints, den = head
+    assert {type(x) for x in (*ints, den)} == {int}
+    assert den > 0 and math.gcd(den, *ints) == 1
+    return tuple(Fraction(x, den) for x in ints)
+
+
 def test_rightmost_split_frozen():
     _, head, rest = rightmost_split(make_context(2, 1, 2))
-    assert head == (Fraction(1, 2), 0, 1, 0, 2, 0)
+    assert head == ((1, 0, 2, 0, 4, 0), 2)
+    assert _r_values(head) == (Fraction(1, 2), 0, 1, 0, 2, 0)
     assert rest.den == delta_polynomial(make_context(2, 1, 2), 1, 2)
     # class 8 has its first nonzero coefficient only at m = 248
-    _, head, _ = rightmost_split(make_context(5, 1, 2))
+    head = _r_values(rightmost_split(make_context(5, 1, 2))[1])
     assert len(head) == 120 and head[8] == Fraction(12621, 978127504)
 
 
@@ -947,6 +977,7 @@ def test_rightmost_split_identity(spec):
     the series summed term by term."""
     ctx = make_context(*spec)
     _, head, rest = rightmost_split(ctx)
+    head = _r_values(head)
     shift, period = delta_exponents(ctx, ctx.r)
     assert len(head) == period and min(head) >= 0
     direct = local_direct_series(ctx, 3 * period)
@@ -993,7 +1024,7 @@ def test_rightmost_split_matches_fraction_fold(spec):
     ctx = make_context(*spec)
     rational, head, rest = rightmost_split(ctx)
     expected = _fraction_split(ctx)
-    got = (rational.num, rational.den, head, rest.num, rest.den)
+    got = (rational.num, rational.den, _r_values(head), rest.num, rest.den)
     want = (expected[0].num, expected[0].den, expected[1], expected[2].num,
             expected[2].den)
     assert got == want
@@ -1011,9 +1042,10 @@ def _types(*polys) -> set:
 
 
 def test_no_float_leaves_dirichlet():
-    """Delta factors, both Euler numerators and the zeta-factor polynomial
-    keep int coefficients; what the Delsarte weights reach is int or
-    Fraction, never float, and so is every division the module makes."""
+    """Delta factors, both Euler numerators, the zeta-factor polynomial
+    and the split's R = H/h keep int coefficients; what the Delsarte
+    weights reach is int or Fraction, never float, and so is every
+    division the module makes."""
     from ascount.cli import _PSI_GRID
     for p, r_max in _PSI_GRID:
         for r in range(1, r_max + 1):
@@ -1024,11 +1056,12 @@ def test_no_float_leaves_dirichlet():
                     ints += [delta_polynomial(ctx, f, norm),
                              psi_polynomial(ctx, f, norm),
                              psi_closed_form(ctx, f, norm)]
+            _, (head, hden), rest = rightmost_split(ctx)
+            ints += [head, (hden,)]
             assert _types(*ints) == {int}, ctx
             rational = local_rational(ctx)
             reduced = rational.reduced()
-            _, head, rest = rightmost_split(ctx)
             assert _types(rational.num, rational.den, reduced.num,
-                          reduced.den, rational.recurrence(), head,
+                          reduced.den, rational.recurrence(),
                           rest.num, rest.den) <= {int, Fraction}, ctx
     assert _types(*poly_divmod((1, 0, 1), (1, 2))) <= {int, Fraction}
