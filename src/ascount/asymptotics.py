@@ -39,8 +39,6 @@ from .dirichlet import (
     delta_exponents,
     global_dirichlet,
     lambda_inverse,
-    poly_divmod,
-    poly_trim,
     psi_polynomial,
     rightmost_split,
     zeta_factors,
@@ -177,7 +175,9 @@ def value_bounds_at_real_root(poly, power, index: int):
     x**index = power, for power in (0, 1].
 
     Bisects until the bounds exclude 0, so the sign is certified.  Returns
-    (0, 0) when poly is an exact polynomial multiple of x**index - power.
+    (0, 0) when poly is an exact polynomial multiple of x**index - power:
+    its remainder, c_i power^(i // index) summed into slot i mod index,
+    vanishes.
     Raises InvariantViolation when the bisection budget is exhausted,
     which happens only if the value is zero without the divisibility
     witness or absurdly close to it.
@@ -187,8 +187,10 @@ def value_bounds_at_real_root(poly, power, index: int):
         raise ValueError("power must lie in (0, 1]")
     if index < 1:
         raise ValueError("index must be positive")
-    modulus = (-power,) + (ZERO,) * (index - 1) + (Fraction(1),)
-    if not poly_trim(poly_divmod(poly, modulus)[1]):
+    remainder = [ZERO] * index
+    for i, c in enumerate(poly):
+        remainder[i % index] += c * power ** (i // index)
+    if not any(remainder):
         return ZERO, ZERO
     lo, hi = ZERO, Fraction(1)
     for _ in range(_BISECTION_STEPS):

@@ -9,12 +9,13 @@ numerator Psi_f powered to the number of places.  Integer data stays
 int: the delta factors, both Euler numerators Psi_f and the zeta-factor
 polynomials have int coefficients, and the counting series are weighted
 over depths by compositions.weighted_counts, in ints, so a truncated
-series holds ints only.  A rational series holds its numerator (the
-local one carries the Delsarte weights) as ints over one int unit, and
-the local stages (the gcd, the R of the rightmost split) stay in ints.
-Only RationalSeries.num, its recurrence weights and coefficients, where
-values leave the library, are Fractions; floats are banned from this
-module, and the asymptotics layer is their only consumer.
+series holds ints only.  The polynomial and rational-series layer takes
+ints only: a rational series holds its numerator (the local one carries
+the Delsarte weights) as ints over one int unit, and the local stages
+(the gcd, the reduced form, the R of the rightmost split) stay in ints.
+Fractions are made only where values leave the library, in
+RationalSeries.num, coefficient and recurrence; floats are banned from
+this module, and the asymptotics layer is their only consumer.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from .compositions import (
 from .counting import (factor_coefficient, factor_coefficients,
                        factor_support, refuse_chain_expansion)
 from .errors import InvariantViolation, TruncationError
-from .fields import PrimeContext, place_count
+from .fields import PrimeContext, place_count, ptrim
 
 # Largest series truncation M (series --max, count global --degree,
 # asymptotics --fit-max), checked before a list of M + 1 coefficients is
@@ -52,22 +53,14 @@ _MAX_TRUNCATION = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q (dense coefficient tuples, index = power of t)
+# integer polynomials (dense coefficient tuples, index = power of t)
 #
-# The helpers keep the type of the numbers they are given: int
-# coefficients give int results and a Fraction operand gives Fractions
-# (a zero term may come out as int 0).  Only division needs a field, so
-# poly_divmod divides by a Fraction.  poly_add and poly_mul walk only the
-# nonzero terms, which _support finds in C: a delta 1 - c u^A has two,
-# and a product with it costs two passes over the other operand's terms.
+# Every polynomial the library builds has int coefficients, and poly_gcd
+# and RationalSeries take ints only (anything else raises TypeError).
+# poly_add and poly_mul walk only the nonzero terms, which _support finds
+# in C: a delta 1 - c u^A has two, and a product with it costs two passes
+# over the other operand's terms.
 # ---------------------------------------------------------------------------
-
-
-def poly_trim(a) -> tuple:
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
 
 
 def poly_add(a, b) -> tuple:
@@ -75,7 +68,7 @@ def poly_add(a, b) -> tuple:
     for poly in (a, b):
         for i in _support(poly):
             out[i] += poly[i]
-    return poly_trim(out)
+    return ptrim(out)
 
 
 def poly_mul(a, b) -> tuple:
@@ -96,36 +89,7 @@ def poly_mul(a, b) -> tuple:
 
 
 def poly_scale(a, c) -> tuple:
-    return poly_trim(x * c for x in a)
-
-
-def poly_divmod(a, b):
-    """Quotient and remainder in Q[t]; b must be nonzero."""
-    a, b = list(poly_trim(a)), poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / Fraction(b[-1])
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        quot[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] -= c * cb
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return poly_trim(quot), poly_trim(a)
-
-
-def _scaled(coeffs) -> tuple:
-    """(den, ints): the common denominator of the coefficients and their
-    numerators over it, so that coeffs[i] == ints[i] / den."""
-    den = lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return 1, [c.numerator for c in coeffs]
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+    return ptrim(x * c for x in a)
 
 
 def _support(ints) -> list:
@@ -157,7 +121,7 @@ def _gcd_degree_mod(a, b, prime: int) -> int:
     """The degree of gcd(a mod prime, b mod prime) over F_prime, by
     Euclid on int lists reduced mod prime; each step makes the divisor
     monic and cancels the top term (-1 if both vanish mod prime)."""
-    a, b = (list(poly_trim(x % prime for x in c)) for c in (a, b))
+    a, b = (list(ptrim(x % prime for x in c)) for c in (a, b))
     while b:
         inv, top = pow(b[-1], -1, prime), len(b) - 1
         low = [x * inv % prime for x in b[:-1]]
@@ -178,16 +142,16 @@ _CERTIFICATE_PRIME = 2 ** 61 - 1
 
 def poly_gcd(a, b) -> tuple:
     """The primitive gcd over Z, leading coefficient positive ((1,) if
-    coprime, () for two zeros), of the inputs scaled to integer
-    polynomials, by the primitive pseudo-remainder sequence (Knuth, TAOCP
-    vol. 2, 4.6.1) after a certificate modulo l = _CERTIFICATE_PRIME.
+    coprime, () for two zeros), of two integer polynomials (anything else
+    raises TypeError), by the primitive pseudo-remainder sequence (Knuth,
+    TAOCP vol. 2, 4.6.1) after a certificate modulo l = _CERTIFICATE_PRIME.
 
     The primitive gcd g over Z divides a and b in Z[t] (Gauss's lemma),
     so its leading coefficient divides theirs.  If l does not divide the
     leading coefficient of one of them, then g mod l keeps its degree and
     divides both reductions, so a gcd of degree 0 mod l proves g = 1.
     Only a positive degree mod l runs the remainder sequence."""
-    a, b = (_scaled(poly_trim(x))[1] for x in (a, b))
+    a, b = (list(ptrim(map(operator.index, x))) for x in (a, b))
     prime = _CERTIFICATE_PRIME
     if ((a and a[-1] % prime or b and b[-1] % prime)
             and _gcd_degree_mod(a, b, prime) == 0):
@@ -341,13 +305,13 @@ class TruncatedSeries:
 
 class RationalSeries:
     """A rational function num/den in t with den(0) != 0, num held as ints
-    over one int unit N in lowest terms (N > 0); the constructor takes
-    ints or Fractions and an optional unit, and `num` rebuilds Fractions.
+    over one int unit N in lowest terms (N > 0); the constructor takes the
+    int numerator and denominator coefficients and an optional int unit
+    (anything else raises TypeError), and `num` rebuilds Fractions.
 
     Coefficients follow the recurrence den[0] c_m = num_m - sum_{k>=1}
-    den[k] c_{m-k}, expanded incrementally in ints: with den scaled to an
-    integer polynomial with constant term d and the ints by the same
-    factor to n, b_m = N d^(m+1) c_m is an integer with
+    den[k] c_{m-k}, expanded incrementally in ints: with d = den[0] and n
+    the ints, b_m = N d^(m+1) c_m is an integer with
         b_m = d^m n_m - sum_{k>=1} den[k] d^(k-1) b_{m-k},
     so no step divides, and only the nonzero terms of den are visited (at
     most 2^r for a product of r binomials).  coefficient(m) returns
@@ -357,16 +321,15 @@ class RationalSeries:
 
     __slots__ = ("ints", "unit", "den", "_recurrence")
 
-    def __init__(self, num, den, unit: int = 1):
-        self.den = poly_trim(den)
-        if not self.den or self.den[0] == 0:
+    def __init__(self, ints, den, unit: int = 1):
+        self.den = den = ptrim(map(operator.index, den))
+        if not den or den[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
-        scale, ints = _scaled(poly_trim(num))
-        common = gcd(unit * scale, *ints) * (1 if unit > 0 else -1)
-        self.ints, self.unit = tuple(x // common for x in ints), unit * scale // common
-        scale, den = _scaled(self.den)
+        ints = ptrim(map(operator.index, ints))
+        common = gcd(unit, *ints) * (1 if unit > 0 else -1)
+        self.ints, self.unit = tuple(x // common for x in ints), unit // common
         terms = [(k, den[k] * den[0] ** (k - 1)) for k in _support(den)[1:]]
-        self._recurrence = [x * scale for x in self.ints], den[0], terms, []
+        self._recurrence = self.ints, den[0], terms, []
 
     @property
     def num(self) -> tuple:
@@ -408,14 +371,6 @@ class RationalSeries:
         """Weights (w_1, ..., w_k): for m > deg num,
         c_m = w_1 c_{m-1} + ... + w_k c_{m-k}."""
         return tuple(Fraction(-c, self.den[0]) for c in self.den[1:])
-
-    def reduced(self) -> "RationalSeries":
-        """Cancel the numerator/denominator gcd (denominator kept den(0)=1)."""
-        g = poly_gcd(self.num, self.den)
-        num, _ = poly_divmod(self.num, g)
-        den, _ = poly_divmod(self.den, g)
-        scale = 1 / Fraction(den[0])
-        return RationalSeries(poly_scale(num, scale), poly_scale(den, scale))
 
     def __repr__(self):
         return f"RationalSeries(num={self.ints}, den={self.den}, unit={self.unit})"
@@ -494,7 +449,7 @@ def psi_polynomial(ctx: PrimeContext, f: int, norm: int) -> tuple:
     if tail:
         raise InvariantViolation(
             f"Euler numerator not a polynomial: nonzero at degrees {tail}")
-    return poly_trim(series.nums[:degree_bound + 1])  # both factors: den 1
+    return ptrim(series.nums[:degree_bound + 1])  # both factors: den 1
 
 
 def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
@@ -539,7 +494,7 @@ def psi_closed_form(ctx: PrimeContext, f: int, norm: int) -> tuple:
                     terms[degree] += coeff
             off_prefix = (deltas[j - 1] for j in range(1, f + 1) if j not in prefix)
             result = poly_add(result, reduce(poly_mul, off_prefix, terms))
-    return poly_trim(result)
+    return ptrim(result)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +722,9 @@ def _fold(ints, c: int, period: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def local_reduced(ctx: PrimeContext) -> RationalSeries:
-    """local_rational(ctx).reduced() by one gcd per delta, built once.
+    """local_rational(ctx) in lowest terms, built once: its ints and den
+    divided by their gcd over Z, scaled to constant term 1, which is found
+    by one gcd per delta.
 
     The roots of delta_j = 1 - q^(a_j) u^(A_j) lie on the circle |u| =
     q^(-a_j / A_j), so deltas on distinct circles are pairwise coprime

@@ -237,10 +237,12 @@ def make_context(p: int, n: int, r: int) -> PrimeContext:
 
 
 def ptrim(a) -> Poly:
+    """a as a tuple without its trailing zeros, cut by one slice."""
     a = tuple(a)
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
+    end = len(a)
+    while end and a[end - 1] == 0:
+        end -= 1
+    return a[:end]
 
 
 def pdeg(a: Poly) -> int:

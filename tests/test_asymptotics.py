@@ -207,6 +207,21 @@ def test_value_bounds_at_real_root():
         value_bounds_at_real_root((1,), Fraction(1, 2), 0)
 
 
+def test_value_bounds_at_real_root_folds_an_exact_multiple():
+    # (x^2 - 2/3)(x + 1) and its product with x^2 - 2/3 vanish at
+    # x = (2/3)^(1/2): the fold leaves no remainder, with Fraction
+    # coefficients and a power whose numerator is not 1
+    power = Fraction(2, 3)
+    poly = (-power, -power, Fraction(1), Fraction(1))
+    assert value_bounds_at_real_root(poly, power, 2) == (0, 0)
+    squared = dirichlet.poly_mul(poly, (-power, 0, 1))
+    assert value_bounds_at_real_root(squared, power, 2) == (0, 0)
+    # a near miss is no multiple, and its value 10^-9 gets a certified sign
+    near = (poly[0] + Fraction(1, 10 ** 9),) + poly[1:]
+    lower, upper = value_bounds_at_real_root(near, power, 2)
+    assert 0 < lower <= Fraction(1, 10 ** 9) <= upper
+
+
 def test_psi_lower_bound_positive():
     for p, r in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
         ctx = make_context(p, 1, r)
@@ -304,9 +319,8 @@ def _changed_rest(split):
     # one coefficient of S, the numerator of S/D', moved by 1/t, t its
     # common denominator
     rational, head, rest = split
-    step = Fraction(1, math.lcm(*(value.denominator for value in rest.num)))
-    num = (rest.num[0] + step,) + rest.num[1:]
-    return rational, head, RationalSeries(num, rest.den)
+    ints = (rest.ints[0] + 1,) + rest.ints[1:]
+    return rational, head, RationalSeries(ints, rest.den, rest.unit)
 
 
 @pytest.mark.parametrize("change", [_raised_head, _changed_rest])

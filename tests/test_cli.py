@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ascount import cli, fields
-from ascount.dirichlet import local_rational, series_to_json
+from ascount.dirichlet import local_reduced, series_to_json
 from ascount.errors import InvariantViolation
 from ascount.fields import Divisor, make_context, places
 
@@ -411,7 +411,7 @@ def test_series_json_local_bytes_frozen(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_JSON_SHA256[spec]
     # the library writes the whole document, the rational form included
     ctx = make_context(p, n, r)
-    red = local_rational(ctx).reduced()
+    red = local_reduced(ctx)
     assert series_to_json(ctx, red.series(m), red) + "\n" == out
 
 
