@@ -713,7 +713,8 @@ def _fold(ints, c: int, period: int) -> tuple:
     """(H, top) with H / c^top = ints mod 1 - c u^period, by Horner in c:
     u^(period i + k) folds to c^(-i) u^k, so H_k = sum_i
     ints[period i + k] c^(top - i), top the largest i."""
-    ints = list(ints) + [0] * (-len(ints) % period)
+    ints = list(ints) or [0]
+    ints += [0] * (-len(ints) % period)
     head = [0] * period
     for i in range(0, len(ints), period):
         head = [h * c + x for h, x in zip(head, ints[i:i + period])]
@@ -771,11 +772,11 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
     (num - R D') / delta_r raise InvariantViolation.
 
     The numerator, ints N over U, folds by _fold to H over h = U c^top.
-    For delta_j, with lambda_j = l_num / l_den, the term x^t u^k =
-    q^(a_j t) u^(Ai+k') adds H_k q^(a_j t) c^(top_j-i) to the new H_k',
-    top_j the largest such i; then H is multiplied by l_den and h by
-    c^top_j (l_den - l_num), in place of dividing by 1 - lambda_j.
-    num - R D' and its quotient by delta_r, S, stay over the unit h."""
+    For delta_j, with lambda_j = l_num / l_den, H times the geometric sum
+    (by poly_mul) folds by _fold to H' over c^top_j; then H' is multiplied
+    by l_den and h by c^top_j (l_den - l_num), in place of dividing by
+    1 - lambda_j.  num - R D' and its quotient by delta_r, S, stay over
+    the unit h."""
     rational, q = local_rational(ctx), ctx.q
     shift, period = delta_exponents(ctx, ctx.r)
     c = q ** shift
@@ -787,17 +788,10 @@ def rightmost_split(ctx: PrimeContext) -> tuple:
         lam_num, lam_den = q ** (a * cycle), c ** (big_a * cycle // period)
         if lam_num == lam_den:
             raise InvariantViolation(f"delta_{j} meets the rightmost circle")
-        top = (period - 1 + big_a * (cycle - 1)) // period
-        out = [0] * period
-        for t in range(cycle):  # x^t u^k = q^(a t) u^(k + s + A i)
-            i, s = divmod(big_a * t, period)
-            low = q ** (a * t) * c ** (top - i)
-            out[s:] = [o + h * low for o, h in zip(out[s:], head)]
-            if s:  # k + s >= A folds one more c
-                high = low // c
-                out[:s] = [o + h * high
-                           for o, h in zip(out[:s], head[period - s:])]
-        head = [h * lam_den for h in out]
+        geometric = [0] * (big_a * (cycle - 1) + 1)
+        geometric[::big_a] = [q ** (a * t) for t in range(cycle)]
+        head, top = _fold(poly_mul(head, geometric), c, period)
+        head = [h * lam_den for h in head]
         hden *= c ** top * (lam_den - lam_num)
         rest_den = poly_mul(rest_den, delta_polynomial(ctx, j, q))
     rest, excess = _low_division(

@@ -1014,6 +1014,22 @@ def test_rightmost_split_frozen():
     assert len(head) == 120 and head[8] == Fraction(12621, 978127504)
 
 
+def test_rightmost_split_of_a_numerator_divisible_by_delta_r(monkeypatch):
+    """R = 0: (1 + u) delta_2 / (delta_1 delta_2) over 3 splits to the
+    zero head over 1 and S = (1 + u) / delta_1 over 3, and _fold of an
+    empty numerator keeps top = 0, so h stays an int."""
+    ctx = CTX212
+    shift, period = delta_exponents(ctx, 2)
+    zero_head = RationalSeries(poly_mul(delta_polynomial(ctx, 2, 2), (1, 1)),
+                               local_rational(ctx).den, 3)
+    monkeypatch.setattr(dirichlet, "local_rational", lambda _: zero_head)
+    _, head, rest = dirichlet.rightmost_split.__wrapped__(ctx)
+    assert head == ((0,) * 6, 1)
+    assert (rest.ints, rest.den, rest.unit) == \
+        ((1, 1), delta_polynomial(ctx, 1, 2), 3)
+    assert dirichlet._fold((), 2 ** shift, period) == ([0] * period, 0)
+
+
 @pytest.mark.parametrize("spec", [(2, 1, 1), (3, 1, 1), (2, 1, 2),
                                   (2, 2, 2), (3, 1, 2), (2, 1, 3)])
 def test_rightmost_split_identity(spec):
@@ -1061,7 +1077,7 @@ def _fraction_split(ctx):
 
 
 @pytest.mark.parametrize("spec", [
-    *((2, 1, r) for r in range(1, 6)), *((3, 1, r) for r in range(1, 5)),
+    *((2, 1, r) for r in range(1, 7)), *((3, 1, r) for r in range(1, 5)),
     *((5, 1, r) for r in range(1, 4)), (7, 1, 2), (2, 2, 2), (3, 2, 2),
     (13, 1, 1)])
 def test_rightmost_split_matches_fraction_fold(spec):
