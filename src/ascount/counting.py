@@ -35,9 +35,10 @@ subspace are one sum of ints, decoded to a Divisor once per distinct sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import islice, product
-from operator import eq, itemgetter, xor
+from operator import eq, itemgetter, lt, mul, xor
 
 from .artin_schreier import (
     chain_at_place,
@@ -59,7 +60,7 @@ from .compositions import (
     weighted_counts,
 )
 from .errors import InvariantViolation
-from .fields import Divisor, PrimeContext, make_context, places
+from .fields import Divisor, PrimeContext, _pair_order, make_context, places
 
 __all__ = [
     "factor_coefficient",
@@ -264,18 +265,18 @@ def local_count(ctx: PrimeContext, exponent: int) -> int:
     return weighted_counts(ctx, rows)[0]
 
 
-def _depth_values(ctx: PrimeContext, divisor: Divisor, factors: dict) -> list:
-    """For f = 0..r, the product over the places of the divisor of the
-    depth-f local factor coefficients, with a {(f, exponent, place degree):
-    local factor coefficient} memo supplied by the caller."""
+def _depth_values(ctx: PrimeContext, pairs, factors: dict) -> list:
+    """For f = 0..r, the product over the (place degree, exponent) pairs of
+    a divisor of the depth-f local factor coefficients, with a {(f,
+    exponent, place degree): local factor coefficient} memo supplied by
+    the caller."""
     values = []
     for f in range(ctx.r + 1):
         prod_f = 1
-        for place, e in divisor.items():
-            key = (f, e, place.degree)
+        for degree, e in pairs:
+            key = (f, e, degree)
             if key not in factors:
-                factors[key] = factor_coefficient(ctx, f, e,
-                                                  ctx.q ** place.degree)
+                factors[key] = factor_coefficient(ctx, f, e, ctx.q ** degree)
             prod_f *= factors[key]
             if prod_f == 0:
                 break
@@ -288,17 +289,30 @@ def global_count(ctx: PrimeContext, divisor: Divisor) -> int:
     discriminant is exactly the given effective divisor."""
     for e in {e for _, e in divisor.items()}:
         _refuse_many_chains(ctx, e)
-    return weighted_counts(ctx, [[v] for v in _depth_values(ctx, divisor, {})])[0]
+    pairs = [(place.degree, e) for place, e in divisor.items()]
+    return weighted_counts(ctx, [[v] for v in _depth_values(ctx, pairs, {})])[0]
 
 
 def global_count_by_degree(ctx: PrimeContext, degree: int) -> int:
     """Total number of extensions of F_q(t) with discriminant degree exactly
     `degree`, by direct enumeration of effective divisors (desk scale).
-    Each local factor coefficient is computed once, and the depth values
-    of all divisors are weighted in one weighted_counts call."""
+
+    global_count(D) depends only on the type of D, the sorted tuple of its
+    (place degree, exponent) pairs.  The swept divisors are tallied by
+    their sequence of such pairs, and each distinct sequence is sorted
+    into its type afterwards.  The depth values are built once per type
+    (each local factor coefficient once), all types are weighted in one
+    weighted_counts call, which checks every distinct column, and each
+    count is taken as many times as its type occurs."""
+    sequences = Counter(tuple([(place.degree, e) for place, e in divisor.items()])
+                        for divisor in effective_divisors(ctx, degree))
+    types: Counter = Counter()
+    for sequence, count in sequences.items():
+        types[tuple(sorted(sequence))] += count
     factors: dict = {}
-    columns = [_depth_values(ctx, d, factors) for d in effective_divisors(ctx, degree)]
-    return sum(weighted_counts(ctx, list(zip(*columns))))
+    columns = [_depth_values(ctx, key, factors) for key in types]
+    counts = weighted_counts(ctx, list(zip(*columns)))
+    return sum(map(mul, types.values(), counts))
 
 
 def counts_by_degree(tally: dict) -> dict:
@@ -313,12 +327,12 @@ def counts_by_degree(tally: dict) -> dict:
 # Largest divisor sweep: effective_divisors (and global_count_by_degree,
 # the test-suite oracle) lists all (q^(m+1)-1)/(q-1) effective divisors of
 # degree m, refused above this many before any list is sized.  Time and
-# memory grow with the divisors: global_count_by_degree at r = 1, one run
-# each in a fresh process, took 0.64 s and 45 MB at q = 2, m = 15 (65,535
-# divisors), 1.5 s and 70 MB at m = 16, and 2.7 s and 125 MB at m = 17
-# (262,143, the largest sweep under the cap); at q = 3, m = 11 (265,720,
-# refused) it took 2.7 s and 108 MB with the cap lifted (Python 3.11,
-# 2-core Xeon VM).
+# memory grow with the divisors: global_count_by_degree at r = 1, the
+# median of three runs each in a fresh process, took 0.41 s and 26 MB at
+# q = 2, m = 15 (65,535 divisors), 0.74 s and 37 MB at m = 16, and 1.7 s
+# and 58 MB at m = 17 (262,143, the largest sweep under the cap), about
+# half of it listing the places of degree <= 17; at q = 3, m = 10 (88,573
+# divisors) it took 0.58 s and 31 MB (Python 3.11, 2-core Xeon VM).
 _MAX_DIVISORS = 2 ** 18
 
 
@@ -327,9 +341,17 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
     refused past _MAX_DIVISORS.
 
     An iterative sweep over the places of degree <= m: partial[k] holds the
-    divisors of degree k on the places seen so far, and each place of
-    degree d extends them with multiplicity e, taking degrees from m down
-    so that a place is never used twice.
+    (place, multiplicity) tuples of degree k on the places seen so far, and
+    each place of degree d extends them with multiplicity e, taking degrees
+    from m down so that a place is never used twice.  No degree k with
+    0 < m - k < d is made: every later place has degree >= d, so nothing
+    could complete it to degree m.
+
+    Each place is used once, with e >= 1, in the order of places(ctx, d),
+    so each tuple is a valid divisor in _pair_order if those orders are
+    strictly increasing: that is checked once per degree, and the divisors
+    are then built without the per-divisor checks and sort of Divisor().
+    The number found must be the census count.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -342,12 +364,19 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
     partial = [[] for _ in range(degree + 1)]
     partial[0].append(())
     for d in range(1, degree + 1):
-        for place in places(ctx, d):
-            for k in range(degree, d - 1, -1):
+        found = places(ctx, d)
+        order = [_pair_order((place, 1)) for place in found]
+        if not all(map(lt, order, order[1:])):
+            raise InvariantViolation(f"places of degree {d} are not in "
+                                     f"strictly increasing divisor order")
+        targets = [degree, *range(degree - d, d - 1, -1)]
+        for place in found:
+            for k in targets:
                 for e in range(1, k // d + 1):
-                    partial[k].extend(pairs + ((place, e),)
-                                      for pairs in partial[k - e * d])
-    out = [Divisor(pairs) for pairs in partial[degree]]
+                    tail = ((place, e),)
+                    partial[k].extend([pairs + tail
+                                       for pairs in partial[k - e * d]])
+    out = list(map(Divisor._unchecked, partial[degree]))
     if len(out) != expected:
         raise InvariantViolation(
             f"found {len(out)} divisors of degree {degree}, expected {expected}")

@@ -526,11 +526,12 @@ def finite_place(ctx: PrimeContext, poly: Poly) -> Place:
     return Place(poly, ctx)
 
 
-def places(ctx: PrimeContext, d: int) -> list:
-    """All places of degree d, deterministic order (infinity first at d=1)."""
-    out = [INFINITY] if d == 1 else []
-    out.extend(Place(f, ctx) for f in irreducibles(ctx, d))
-    return out
+@lru_cache(maxsize=None)
+def places(ctx: PrimeContext, d: int) -> tuple:
+    """All places of degree d, deterministic order (infinity first at d=1).
+    Memoised per (ctx, d), like irreducibles."""
+    finite = tuple(Place(f, ctx) for f in irreducibles(ctx, d))
+    return (INFINITY, *finite) if d == 1 else finite
 
 
 def poly_str(a: Poly, ctx: Optional[PrimeContext] = None) -> str:
@@ -663,6 +664,15 @@ class Divisor:
     @classmethod
     def one(cls) -> "Divisor":
         return cls(())
+
+    @classmethod
+    def _unchecked(cls, pairs: tuple) -> "Divisor":
+        """The divisor on a tuple of pairs that is already valid and in
+        _pair_order (distinct places, multiplicities >= 1), kept as is:
+        for a caller that vouches for both, as the divisor sweep does."""
+        divisor = cls.__new__(cls)
+        divisor._pairs = pairs
+        return divisor
 
     def items(self):
         return self._pairs

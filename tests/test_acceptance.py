@@ -117,6 +117,24 @@ def test_criterion_02_global_oracle():
     assert not mismatches and anchors_ok
 
 
+def test_criterion_02b_closed_form_wider_grid():
+    # the closed form, type-tallied over the divisor sweep, against the
+    # Euler product without the brute force: on (2,2,1) and (3,1,2), which
+    # criterion 2 does not run, and past its degrees at (3,1,1) and (2,1,2)
+    start = time.monotonic()
+    grid = ((2, 2, 1, 7), (3, 1, 1, 9), (2, 1, 2, 12), (2, 2, 2, 5),
+            (3, 1, 2, 6))
+    mismatches = [(p, n, r, d) for p, n, r, top in grid
+                  for d in range(top + 1)
+                  if global_count_by_degree(_ctx(p, n, r), d)
+                  != _global_coeffs(p, n, r, top)[d]]
+    elapsed = time.monotonic() - start
+    assert _verdict("2b", not mismatches,
+                    f"global series == closed form, (2,2,1) deg <= 7, "
+                    f"(3,1,1) deg <= 9, (2,1,2) deg <= 12, (2,2,2) deg <= 5, "
+                    f"(3,1,2) deg <= 6 ({elapsed:.1f}s)")
+
+
 def test_criterion_03_rationality():
     bad = []
     for p, n, r in LOCAL_GRID:

@@ -5,6 +5,7 @@ import json
 import time
 from collections import Counter
 from itertools import groupby, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from ascount.compositions import (
     flag_count,
     free_index_count,
     gaussian_binomial,
+    weighted_counts,
 )
 from ascount.counting import (
     _adder,
@@ -47,7 +49,13 @@ from ascount.artin_schreier import (
 from ascount.asymptotics import report_json
 from ascount.dirichlet import delta_exponents, local_rational, psi_polynomial
 from ascount.errors import InvariantViolation
-from ascount.fields import Divisor, INFINITY, finite_place, make_context
+from ascount.fields import (
+    Divisor,
+    INFINITY,
+    finite_place,
+    make_context,
+    place_count,
+)
 
 CTX211 = make_context(2, 1, 1)
 CTX221 = make_context(2, 2, 1)
@@ -352,6 +360,100 @@ def test_divisor_sweep_cap_refuses_before_any_divisor(monkeypatch):
         with pytest.raises(ValueError, match="effective divisors"):
             global_count_by_degree(ctx, degree)
     assert built == []
+
+
+def _per_divisor_reference(ctx, degree):
+    """global_count_by_degree one divisor at a time: the depth values of
+    every swept divisor, weighted column by column and summed."""
+    factors = {}
+    columns = [counting._depth_values(ctx, [(pl.degree, e) for pl, e in d.items()],
+                                      factors)
+               for d in effective_divisors(ctx, degree)]
+    return sum(weighted_counts(ctx, list(zip(*columns))))
+
+
+def test_type_tally_matches_per_divisor_sum():
+    for ctx, top in ((CTX211, 12), (CTX221, 6), (CTX311, 7), (CTX212, 8),
+                     (CTX312, 5)):
+        for degree in range(top + 1):
+            assert global_count_by_degree(ctx, degree) == \
+                _per_divisor_reference(ctx, degree), (ctx, degree)
+
+
+def test_swept_divisors_are_valid_and_distinct():
+    # the sweep builds its divisors without Divisor()'s checks and sort:
+    # each must equal the validated, sorted one and occur once
+    for ctx, top in ((CTX211, 10), (CTX221, 5), (CTX311, 6),
+                     (make_context(3, 2, 1), 3)):
+        for degree in range(top + 1):
+            swept = effective_divisors(ctx, degree)
+            assert len(set(swept)) == len(swept)
+            for divisor in swept:
+                assert divisor == Divisor(divisor.items())
+                assert divisor.degree() == degree
+
+
+def test_sweep_checks_the_place_order(monkeypatch):
+    ordered = counting.places
+    for shuffled in (lambda ctx, d: ordered(ctx, d)[::-1],
+                     lambda ctx, d: ordered(ctx, d) + ordered(ctx, d)[-1:]):
+        monkeypatch.setattr(counting, "places", shuffled)
+        with pytest.raises(InvariantViolation, match="divisor order"):
+            effective_divisors(CTX211, 3)
+
+
+def test_sweep_builds_through_the_module_divisor(monkeypatch):
+    # the cap test patches counting.Divisor to catch any divisor built
+    # before a refusal: the sweep must build through that name
+    class Tagged(Divisor):
+        __slots__ = ()
+
+    monkeypatch.setattr(counting, "Divisor", Tagged)
+    swept = effective_divisors(CTX211, 4)
+    assert len(swept) == 31 and all(type(d) is Tagged for d in swept)
+
+
+def _divisor_types(degree):
+    """Every type of degree m: sorted tuples of (place degree, exponent)
+    pairs, repeats allowed, with sum of degree * exponent = m."""
+    pairs = [(d, e) for d in range(1, degree + 1) for e in range(1, degree // d + 1)]
+
+    def extend(rest, start):
+        if rest == 0:
+            yield ()
+        for i in range(start, len(pairs)):
+            d, e = pairs[i]
+            if d * e <= rest:
+                for tail in extend(rest - d * e, i):
+                    yield ((d, e),) + tail
+    return list(extend(degree, 0))
+
+
+def _type_count(ctx, divisor_type):
+    """prod_d P(d)! / ((P(d) - sum_e k_de)! prod_e k_de!), P = place_count,
+    k_de the number of places of degree d with exponent e: the ways to
+    give each exponent its places of degree d."""
+    out = 1
+    for d, group in groupby(sorted(Counter(divisor_type).items()),
+                            key=lambda item: item[0][0]):
+        ks = [k for _, k in group]
+        places_d, taken = place_count(ctx, d), sum(ks)
+        if taken > places_d:
+            return 0
+        out *= factorial(places_d) // factorial(places_d - taken)
+        for k in ks:
+            out //= factorial(k)
+    return out
+
+
+def test_swept_types_match_their_place_count_formula():
+    for ctx, top in ((CTX211, 10), (CTX221, 6), (CTX311, 7)):
+        for degree in range(top + 1):
+            swept = Counter(tuple(sorted((pl.degree, e) for pl, e in d.items()))
+                            for d in effective_divisors(ctx, degree))
+            predicted = {t: c for t in _divisor_types(degree)
+                         if (c := _type_count(ctx, t))}
+            assert swept == predicted, (ctx, degree)
 
 
 def test_discriminant_divisor_consistency():
