@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -36,6 +36,7 @@ from .compositions import chain_weights, compositions, prefix_sums
 from .dirichlet import (
     RationalSeries,
     TruncatedSeries,
+    _fold,
     delta_exponents,
     global_dirichlet,
     lambda_inverse,
@@ -176,8 +177,8 @@ def value_bounds_at_real_root(poly, power, index: int):
 
     Bisects until the bounds exclude 0, so the sign is certified.  Returns
     (0, 0) when poly is an exact polynomial multiple of x**index - power:
-    its remainder, c_i power^(i // index) summed into slot i mod index,
-    vanishes.
+    dirichlet._fold of poly at c = 1 / power, which is its remainder
+    modulo 1 - c x**index scaled by a power of c, vanishes.
     Raises InvariantViolation when the bisection budget is exhausted,
     which happens only if the value is zero without the divisibility
     witness or absurdly close to it.
@@ -187,10 +188,7 @@ def value_bounds_at_real_root(poly, power, index: int):
         raise ValueError("power must lie in (0, 1]")
     if index < 1:
         raise ValueError("index must be positive")
-    remainder = [ZERO] * index
-    for i, c in enumerate(poly):
-        remainder[i % index] += c * power ** (i // index)
-    if not any(remainder):
+    if not any(_fold(poly, 1 / power, index)[0]):
         return ZERO, ZERO
     lo, hi = ZERO, Fraction(1)
     for _ in range(_BISECTION_STEPS):
@@ -388,37 +386,30 @@ def main_term_fit(ctx: PrimeContext, coefficients) -> dict:
         for cls in range(period):
             points = list(range(cls, top + 1, period))
             exact = [coefficients[m] for m in points]
-            if all(c == 0 for c in exact):
-                classes[cls] = {"degree": order - 1,
-                                "coefficients": (0.0,) * order,
-                                "leading": 0.0,
-                                "points": len(points),
-                                "window": 0,
-                                "residual_trend": (),
-                                "zero": True}
-                continue
-            if len(points) < 2 * order:
+            zero = all(c == 0 for c in exact)
+            if zero:
+                coeffs, leading, window, trend = (0.0,) * order, 0.0, 0, ()
+            elif len(points) < 2 * order:
                 raise ValueError(
                     f"class {cls}: need at least {2 * order} points for a "
                     f"degree-{order - 1} fit, have {len(points)}")
-            rescaled = [float(c * mpmath.power(
-                ctx.q, -mpmath.mpf(m) * a.numerator / a.denominator))
-                for m, c in zip(points, exact)]
-            window = math.ceil(0.6 * len(points))
-            xs = points[-window:]
-            ys = rescaled[-window:]
-            fit = numpy.polyfit(xs, ys, order - 1)
-            scale = max(abs(y) for y in ys)
-            trend = tuple(abs(y - float(numpy.polyval(fit, x))) / scale
-                          for x, y in zip(xs, ys))
-            classes[cls] = {"degree": order - 1,
-                            "coefficients": tuple(float(c)
-                                                  for c in fit[::-1]),
-                            "leading": float(fit[0]),
-                            "points": len(points),
-                            "window": window,
-                            "residual_trend": trend,
-                            "zero": False}
+            else:
+                rescaled = [float(c * mpmath.power(
+                    ctx.q, -mpmath.mpf(m) * a.numerator / a.denominator))
+                    for m, c in zip(points, exact)]
+                window = math.ceil(0.6 * len(points))
+                xs = points[-window:]
+                ys = rescaled[-window:]
+                fit = numpy.polyfit(xs, ys, order - 1)
+                scale = max(abs(y) for y in ys)
+                trend = tuple(abs(y - float(numpy.polyval(fit, x))) / scale
+                              for x, y in zip(xs, ys))
+                coeffs = tuple(float(c) for c in fit[::-1])
+                leading = float(fit[0])
+            classes[cls] = {"degree": order - 1, "coefficients": coeffs,
+                            "leading": leading, "points": len(points),
+                            "window": window, "residual_trend": trend,
+                            "zero": zero}
     return {"modulus": period, "abscissa": a, "degree": order - 1,
             "classes": classes}
 
@@ -654,20 +645,11 @@ def report_json(ctx: PrimeContext, coefficients=None) -> str:
     is deterministic.
     """
     constants = local_leading_constants(ctx)  # first: its pole-degree cap bounds p
-    params = main_term_params(ctx)
     payload = {
         "p": ctx.p,
         "n": ctx.n,
         "r": ctx.r,
-        "params": {
-            "abscissa": params.abscissa,
-            "pole_order": params.pole_order,
-            "class_modulus": params.class_modulus,
-            "local_modulus": params.local_modulus,
-            "constant_modulus": params.constant_modulus,
-            "prime_lcm": params.prime_lcm,
-            "error_exponent": params.error_exponent,
-        },
+        "params": asdict(main_term_params(ctx)),
         "pole_catalog": {
             "local": list(local_pole_catalog(ctx)),
             "global": list(global_pole_catalog(ctx)),

@@ -320,10 +320,7 @@ def cmd_verify(args, parser) -> int:
     report = json.dumps({"suite": args.suite, "budget": args.budget,
                          "seed": args.seed, "results": results,
                          "ok": failed == 0}, indent=2)
-    if args.out in (None, "-"):
-        print(report)
-    else:
-        _emit(report, args.out)
+    _emit(report, args.out)
     return 0 if failed == 0 else 1
 
 

@@ -55,11 +55,7 @@ def compositions(h: int):
 
 
 def prefix_sums(parts) -> tuple:
-    total, out = 0, []
-    for a in parts:
-        total += a
-        out.append(total)
-    return tuple(out)
+    return tuple(itertools.accumulate(parts))
 
 
 def flag_count(omega, p: int) -> int:

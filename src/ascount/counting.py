@@ -62,22 +62,6 @@ from .compositions import (
 from .errors import InvariantViolation
 from .fields import Divisor, PrimeContext, _pair_order, make_context, places
 
-__all__ = [
-    "factor_coefficient",
-    "factor_coefficients",
-    "factor_support",
-    "local_count",
-    "global_count",
-    "refuse_chain_expansion",
-    "counts_by_degree",
-    "effective_divisors",
-    "enumerate_local",
-    "enumerate_global",
-    "candidate_vectors",
-    "discriminant_divisor",
-]
-
-
 # ---------------------------------------------------------------------------
 # closed-form counts
 # ---------------------------------------------------------------------------

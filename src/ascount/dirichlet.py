@@ -712,7 +712,8 @@ def local_rational(ctx: PrimeContext) -> RationalSeries:
 def _fold(ints, c: int, period: int) -> tuple:
     """(H, top) with H / c^top = ints mod 1 - c u^period, by Horner in c:
     u^(period i + k) folds to c^(-i) u^k, so H_k = sum_i
-    ints[period i + k] c^(top - i), top the largest i."""
+    ints[period i + k] c^(top - i), top the largest i.  ints and c may be
+    ints or Fractions alike."""
     ints = list(ints) or [0]
     ints += [0] * (-len(ints) % period)
     head = [0] * period

@@ -680,12 +680,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(place.degree * e for place, e in self._pairs)
 
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __len__(self):
-        return len(self._pairs)
-
     def __eq__(self, other):
         return isinstance(other, Divisor) and self._pairs == other._pairs
 

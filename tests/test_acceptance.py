@@ -30,8 +30,10 @@ from ascount.compositions import (
 )
 from ascount.counting import (
     counts_by_degree,
+    effective_divisors,
     enumerate_global,
     enumerate_local,
+    global_count,
     global_count_by_degree,
     local_count,
 )
@@ -133,6 +135,31 @@ def test_criterion_02b_closed_form_wider_grid():
                     f"global series == closed form, (2,2,1) deg <= 7, "
                     f"(3,1,1) deg <= 9, (2,1,2) deg <= 12, (2,2,2) deg <= 5, "
                     f"(3,1,2) deg <= 6 ({elapsed:.1f}s)")
+
+
+def test_criterion_02c_fixed_divisor_formula():
+    # the paper's count for one fixed discriminant divisor against the
+    # brute-force tally, divisor by divisor and both ways: every effective
+    # divisor up to the top degree has global_count equal to its tally (0
+    # if absent), and the tally holds no other divisor
+    start = time.monotonic()
+    mismatches = []
+    for p, n, r, top in ((2, 1, 1, 10), (2, 2, 1, 5), (3, 1, 1, 7),
+                         (2, 1, 2, 12), (2, 2, 2, 6)):
+        ctx = _ctx(p, n, r)
+        tally = enumerate_global(ctx, top, check=True)
+        swept = [divisor for m in range(top + 1)
+                 for divisor in effective_divisors(ctx, m)]
+        mismatches += [(p, n, r, str(divisor)) for divisor in
+                       set(tally).difference(swept)]
+        mismatches += [(p, n, r, str(divisor)) for divisor in swept
+                       if global_count(ctx, divisor) != tally.get(divisor, 0)]
+    elapsed = time.monotonic() - start
+    assert _verdict("2c", not mismatches,
+                    f"global_count(D) == enumeration tally of D for every "
+                    f"effective D, (2,1,1) deg <= 10, (2,2,1) deg <= 5, "
+                    f"(3,1,1) deg <= 7, (2,1,2) deg <= 12, (2,2,2) deg <= 6 "
+                    f"({elapsed:.1f}s)")
 
 
 def test_criterion_03_rationality():

@@ -47,7 +47,12 @@ from ascount.artin_schreier import (
     rep_scale,
 )
 from ascount.asymptotics import report_json
-from ascount.dirichlet import delta_exponents, local_rational, psi_polynomial
+from ascount.dirichlet import (
+    delta_exponents,
+    global_dirichlet,
+    local_rational,
+    psi_polynomial,
+)
 from ascount.errors import InvariantViolation
 from ascount.fields import (
     Divisor,
@@ -473,6 +478,20 @@ def test_enumerate_local_input_validation():
         enumerate_local(CTX211, -1)
     with pytest.raises(ValueError):
         enumerate_global(CTX211, -2)
+
+
+@pytest.mark.parametrize("pnr, unramified", [
+    ((2, 1, 1), 1), ((2, 1, 2), 0), ((3, 1, 1), 1), ((2, 2, 1), 1),
+    ((3, 2, 1), 1)])
+def test_oracles_at_exponent_and_degree_zero(pnr, unramified):
+    # the bottom of both oracles' ranges: only unramified extensions, the
+    # constant-field one at r = 1 and none at r = 2
+    ctx = make_context(*pnr)
+    assert enumerate_local(ctx, 0) == {0: local_count(ctx, 0)} \
+        == {0: unramified}
+    tally = counts_by_degree(enumerate_global(ctx, 0))
+    assert tally.get(0, 0) == global_count(ctx, Divisor.one()) \
+        == global_dirichlet(ctx, 0).coefficient(0) == unramified
 
 
 # ---------------------------------------------------------------------------
