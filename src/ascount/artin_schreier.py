@@ -89,19 +89,14 @@ def make_rep(ctx: PrimeContext, constant: int, principal: dict) -> GlobalRep:
     """Normalise a constant code and a {place: {index: coefficient}} mapping
     into a GlobalRep, dropping zero coefficients and empty places."""
     parts = []
-    for place in sorted(principal, key=lambda pl: pl.sort_key()):
-        field = residue_field(ctx, place)
+    for place in sorted(principal, key=Place.sort_key):
         entries = tuple(sorted((i, tuple(z)) for i, z in principal[place].items()
-                               if not field.is_zero(z)))
+                               if any(z)))
         if any(i < 1 or i % ctx.p == 0 for i, _ in entries):
             raise ValueError("principal part indices must be positive and prime to p")
         if entries:
             parts.append((place, entries))
     return GlobalRep(_constant_rep_table(ctx)[constant], tuple(parts))
-
-
-def rep_zero(ctx: PrimeContext) -> GlobalRep:
-    return GlobalRep(0, ())
 
 
 def rep_add(ctx: PrimeContext, a: GlobalRep, b: GlobalRep) -> GlobalRep:
@@ -118,7 +113,7 @@ def rep_add(ctx: PrimeContext, a: GlobalRep, b: GlobalRep) -> GlobalRep:
 def rep_scale(ctx: PrimeContext, a: GlobalRep, k: int) -> GlobalRep:
     k %= ctx.p
     if k == 0:
-        return rep_zero(ctx)
+        return GlobalRep(0, ())
     principal = {place: {i: residue_field(ctx, place).smul(k, z) for i, z in entries}
                  for place, entries in a.parts}
     return make_rep(ctx, ctx.fsmul(k, a.constant), principal)
@@ -274,25 +269,25 @@ def _cancel_p_indices(ctx: PrimeContext, place: Place, part: dict) -> None:
         z = part.pop(i)
         g = field.pth_root(field.neg(z))
         # add (g/pi^ell)^p - g/pi^ell; the top coefficient cancels exactly
-        if place.is_infinity:
-            digits = [(ctx.fpow(g[0], p),)] + [field.zero] * (p - 1)
+        if place.poly is None:
+            digits = [(ctx.fpow(g[0], p),)] + [(0,)] * (p - 1)
         else:
             gp = ppow(ctx, ptrim(g), p)
             digits = [field.from_poly(d)
                       for d in _base_digits(ctx, gp, place.poly, p)]
-        if not field.is_zero(field.add(z, digits[0])):
+        if any(field.add(z, digits[0])):
             raise InvariantViolation("p-th power cancellation failed")
         for j in range(1, p):
-            if not field.is_zero(digits[j]):
+            if any(digits[j]):
                 _add_into(field, part, i - j, digits[j])
         _add_into(field, part, ell, field.neg(g))
-    for i in [i for i, z in part.items() if field.is_zero(z)]:
+    for i in [i for i, z in part.items() if not any(z)]:
         del part[i]
 
 
 def _add_into(field: ResidueField, part: dict, index: int, value) -> None:
     s = field.add(part[index], value) if index in part else value
-    if field.is_zero(s):
+    if not any(s):
         part.pop(index, None)
     else:
         part[index] = s
@@ -303,7 +298,7 @@ def rep_to_rational(ctx: PrimeContext, rep: GlobalRep):
     num = (rep.constant,) if rep.constant else PZERO
     den = PONE
     for place, entries in rep.parts:
-        if place.is_infinity:
+        if place.poly is None:
             poly = [0] * (max(i for i, _ in entries) + 1)
             for i, z in entries:
                 poly[i] = z[0]

@@ -619,20 +619,16 @@ def _klein_constant(ctx: PrimeContext, fit: dict) -> dict:
 
 
 def _encode(value):
-    """JSON-friendly form: Fractions as 'num/den' strings, containers
-    recursively."""
+    """json.dumps' default hook: a Fraction as its 'num/den' string, a
+    PoleLine as its object; anything else is not JSON, as json says."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (tuple, list)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, PoleLine):
         return {"real_part": str(value.real_part),
                 "angular_step": str(value.angular_step),
                 "max_order": value.max_order,
                 "certainty": "definite" if value.definite else "candidate"}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def report_json(ctx: PrimeContext, coefficients=None) -> str:
@@ -666,4 +662,4 @@ def report_json(ctx: PrimeContext, coefficients=None) -> str:
         payload["fits"] = main_term_fit(ctx, coefficients)
         if ctx.p == 2 and ctx.r == 2:
             payload["klein_constant"] = _klein_constant(ctx, payload["fits"])
-    return json.dumps(_encode(payload), indent=2)
+    return json.dumps(payload, indent=2, default=_encode)

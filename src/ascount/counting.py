@@ -60,7 +60,7 @@ from .compositions import (
     weighted_counts,
 )
 from .errors import InvariantViolation
-from .fields import Divisor, PrimeContext, _pair_order, make_context, places
+from .fields import Divisor, PrimeContext, make_context, places
 
 # ---------------------------------------------------------------------------
 # closed-form counts
@@ -332,7 +332,7 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
     could complete it to degree m.
 
     Each place is used once, with e >= 1, in the order of places(ctx, d),
-    so each tuple is a valid divisor in _pair_order if those orders are
+    so each tuple is a valid divisor in Place.sort_key order if those are
     strictly increasing: that is checked once per degree, and the divisors
     are then built without the per-divisor checks and sort of Divisor().
     The number found must be the census count.
@@ -349,7 +349,7 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
     partial[0].append(())
     for d in range(1, degree + 1):
         found = places(ctx, d)
-        order = [_pair_order((place, 1)) for place in found]
+        order = [place.sort_key() for place in found]
         if not all(map(lt, order, order[1:])):
             raise InvariantViolation(f"places of degree {d} are not in "
                                      f"strictly increasing divisor order")

@@ -194,7 +194,7 @@ class TruncatedSeries:
     than silently returning zero.
     """
 
-    __slots__ = ("nums", "truncation")
+    __slots__ = ("nums",)
 
     def __init__(self, coeffs, truncation: int):
         """coeffs: ints, zero-padded out to the truncation; anything else
@@ -205,7 +205,7 @@ class TruncatedSeries:
         if len(nums) > truncation + 1:
             raise TruncationError("more coefficients than the truncation admits")
         nums.extend([0] * (truncation + 1 - len(nums)))
-        self.nums, self.truncation = tuple(nums), truncation
+        self.nums = tuple(nums)
 
     @classmethod
     def _from_ints(cls, nums) -> "TruncatedSeries":
@@ -215,8 +215,11 @@ class TruncatedSeries:
             raise ValueError("a series needs a coefficient")
         series = cls.__new__(cls)
         series.nums = tuple(nums)
-        series.truncation = len(series.nums) - 1
         return series
+
+    @property
+    def truncation(self) -> int:
+        return len(self.nums) - 1
 
     def coefficient(self, m: int) -> int:
         if m < 0:
@@ -635,13 +638,16 @@ def global_factor_series(ctx: PrimeContext, f: int,
     degree_bound = sum(big_a for _, big_a in pairs)
     top = min(truncation, 2 * degree_bound)
     refuse_chain_expansion(ctx, top)
-    norms = [ctx.q ** d for d in range(1, truncation + 1)]
-    columns = {m: factor_coefficients(ctx, f, m, norms[:truncation // max(m, 1)])
-               for m in factor_support(ctx, f, top)}
-    low = next((m for m, values in columns.items() if m and any(values)), top + 1)
-    low = min(low, pairs[0][1])  # A_1, the smallest delta degree
+    exponents = factor_support(ctx, f, top)[1:]  # exponent 0 is 1 at every norm
+    smallest = pairs[0][1]  # A_1, the smallest delta degree
+    norms = [ctx.q ** d
+             for d in range(1, truncation // min(exponents[:1] + [smallest]) + 1)]
+    columns = {m: factor_coefficients(ctx, f, m, norms[:truncation // m])
+               for m in exponents}
+    low = next((m for m, values in columns.items() if any(values)), top + 1)
+    low = min(low, smallest)
     # in_u[d - 1]: degree d in u, out to u^min(top, truncation // d)
-    in_u = [[0] * (min(top, truncation // d) + 1)
+    in_u = [[1] + [0] * min(top, truncation // d)
             for d in range(1, truncation // low + 1)]
     for m, values in columns.items():
         for coeffs, value in zip(in_u, values):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascount.artin_schreier import (
+    GlobalRep,
     asc_at,
     chain_at_place,
     conductor_exponent,
@@ -18,7 +19,6 @@ from ascount.artin_schreier import (
     rep_add,
     rep_scale,
     rep_to_rational,
-    rep_zero,
 )
 from ascount.errors import InvariantViolation
 from ascount.fields import (
@@ -110,8 +110,8 @@ def test_rep_algebra():
     assert s.constant == 1
     assert asc_at(s, T) == -1          # the t-parts cancelled
     assert asc_at(s, T1) == 1
-    assert rep_add(CTX2, a, a) == rep_zero(CTX2)
-    assert rep_scale(CTX2, b, 0) == rep_zero(CTX2)
+    assert rep_add(CTX2, a, a) == GlobalRep(0, ())
+    assert rep_scale(CTX2, b, 0) == GlobalRep(0, ())
     assert rep_scale(CTX3, make_rep(CTX3, 1, {}), 2).constant == 2
 
 
@@ -224,7 +224,7 @@ def test_line_reps_count_and_dependence():
     with pytest.raises(ValueError):
         line_reps(CTX2R2, [u1, u1])
     with pytest.raises(ValueError):
-        line_reps(CTX2R2, [u1, rep_zero(CTX2R2)])
+        line_reps(CTX2R2, [u1, GlobalRep(0, ())])
 
 
 def test_chain_at_place_block_structure():

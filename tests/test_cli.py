@@ -1,10 +1,13 @@
 """CLI contract: grammar, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import json
+import signal
 import subprocess
 import sys
 import time
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,26 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _Hang(Exception):
+    """Raised by _alarm; cli.main catches no such exception."""
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Raise _Hang in the running code after `seconds`: a time limit on an
+    in-process call, with no thread and no subprocess."""
+    def ring(signum, frame):
+        raise _Hang(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +150,21 @@ def test_huge_p_exits_2_in_one_line(argv, message):
                             capture_output=True, text=True, timeout=20)
     assert (result.returncode, result.stdout, result.stderr) == \
         (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "count local --p 2 --r 100000 --exp 2",
+    "series global --p 2 --r 1024 --max 7",
+    "asymptotics --p 2 --r 1000 --local",
+    "count global --p 2 --r 100000 --divisor t^2",
+])
+def test_huge_rank_exits_2_in_one_line(capsys, argv):
+    # the chain weights, the Delsarte weights and |GL_r(F_p)| took powers of
+    # p in r before any refusal: each of these ran for over 20 s
+    r = argv.split("--r ")[1].split()[0]
+    with _alarm(5):
+        result = run(capsys, *argv.split())
+    assert result == (2, "", f"error: r = {r} exceeds 32\n")
 
 
 _EXPONENT_CAP = "discriminant exponent 1000000000000 exceeds 32768"
@@ -703,3 +741,83 @@ def test_console_script_roundtrip():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "0\t1\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+# ---------------------------------------------------------------------------
+
+# (valid, invalid) values per flag.  Each draw takes a flag's value from the
+# valid ones with probability 0.6, so about half the context draws reach
+# the library.  n, the truncations and the exponents stay small: larger
+# ones are the open cost products in log q and M (ROADMAP item 23).
+_FUZZ = {
+    "--p": (("2", "3", "7", "2147483647"), ("-1", "0", "1", "2147483648", "x")),
+    "--n": (("1", "2"), ("-1", "0")),
+    "--r": (("1", "2", "3"), ("-1", "0", "33", "1000000")),
+    "size": (("0", "4", "40", "200"), ("-1", "1e3", "-inf")),
+    "--divisor": (("t^2", "inf^2", "t2+t+1^2", "1", " 1 ", "t+[0,1]^2,inf^2",
+                   "inf^6,t2+t+1^4", "t2+1^2", "t+[1,1]", "t^40"),
+                  ("t^2,t^3", "1,t", "1^2", "2", "t+[0,1", "t+,inf", "t^",
+                   "[]t", "inf^0", "t^-1", "t2+t", "t3^40", "[1,1]t+1",
+                   "t^1e3", "", "x")),
+    "--format": (("plain", "json", "tsv"), ("csv",)),
+    "--suite": (("oracle", "psi", "integrality", "inequalities", "all"),
+                ("none",)),
+    "--budget": (("1e-9", "0.5", "3", "60", "1e308"),
+                 ("0", "-1", "inf", "-inf", "nan", "x")),
+    "--seed": (("0", "7", "-1"), ("x",)),
+}
+
+
+def _fuzz_argv(rng: Random) -> list:
+    def pick(flag):
+        valid, invalid = _FUZZ[flag]
+        return rng.choice(valid if rng.random() < 0.6 else valid + invalid)
+
+    command = rng.choice(["count local", "count global", "series local",
+                          "series global", "asymptotics", "verify"]).split()
+    if command == ["verify"]:
+        return command + ["--suite", pick("--suite"), "--budget",
+                          pick("--budget"), "--seed", pick("--seed")]
+    argv = command + [arg for flag in ("--p", "--n", "--r")
+                      for arg in (flag, pick(flag))]
+    if command == ["count", "local"]:
+        return argv + ["--exp", pick("size")]
+    if command == ["count", "global"]:
+        if rng.random() < 0.5:
+            return argv + ["--degree", pick("size")]
+        return argv + ["--divisor", pick("--divisor")]
+    if command[0] == "series":
+        return argv + ["--max", pick("size"), "--format", pick("--format")]
+    return argv + rng.choice([[], ["--local"], ["--fit-max", pick("size")]])
+
+
+def _message_lines(err: str) -> list:
+    """stderr without the usage block that argparse prints before its one
+    error line."""
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage: "):
+        lines = [line for line in lines[1:] if not line.startswith(" ")]
+    return lines
+
+
+def test_fuzzed_argv_ends_in_0_1_or_2_with_one_line(capsys):
+    # each draw in process under a 5 s alarm: r = 10^6 once hung every
+    # subcommand, and any exception but SystemExit escaping main is a bug
+    rng = Random(20261021)
+    codes, valid = [], 0
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        flags = dict(zip(argv, argv[1:]))
+        valid += all(flags.get(flag) in _FUZZ[flag][0]
+                     for flag in ("--p", "--n", "--r"))
+        try:
+            with _alarm(5):
+                code, _, err = run(capsys, *argv)
+        except Exception as exc:  # the argv names the case
+            pytest.fail(f"{argv}: {exc!r}")
+        assert code in (0, 1, 2), argv
+        assert len(_message_lines(err)) == (1 if code else 0), (argv, err)
+        codes.append(code)
+    assert valid >= 100 and {0, 2} <= set(codes)

@@ -922,6 +922,29 @@ def test_global_product_powers_only_the_degrees_it_reaches(monkeypatch):
         assert got == _per_degree_reference(ctx, f, truncation), (ctx, f)
 
 
+def test_global_product_evaluates_each_exponent_where_it_reaches(monkeypatch):
+    # exponent 0's coefficient is 1 at every norm, and exponent m is read at
+    # the norms q^d with d * m <= M only.  At (2^31 - 1, 1, 2) no exponent
+    # from 1 to M has a chain, so no column and no power of q is built
+    honest, seen = dirichlet.factor_coefficients, []
+
+    def spy(ctx, f, exponent, norms):
+        seen.append((exponent, len(norms)))
+        return honest(ctx, f, exponent, norms)
+
+    monkeypatch.setattr(dirichlet, "factor_coefficients", spy)
+    for ctx, truncation in ((CTX211, 40), (CTX212, 200), (CTX221, 30),
+                            (CTX311, 60), (CTX213, 100), (CTX512, 90)):
+        for f in range(1, ctx.r + 1):
+            seen.clear()
+            global_factor_series(ctx, f, truncation)
+            assert seen, (ctx, f)
+            assert all(0 < e and k <= truncation // e for e, k in seen), (ctx, f)
+    seen.clear()
+    series = global_dirichlet(make_context(2 ** 31 - 1, 1, 2), 2 ** 15)
+    assert (seen, series.nums) == ([], (0,) * (2 ** 15 + 1))
+
+
 def test_global_factor_multiplicativity_spot():
     # the f-th global factor restricted to one place power matches the
     # per-place series; checked through a tiny product by hand at f = 1

@@ -90,12 +90,9 @@ ALLOWED = {
     "artin_schreier._base_digits": _REDUCTION_HELPER,
     "artin_schreier._cancel_p_indices": _REDUCTION_HELPER,
     "artin_schreier._add_into": _REDUCTION_HELPER,
-    "artin_schreier.rep_zero": "rep_scale by a multiple of p, and tests",
     "fields.ppow": _REDUCTION_HELPER,
     "fields.factor_monic": _REDUCTION_HELPER,
-    "fields.Place.is_infinity": _REDUCTION_HELPER,
     "fields.ResidueField._pad": _REDUCTION_HELPER,
-    "fields.ResidueField.zero": _REDUCTION_HELPER,
     "fields.ResidueField.from_poly": _REDUCTION_HELPER,
     "fields.ResidueField.neg": _REDUCTION_HELPER,
     "fields.ResidueField.pth_root": _REDUCTION_HELPER,
