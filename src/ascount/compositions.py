@@ -245,6 +245,7 @@ def enumerate_chains(target: int, max_len: int, ctx: PrimeContext, *,
             prefix.pop()
 
     rec([], 1, target, target)
+    del rec  # the closure's cell refers back to it: cut the cycle
     found.sort(key=lambda c: (len(c), c))
     return found
 

@@ -23,21 +23,24 @@ trace is linear with kernel {x^p - x}), then a block of n*deg digits per
 coefficient, shallowest index first, so a vector's leading digit lies in
 its deepest block.  At every place p^(r-1) lines share the top conductor,
 so no line of a subspace within a budget B costs more than B // p^(r-1)
-alone; candidates are built against that cap.  _subspaces walks reduced
-row-echelon bases and drops a partial basis once one of its lines is no
-candidate or their costs pass B: costs are non-negative and those lines
-lie in every subspace containing it, so no subspace within B is lost.  The
-last row completes the subspace, which is yielded on the spot: its span is
-never built.  enumerate_global packs the conductors of each candidate line
-into one int, a fixed-width slot per place, so the conductor sums of a
-subspace are one sum of ints, decoded to a Divisor once per distinct sum.
+alone; candidates are built against that cap, and their walk over the
+places stops at the first place from which no option fits what is left
+of it.  _subspaces walks reduced row-echelon bases and drops a partial
+basis once one of its lines is no candidate or their costs pass B: costs
+are non-negative and those lines lie in every subspace containing it, so
+no subspace within B is lost.  The last row completes the subspace, which
+is yielded on the spot: its span is never built.  enumerate_global packs
+the conductors of each candidate line into one int, a fixed-width slot
+per place, once per distinct conductor pattern, so the conductor sums of
+a subspace are one sum of ints, decoded to a Divisor once per distinct
+sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import islice, product
+from itertools import accumulate, product
 from operator import eq, itemgetter, lt, mul, xor
 
 from .artin_schreier import (
@@ -422,10 +425,12 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
     """
     w = _width(p)
     groups: dict = {}
-    for v, c in sorted(cost.items(), key=itemgetter(1)):
+    for v, c in cost.items():
         pivot = (v.bit_length() - 1) // w
         if v >> (w * pivot) == 1:
             groups.setdefault(pivot, []).append((c, v))
+    for group in groups.values():  # stable: ties keep the order of cost
+        group.sort(key=itemgetter(0))
     if sum(map(len, groups.values())) * (p - 1) != len(cost):
         raise InvariantViolation("candidate lines are not closed under scaling")
     pivots = sorted(groups)
@@ -433,7 +438,7 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
     expected = (p ** r - 1) // (p - 1)
 
     def extend(start, basis, span, lines, total, pivot_digits):
-        last = len(basis) == r - 1
+        last, shifts = len(basis) == r - 1, span[1:]  # span[0] is 0
         for g in range(start, len(pivots)):
             group = groups[pivots[g]]
             rest = (len(span) - 1) * group[0][0]
@@ -443,7 +448,7 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
                 if row & pivot_digits:
                     continue
                 new, running = [row], total + c
-                for s in islice(span, 1, None):  # span[0] is 0
+                for s in shifts:
                     line = add(row, s)
                     line_cost = cost.get(line)
                     if line_cost is None or running + line_cost > budget:
@@ -465,7 +470,10 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
                             g + 1, basis + [row], grown, lines + new, running,
                             pivot_digits | (((1 << w) - 1) << (w * pivots[g])))
 
-    yield from extend(0, [], [0], [], 0, 0)
+    try:
+        yield from extend(0, [], [0], [], 0, 0)
+    finally:
+        del extend  # the closure's cell refers back to it: cut the cycle
 
 
 def enumerate_local(ctx: PrimeContext, max_exponent: int) -> dict:
@@ -521,17 +529,22 @@ def candidate_vectors(ctx: PrimeContext, max_degree: int) -> list:
                                  n * place.degree)
         weight = (p - 1) * place.degree
         options.append([(weight * (i + 1), v, (place, i + 1)) for v, i in parts])
+    # cheapest[k]: the least cost of any option at place k or later
+    cheapest = list(accumulate([o[0][0] for o in reversed(options)], min))[::-1]
     found = []
 
     def rec(start, remaining, vec, conductors):
         found.append((vec, conductors))
         for k in range(start, len(options)):
+            if cheapest[k] > remaining:
+                break
             for cost, part, cond in options[k]:
                 if cost > remaining:
                     break
                 rec(k + 1, remaining - cost, vec | part, conductors + (cond,))
 
     rec(0, max_degree, 0, ())
+    del rec  # the closure's cell refers back to it: cut the cycle
     return [(vec | c, conds) for c in range(p) for vec, conds in found]
 
 
@@ -597,15 +610,18 @@ def enumerate_global(ctx: PrimeContext, max_degree: int, check: bool = False) ->
     # a place's conductor sum is at most max_degree, so it fits its slot
     slot = max_degree.bit_length() + 1
     where = {place: (slot * k, place.degree) for k, place in enumerate(found)}
-    packed, cost = {}, {}
+    packed, cost, patterns = {}, {}, {}
     for v, conds in candidate_vectors(ctx, cap):
         if v:
-            key = degree = 0
-            for place, c in conds:
-                shift, d = where[place]
-                key += c << shift
-                degree += d * c
-            packed[v], cost[v] = key, (p - 1) * degree
+            pattern = patterns.get(conds)
+            if pattern is None:
+                key = degree = 0
+                for place, c in conds:
+                    shift, d = where[place]
+                    key += c << shift
+                    degree += d * c
+                pattern = patterns[conds] = key, (p - 1) * degree
+            packed[v], cost[v] = pattern
 
     def divisor(key: int) -> Divisor:
         pairs, mask = [], (1 << slot) - 1

@@ -60,6 +60,17 @@ _TABLE_LIMIT = 2 ** 10
 # p in {2, 3, 2^31 - 1} (Python 3.11, 2-core Xeon VM).
 _MAX_RANK = 32
 
+# Largest log2 q = n log2 p, checked without taking p ** n.  q is the base
+# of every count, norm and series coefficient, and the first of them takes
+# the power: `asymptotics --p 2147483647 --n 2147483648 --r 11` asks for a
+# q of about 2^36 bits and was still inside q after 10 s.  Coefficient m of
+# the global series has about m log2 q bits: `series global --p 2 --r 1
+# --max 40` took 0.28 s at n = 2^10, 0.68 s at n = 2^12 and 6.0 s at
+# n = 2^14; at n = 2^12 every other subcommand at exponent or truncation
+# 40 took <= 0.27 s, as at p = 2^31 - 1, n = 132 (Python 3.11, 2-core
+# Xeon VM).
+_MAX_LOG_Q = 2 ** 12
+
 
 def _prime_factors(m: int) -> list:
     """Distinct prime factors of m, ascending, by trial division up to
@@ -230,7 +241,7 @@ def make_context(p: int, n: int, r: int) -> PrimeContext:
     """Build the shared context for (p, n, r).  q = p^n.
 
     Raises ValueError for p >= 2^31, non-prime p, non-positive n or r,
-    or r > _MAX_RANK.
+    r > _MAX_RANK, or n log2 p > _MAX_LOG_Q.
     """
     if p >= 2 ** 31:  # trial division below takes 6 ms at p = 2^31 - 1
         raise ValueError(f"p = {p} is not below 2^31")
@@ -240,6 +251,8 @@ def make_context(p: int, n: int, r: int) -> PrimeContext:
         raise ValueError("n and r must be at least 1")
     if r > _MAX_RANK:
         raise ValueError(f"r = {r} exceeds {_MAX_RANK}")
+    if n > _MAX_LOG_Q / math.log2(p):  # n * log2(p) overflows a float
+        raise ValueError(f"q = {p}^{n} exceeds 2^{_MAX_LOG_Q}")
     return PrimeContext(p, n, r)
 
 

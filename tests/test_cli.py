@@ -167,6 +167,16 @@ def test_huge_rank_exits_2_in_one_line(capsys, argv):
     assert result == (2, "", f"error: r = {r} exceeds 32\n")
 
 
+def test_huge_q_exits_2_in_one_line(capsys):
+    # q = p^n was taken uncapped: with q of about 2^36 bits this was still
+    # computing q after 10 s
+    argv = "asymptotics --p 2147483647 --n 2147483648 --r 11"
+    with _alarm(5):
+        code, out, err = run(capsys, *argv.split())
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: q = 2147483647^2147483648 exceeds 2^")
+
+
 _EXPONENT_CAP = "discriminant exponent 1000000000000 exceeds 32768"
 _TRUNCATION_CAP = "series truncation 100000000 exceeds 32768"
 _CHAIN_CAP = "discriminant exponent 16384: 36572952 conductor chains exceed 8388608"

@@ -1,5 +1,6 @@
 """Closed-form counts against brute-force enumeration and frozen anchors."""
 
+import gc
 import hashlib
 import json
 import time
@@ -650,3 +651,45 @@ def test_oracle_tallies_and_search_order_pinned():
             got[(kind, *args)] = _sha256([(tuple(b), tuple(lines), total)
                                           for b, lines, total in found])
     assert got == ORACLE_DIGESTS
+
+
+# sha256 of candidate_vectors in list order: the subspace search and the
+# tally follow this order, so a faster walk must keep it
+CANDIDATE_DIGESTS = {
+    (CTX211, 8):
+        "e19880e5e7581f19c8788bc4d70a2b40c3adb15af458f54c6c2609ceec4b81de",
+    (CTX221, 4):
+        "8c3418adc0beabfa42b9cf02d2f97d488651b43b28db0a43f0714e3dc76dc2c3",
+    (CTX311, 8):
+        "94bdd1fc4c22a01f0fcc644d47661c30fa424779c5ecd696ba0bd32ef3b8f961",
+    (CTX212, 6):
+        "4c3e105f949e0c5cfa85c36df05324e4a316aad52878c997ef364c8e865f2b1a",
+    (CTX221, 6):
+        "2b8ddfcde9f2d248310d982ebd628627db0ed3aeef6a37c41cc4a0703f8cfbe0",
+}
+
+
+def test_candidate_order_pinned():
+    assert set(CANDIDATE_BUDGETS) < set(CANDIDATE_DIGESTS)
+    got = {case: _sha256(candidate_vectors(*case)) for case in CANDIDATE_DIGESTS}
+    assert got == CANDIDATE_DIGESTS
+
+
+@pytest.mark.parametrize("call", [
+    lambda: candidate_vectors(CTX221, 6),
+    lambda: enumerate_global(CTX221, 6),
+    lambda: enumerate_local(make_context(3, 2, 1), 12),
+    lambda: [enumerate_chains(e, 3, make_context(3, 1, 3), nonvanishing=True)
+             for e in range(200)],
+], ids=["candidates-221-6", "global-221-6", "local-321-12", "chains-313"])
+def test_oracles_leave_no_cyclic_garbage(call):
+    # a recursive closure holds itself through its cell: uncut, each call
+    # left its working lists for a full collection (11,559 objects after
+    # candidate_vectors alone)
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -98,6 +98,20 @@ def test_context_refuses_ranks_past_32():
     assert make_context(2 ** 31 - 1, 1, 32).r == 32
 
 
+def test_context_refuses_log_q_past_the_cap_before_the_power():
+    # q = p^n was taken uncapped: this q has about 2^36 bits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^q = 2147483647\\^2147483648 exceeds"):
+        make_context(2147483647, 2147483648, 11)
+    assert time.perf_counter() - start < 0.1
+    assert make_context(2, 1000, 2).q == 2 ** 1000
+    with pytest.raises(ValueError, match="exceeds 2\\^4096$"):
+        make_context(3, 10 ** 400, 1)  # past every float
+    assert make_context(2, fields._MAX_LOG_Q, 1).n == fields._MAX_LOG_Q
+    with pytest.raises(ValueError):
+        make_context(2, fields._MAX_LOG_Q + 1, 1)
+
+
 def test_field_sizes_and_tables():
     assert CTX2.q == 2
     assert CTX4.q == 4
