@@ -17,8 +17,9 @@ factor_support lists the exponents an Euler-factor expansion must sum.
 The oracles.  A C_p^r-extension is an r-dimensional subspace of
 Artin-Schreier classes; its discriminant is (p-1) times the sum of the
 conductors of its (p^r-1)/(p-1) lines.  A class is a vector of F_p digits
-packed into one int: digit 0 is the trace F_q -> F_p of the constant (the
-trace is linear with kernel {x^p - x}), then a block of n*deg digits per
+packed into one int, added digit-wise by fields._adder as in the places
+sieve: digit 0 is the trace F_q -> F_p of the constant (the trace is
+linear with kernel {x^p - x}), then a block of n*deg digits per
 (place, index prime to p) holds the base-p digits of the principal-part
 coefficient, shallowest index first, so a vector's leading digit lies in
 its deepest block.  At every place p^(r-1) lines share the top conductor,
@@ -41,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, product
-from operator import eq, itemgetter, lt, mul, xor
+from operator import eq, itemgetter, lt, mul
 
 from .artin_schreier import (
     chain_at_place,
@@ -63,7 +64,7 @@ from .compositions import (
     weighted_counts,
 )
 from .errors import InvariantViolation
-from .fields import Divisor, PrimeContext, make_context, places
+from .fields import Divisor, PrimeContext, _adder, _width, make_context, places
 
 # ---------------------------------------------------------------------------
 # closed-form counts
@@ -315,11 +316,12 @@ def counts_by_degree(tally: dict) -> dict:
 # the test-suite oracle) lists all (q^(m+1)-1)/(q-1) effective divisors of
 # degree m, refused above this many before any list is sized.  Time and
 # memory grow with the divisors: global_count_by_degree at r = 1, the
-# median of three runs each in a fresh process, took 0.41 s and 26 MB at
-# q = 2, m = 15 (65,535 divisors), 0.74 s and 37 MB at m = 16, and 1.7 s
-# and 58 MB at m = 17 (262,143, the largest sweep under the cap), about
-# half of it listing the places of degree <= 17; at q = 3, m = 10 (88,573
-# divisors) it took 0.58 s and 31 MB (Python 3.11, 2-core Xeon VM).
+# median of five runs each in a fresh process, took 0.22 s and 27 MB at
+# q = 2, m = 15 (65,535 divisors), 0.39 s and 39 MB at m = 16, and 0.80 s
+# and 59 MB at m = 17 (262,143, the largest sweep under the cap), about
+# 0.12 s of it listing the places of degree <= 17; at q = 3, m = 10
+# (88,573 divisors) it took 0.28 s and 31 MB, about 0.1 s of it listing
+# places (Python 3.11, 2-core Xeon VM).
 _MAX_DIVISORS = 2 ** 18
 
 
@@ -376,45 +378,26 @@ def effective_divisors(ctx: PrimeContext, degree: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _width(p: int) -> int:
-    """Bits per packed F_p digit: one for p = 2, where addition is XOR;
-    otherwise room for the sum of two digits, whose top bit flags >= p
-    once 2^(width-1) - p is added."""
-    return 1 if p == 2 else (p - 1).bit_length() + 1
-
-
-def _adder(p: int, dim: int):
-    """Digit-wise addition mod p of packed vectors of at most dim digits."""
-    if p == 2:
-        return xor
-    w = _width(p)
-    ones = sum(1 << (w * k) for k in range(dim))
-    offset, flags = ((1 << (w - 1)) - p) * ones, ones << (w - 1)
-
-    def add(a, b):
-        s = a + b
-        return s - (((s + offset) & flags) >> (w - 1)) * p
-    return add
-
-
 def _principal_parts(p: int, blocks, digits: int) -> list:
     """Every nonzero vector on the blocks [(index, digit offset)] of
     `digits` digits each, indices ascending, as (vector, top index) pairs
     with the top index non-decreasing."""
     w = _width(p)
+    patterns = [sum(d << (w * k) for k, d in enumerate(ds))
+                for ds in product(range(p), repeat=digits)]  # zero first
     parts, below = [], [0]
     for index, offset in blocks:
-        values = [sum(d << (w * (offset + k)) for k, d in enumerate(ds))
-                  for ds in product(range(p), repeat=digits)]  # zero first
+        values = [v << (w * offset) for v in patterns]
         parts.extend((v | low, index) for v in values[1:] for low in below)
         below = [v | low for v in values for low in below]
     return parts
 
 
 def _subspaces(p: int, r: int, cost: dict, budget: int):
-    """Yield (basis, lines, total) once for every r-dimensional subspace of
-    packed F_p vectors whose lines all lie in `cost`, a {vector: line cost}
-    dict closed under nonzero scaling, with total line cost <= budget.
+    """A generator of (basis, lines, total), once for every r-dimensional
+    subspace of packed F_p vectors whose lines all lie in `cost`, a
+    {vector: line cost} dict closed under nonzero scaling, with total line
+    cost <= budget; `cost` is checked for closure before it returns.
 
     The reduced row-echelon basis is chosen bottom-up: each row has leading
     digit 1, its pivot above the earlier rows' and zeros at their pivots,
@@ -434,46 +417,49 @@ def _subspaces(p: int, r: int, cost: dict, budget: int):
     if sum(map(len, groups.values())) * (p - 1) != len(cost):
         raise InvariantViolation("candidate lines are not closed under scaling")
     pivots = sorted(groups)
-    add = _adder(p, pivots[-1] + 1 if pivots else 0)
-    expected = (p ** r - 1) // (p - 1)
+    # (the digits of a pivot, its rows), pivots ascending
+    levels = [(((1 << w) - 1) << (w * pivot), groups[pivot]) for pivot in pivots]
+    search = (p, r, cost, budget, _adder(p, pivots[-1] + 1 if pivots else 0),
+              levels, (p ** r - 1) // (p - 1))
+    return _extend(search, 0, [], [0], [], 0, 0)
 
-    def extend(start, basis, span, lines, total, pivot_digits):
-        last, shifts = len(basis) == r - 1, span[1:]  # span[0] is 0
-        for g in range(start, len(pivots)):
-            group = groups[pivots[g]]
-            rest = (len(span) - 1) * group[0][0]
-            for c, row in group:
-                if total + c + rest > budget:
+
+def _extend(search, start, basis, span, lines, total, pivot_digits):
+    """The subspaces of _subspaces that extend the partial basis `basis`,
+    whose lines cost `total` and whose pivots' digits are pivot_digits, by
+    rows of the levels from `start` on; span lists the span of basis,
+    0 first."""
+    p, r, cost, budget, add, levels, expected = search
+    last, shifts = len(basis) == r - 1, span[1:]
+    for g in range(start, len(levels)):
+        digits, group = levels[g]
+        rest = (len(span) - 1) * group[0][0]
+        for c, row in group:
+            if total + c + rest > budget:
+                break
+            if row & pivot_digits:
+                continue
+            new, running = [row], total + c
+            for s in shifts:
+                line = add(row, s)
+                line_cost = cost.get(line)
+                if line_cost is None or running + line_cost > budget:
                     break
-                if row & pivot_digits:
-                    continue
-                new, running = [row], total + c
-                for s in shifts:
-                    line = add(row, s)
-                    line_cost = cost.get(line)
-                    if line_cost is None or running + line_cost > budget:
-                        break
-                    running += line_cost
-                    new.append(line)
+                running += line_cost
+                new.append(line)
+            else:
+                if last:  # the leaf: its span is never read
+                    every = lines + new
+                    if len(set(every)) != expected:
+                        raise InvariantViolation(f"{len(set(every))} distinct "
+                                                 f"lines, expected {expected}")
+                    yield basis + [row], every, running
                 else:
-                    if last:  # the leaf: its span is never read
-                        every = lines + new
-                        if len(set(every)) != expected:
-                            raise InvariantViolation(f"{len(set(every))} distinct "
-                                                     f"lines, expected {expected}")
-                        yield basis + [row], every, running
-                    else:
-                        grown = span + new
-                        for _ in range(p - 2):
-                            grown += [add(s, row) for s in grown[-len(span):]]
-                        yield from extend(
-                            g + 1, basis + [row], grown, lines + new, running,
-                            pivot_digits | (((1 << w) - 1) << (w * pivots[g])))
-
-    try:
-        yield from extend(0, [], [0], [], 0, 0)
-    finally:
-        del extend  # the closure's cell refers back to it: cut the cycle
+                    grown = span + new
+                    for _ in range(p - 2):
+                        grown += [add(s, row) for s in grown[-len(span):]]
+                    yield from _extend(search, g + 1, basis + [row], grown,
+                                       lines + new, running, pivot_digits | digits)
 
 
 def enumerate_local(ctx: PrimeContext, max_exponent: int) -> dict:

@@ -16,15 +16,18 @@ Conventions used throughout the package:
 * F_q arithmetic runs on tables of q^2 entries, built on first use for
   q <= 2^10 only; above that it raises ValueError.
 * Places of F_q(t) are the monic irreducible polynomials plus the place at
-  infinity (uniformiser 1/t, degree 1).
+  infinity (uniformiser 1/t, degree 1).  They do not depend on r: every
+  context lists those of its (p, n, 1).
 * Divisors have one text format, term(,term)* with term = poly[^e] or
   inf[^e]: poly_str and Divisor.__str__ write it, parse_divisor reads it.
 * Irreducibility tests and factoring share one distinct-degree split: the
   factors of degree d are gcd(f, x^(q^d) - x) once the lower degrees are
   divided out.  The exhaustive sieve `irreducibles` lists the places of one
-  degree, making each composite once from its least factor, and checks
-  their number against the necklace count; factoring uses it only to
-  separate factors of equal degree.
+  degree: it marks as composite every product f*g with f irreducible of
+  degree <= d/2, whose packed coefficients are affine in the F_p-digits of
+  g, with the digit adder that the brute-force oracles of counting also
+  use, and checks the number left against the necklace count; factoring
+  uses it only to separate factors of equal degree.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import not_, xor
 from typing import Iterator, Optional
 
 from .errors import InvariantViolation
@@ -426,59 +430,74 @@ def factor_monic(ctx: PrimeContext, f: Poly) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _least_factors(ctx: PrimeContext, d: int):
-    """The least irreducible factor of every monic polynomial of degree d,
-    indexed by its lexicographic rank: the rank of (c_0, ..., c_{d-1}, 1)
-    is c_0 q^(d-1) + ... + c_{d-1}, the order of itertools.product.  A
-    factor of degree e and rank k is stored as the key (q^e-1)/(q-1) + k,
-    which orders factors by degree, then rank; an irreducible is its own
-    least factor, so it alone has a key >= (q^d-1)/(q-1).
+def _width(p: int) -> int:
+    """Bits per packed F_p digit: one for p = 2, where addition is XOR;
+    otherwise room for the sum of two digits, whose top bit flags >= p
+    once 2^(width-1) - p is added."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
 
-    Each composite h is made once, as f*g with f its least factor (degree
-    e <= d/2) and g of degree d-e with least factor >= f, read off the
-    table of degree d-e: no product of lower degree is formed again.  The
-    table is an array of 8-byte ints.
-    """
-    from array import array  # loaded only by the commands that sieve
 
-    q, mul, add = ctx.q, ctx._mul_table, ctx._add_table  # q > 2^10 refused here
-    least = array("q", range((q ** d - 1) // (q - 1), (q ** (d + 1) - 1) // (q - 1)))
-    for e in range(1, d // 2 + 1):
-        below, start = _least_factors(ctx, d - e), (q ** e - 1) // (q - 1)
-        for key in filter(start.__le__, _least_factors(ctx, e)):
-            f = _decode_full(key - start, q, e)[::-1]  # below t^e
-            rows = [(i, mul[a]) for i, a in enumerate(f + [1]) if a]
-            shifted = [0] * (d - e) + f  # f * t^(d-e) below t^d
-            for g in itertools.compress(itertools.product(range(q), repeat=d - e),
-                                        map(key.__le__, below)):
-                h = shifted[:]  # f * (g + t^(d-e)) below t^d
-                for i, row in rows:
-                    for j, b in enumerate(g, i):
-                        if b:
-                            h[j] = add[h[j]][row[b]]
-                rank = 0
-                for c in h:
-                    rank = rank * q + c
-                least[rank] = key
-    return least
+def _adder(p: int, dim: int):
+    """Digit-wise addition mod p of packed vectors of at most dim digits,
+    for the places sieve below and the brute-force oracles of counting."""
+    if p == 2:
+        return xor
+    w = _width(p)
+    ones = sum(1 << (w * k) for k in range(dim))
+    offset, flags = ((1 << (w - 1)) - p) * ones, ones << (w - 1)
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + offset) & flags) >> (w - 1)) * p
+    return add
 
 
 @lru_cache(maxsize=None)
 def irreducibles(ctx: PrimeContext, d: int) -> tuple:
     """All monic irreducibles of degree d over F_q, lexicographic order.
 
-    Computed by a sieve on least factors (_least_factors): every monic
-    polynomial of degree d that factors is made once from its least
-    factor, and the rest are irreducible.  Their number must be the
-    necklace count of place_count.  Exhaustive, desk scale.
+    A sieve by linear images.  A monic h of degree d is packed as the
+    base-p digits of its codes c_0, ..., c_{d-1}, c_0 most significant and
+    each digit in _width(p) bits, so packed values order as lexicographic
+    ranks (at p = 2 they are the ranks).  For each irreducible f of degree
+    e <= d/2, f * (t^(d-e) + g) below t^d is f's own packing plus f*g,
+    and f*g is F_p-linear in the digits of g: all q^(d-e) products come
+    from growing a list by p once per digit of g with the packed digit
+    adder, and each is marked composite.  The unmarked rest are the
+    irreducibles, whose number must be the necklace count of place_count.
+    The places do not depend on r, so every r reads the sieve of r = 1.
+    Exhaustive, desk scale.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    # its own least factor, with a key past every lower degree's
-    irreducible = map(((ctx.q ** d - 1) // (ctx.q - 1)).__le__, _least_factors(ctx, d))
+    if ctx.r != 1:
+        return irreducibles(make_context(ctx.p, ctx.n, 1), d)
+    p, n, q = ctx.p, ctx.n, ctx._table_size()  # q > 2^10 refused here
+    code = [_encode(_decode_full(a, p, n), 1 << _width(p)) for a in range(q)]
+    base = 1 << _width(p) * n  # a packed code's place value
+    add, composite = _adder(p, n * d), set()
+    for e in range(1, d // 2 + 1):
+        for f in irreducibles(ctx, e):
+            # reversed, so that _encode makes c_0 the most significant
+            products = [_encode([code[c] for c in f[-2::-1]], base)]
+            for k in range(n):  # the digit of g at p^k t^j adds f * p^k t^j
+                fk = _encode([code[c] for c in pmulc(ctx, f, p ** k)[::-1]], base)
+                for j in range(d - e):
+                    layer = products
+                    step = itertools.repeat(fk * base ** (d - e - 1 - j))
+                    for _ in range(p - 1):
+                        layer = list(map(add, layer, step))
+                        products += layer
+            composite.update(products)
+    # the packed values in lexicographic order
+    packed = range(q ** d)
+    if p != 2:
+        packed = [0]
+        for _ in range(d):
+            packed = [v * base + c for v in packed for c in code]
     out = tuple(coeffs + (1,) for coeffs in itertools.compress(
-        itertools.product(range(ctx.q), repeat=d), irreducible))
+        itertools.product(range(q), repeat=d),
+        map(not_, map(composite.__contains__, packed))))
     expected = place_count(ctx, d) - (d == 1)
     if len(out) != expected:
         raise InvariantViolation(f"sieve found {len(out)} irreducibles of "
@@ -515,15 +534,22 @@ class Place:
 
     poly is None exactly for the place at infinity (uniformiser 1/t).  ctx,
     when given, only tells __str__ how to write coefficients of F_q (see
-    poly_str); it takes no part in equality or hashing.
+    poly_str); it takes no part in equality or hashing.  The degree and
+    the hash, hash((poly,)), are taken once, at construction.
     """
 
     poly: Optional[Poly]
     ctx: Optional[PrimeContext] = field(default=None, compare=False, repr=False)
+    degree: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def degree(self) -> int:
-        return 1 if self.poly is None else len(self.poly) - 1
+    def __post_init__(self):
+        object.__setattr__(self, "degree",
+                           1 if self.poly is None else len(self.poly) - 1)
+        object.__setattr__(self, "_hash", hash((self.poly,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
         # by degree, then poly; infinity's (2, ()) precedes every degree 1
@@ -548,7 +574,9 @@ def finite_place(ctx: PrimeContext, poly: Poly) -> Place:
 @lru_cache(maxsize=None)
 def places(ctx: PrimeContext, d: int) -> tuple:
     """All places of degree d, deterministic order (infinity first at d=1).
-    Memoised per (ctx, d), like irreducibles."""
+    Memoised per (ctx, d); like irreducibles, every r reads those of r = 1."""
+    if ctx.r != 1:
+        return places(make_context(ctx.p, ctx.n, 1), d)
     finite = tuple(Place(f, ctx) for f in irreducibles(ctx, d))
     return (INFINITY, *finite) if d == 1 else finite
 

@@ -22,12 +22,10 @@ from ascount.compositions import (
     weighted_counts,
 )
 from ascount.counting import (
-    _adder,
     _blocks,
     _constants_by_trace,
     _decode,
     _subspaces,
-    _width,
     candidate_vectors,
     counts_by_degree,
     discriminant_divisor,
@@ -58,6 +56,8 @@ from ascount.errors import InvariantViolation
 from ascount.fields import (
     Divisor,
     INFINITY,
+    _adder,
+    _width,
     finite_place,
     make_context,
     place_count,

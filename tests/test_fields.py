@@ -1,5 +1,7 @@
 """Field arithmetic, polynomial helpers, places, and divisors."""
 
+import dataclasses
+import hashlib
 import itertools
 import time
 
@@ -176,7 +178,8 @@ def test_irreducibility_known_cases():
 
 
 @pytest.mark.parametrize("ctx,dmax", [(CTX2, 4), (CTX3, 4), (CTX4, 4),
-                                      (make_context(5, 1, 1), 3), (CTX9, 3)])
+                                      (make_context(5, 1, 1), 3), (CTX9, 3),
+                                      (make_context(2, 3, 1), 3)])
 def test_is_irreducible_matches_sieve(ctx, dmax):
     for d in range(1, dmax + 1):
         sieved = set(irreducibles(ctx, d))
@@ -210,6 +213,39 @@ def test_irreducible_counts_match_necklace_formula():
             got = irreducibles(ctx, d)
             assert len(got) == necklace_count(ctx.q, d)
             assert all(f[-1] == 1 and pdeg(f) == d for f in got)
+
+
+# sha256 of repr([irreducibles(ctx, d) for d in 1..dmax]), recorded from the
+# least-factor sieve that the sieve by linear images replaced: the same
+# polynomials in the same order
+SIEVE_DIGESTS = {
+    (2, 1, 12): "b7b1f327ae3dd0892a6fc79af043e9489d6ee0e43360b22d98cc6fc90d9edc36",
+    (3, 1, 7): "fc213f75a6954ff1e049ac69b2e376f862b833638656c5e6de7ff96ea70fd88a",
+    (2, 2, 5): "22a62e7c798aa2df8647fb7d11484d9a76d65cf4879be72cd115f435e71045ae",
+    (3, 2, 3): "7f9a3e4d55a185c5a990da07dddfcb1af43975d654b12ea7c5c4a98811d7b303",
+    (5, 1, 4): "8cf4a6bed5f79633a3c1f6517af5dad98b368090d59d055213077795df98e6b6",
+    (2, 3, 4): "f01e539367b2470aae2ce6b8f2f30df844552cb488743dd51a40480d8ebd7f8f",
+}
+
+
+def test_sieve_listings_pinned():
+    got = {}
+    for p, n, dmax in SIEVE_DIGESTS:
+        ctx = make_context(p, n, 1)
+        listing = repr([irreducibles(ctx, d) for d in range(1, dmax + 1)])
+        got[(p, n, dmax)] = hashlib.sha256(listing.encode()).hexdigest()
+    assert got == SIEVE_DIGESTS
+
+
+def test_places_do_not_depend_on_r():
+    # every r reads the one sieve of r = 1
+    for p, n, dmax in ((2, 1, 6), (3, 1, 4), (2, 2, 3)):
+        one, three = make_context(p, n, 1), make_context(p, n, 3)
+        for d in range(1, dmax + 1):
+            assert places(three, d) == places(one, d)
+            assert [str(pl) for pl in places(three, d)] == \
+                [str(pl) for pl in places(one, d)]
+            assert irreducibles(three, d) is irreducibles(one, d)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -249,6 +285,24 @@ def test_places_ordering_and_str():
     assert poly_str([1, 4, 1], ctx=CTX9) == "t2+[1,1]t+1"
     assert poly_str([2, 1], ctx=CTX9) == "t+2"
     assert str(Divisor([(finite_place(CTX4, [3, 1]), 2)])) == "t+[1,1]^2"
+
+
+def test_place_invariants():
+    assert INFINITY.degree == 1
+    for ctx in (CTX2, CTX4):
+        for d in (1, 2, 3):
+            for poly in irreducibles(ctx, d):
+                place = Place(poly, ctx)
+                assert place.degree == d == pdeg(poly)
+                # the dataclass hash of (poly,), taken once: set and dict
+                # orders stay as they were
+                assert hash(place) == hash(Place(poly)) == hash((poly,))
+                assert place == Place(poly) and place != INFINITY
+    assert hash(INFINITY) == hash((None,))
+    assert Place(None, CTX2) == INFINITY and Place((0, 1), CTX2) != INFINITY
+    for name, value in (("poly", (1, 1)), ("degree", 2), ("ctx", CTX3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(Place((0, 1), CTX2), name, value)
 
 
 def test_finite_place_rejects_bad_polys():
