@@ -316,11 +316,11 @@ def counts_by_degree(tally: dict) -> dict:
 # the test-suite oracle) lists all (q^(m+1)-1)/(q-1) effective divisors of
 # degree m, refused above this many before any list is sized.  Time and
 # memory grow with the divisors: global_count_by_degree at r = 1, the
-# median of five runs each in a fresh process, took 0.22 s and 27 MB at
-# q = 2, m = 15 (65,535 divisors), 0.39 s and 39 MB at m = 16, and 0.80 s
-# and 59 MB at m = 17 (262,143, the largest sweep under the cap), about
-# 0.12 s of it listing the places of degree <= 17; at q = 3, m = 10
-# (88,573 divisors) it took 0.28 s and 31 MB, about 0.1 s of it listing
+# median of five runs each in a fresh process, took 0.13 s and 26 MB at
+# q = 2, m = 15 (65,535 divisors), 0.31 s and 38 MB at m = 16, and 0.80 s
+# and 58 MB at m = 17 (262,143, the largest sweep under the cap), about
+# 0.18 s of it listing the places of degree <= 17; at q = 3, m = 10
+# (88,573 divisors) it took 0.23 s and 30 MB, about 0.09 s of it listing
 # places (Python 3.11, 2-core Xeon VM).
 _MAX_DIVISORS = 2 ** 18
 

@@ -454,30 +454,40 @@ def _adder(p: int, dim: int):
 
 @lru_cache(maxsize=None)
 def irreducibles(ctx: PrimeContext, d: int) -> tuple:
-    """All monic irreducibles of degree d over F_q, lexicographic order.
-
-    A sieve by linear images.  A monic h of degree d is packed as the
-    base-p digits of its codes c_0, ..., c_{d-1}, c_0 most significant and
-    each digit in _width(p) bits, so packed values order as lexicographic
-    ranks (at p = 2 they are the ranks).  For each irreducible f of degree
-    e <= d/2, f * (t^(d-e) + g) below t^d is f's own packing plus f*g,
-    and f*g is F_p-linear in the digits of g: all q^(d-e) products come
-    from growing a list by p once per digit of g with the packed digit
-    adder, and each is marked composite.  The unmarked rest are the
-    irreducibles, whose number must be the necklace count of place_count.
-    The places do not depend on r, so every r reads the sieve of r = 1.
-    Exhaustive, desk scale.
+    """All monic irreducibles of degree d over F_q, lexicographic order,
+    listed by _sieve.  Their number must be the necklace count of
+    place_count.  The places do not depend on r, so every r reads the
+    sieve of r = 1.  Exhaustive, desk scale.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if ctx.r != 1:
-        return irreducibles(make_context(ctx.p, ctx.n, 1), d)
+    out = _sieve(make_context(ctx.p, ctx.n, 1), d)
+    expected = place_count(ctx, d) - (d == 1)
+    if len(out) != expected:
+        raise InvariantViolation(f"sieve found {len(out)} irreducibles of "
+                                 f"degree {d}, the necklace count is {expected}")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sieve(ctx: PrimeContext, d: int) -> tuple:
+    """The monic irreducibles of degree d over F_q, by linear images.
+
+    A monic h of degree d is packed as the base-p digits of its codes
+    c_0, ..., c_{d-1}, c_0 most significant and each digit in _width(p)
+    bits, so packed values order as lexicographic ranks.  For each
+    irreducible f of degree e <= d/2, f * (t^(d-e) + g) below t^d is f's
+    own packing plus f*g, and f*g is F_p-linear in the digits of g: all
+    q^(d-e) products come from growing a list by p once per digit of g
+    with the packed digit adder, and each is marked composite.  The
+    unmarked rest are the irreducibles.
+    """
     p, n, q = ctx.p, ctx.n, ctx._table_size()  # q > 2^10 refused here
     code = [_encode(_decode_full(a, p, n), 1 << _width(p)) for a in range(q)]
     base = 1 << _width(p) * n  # a packed code's place value
     add, composite = _adder(p, n * d), set()
     for e in range(1, d // 2 + 1):
-        for f in irreducibles(ctx, e):
+        for f in _sieve(ctx, e):
             # reversed, so that _encode makes c_0 the most significant
             products = [_encode([code[c] for c in f[-2::-1]], base)]
             for k in range(n):  # the digit of g at p^k t^j adds f * p^k t^j
@@ -489,20 +499,12 @@ def irreducibles(ctx: PrimeContext, d: int) -> tuple:
                         layer = list(map(add, layer, step))
                         products += layer
             composite.update(products)
-    # the packed values in lexicographic order
-    packed = range(q ** d)
-    if p != 2:
-        packed = [0]
-        for _ in range(d):
-            packed = [v * base + c for v in packed for c in code]
-    out = tuple(coeffs + (1,) for coeffs in itertools.compress(
+    packed = [0]  # the packed values in lexicographic order
+    for _ in range(d):
+        packed = [v * base + c for v in packed for c in code]
+    return tuple(coeffs + (1,) for coeffs in itertools.compress(
         itertools.product(range(q), repeat=d),
         map(not_, map(composite.__contains__, packed))))
-    expected = place_count(ctx, d) - (d == 1)
-    if len(out) != expected:
-        raise InvariantViolation(f"sieve found {len(out)} irreducibles of "
-                                 f"degree {d}, the necklace count is {expected}")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -574,9 +576,7 @@ def finite_place(ctx: PrimeContext, poly: Poly) -> Place:
 @lru_cache(maxsize=None)
 def places(ctx: PrimeContext, d: int) -> tuple:
     """All places of degree d, deterministic order (infinity first at d=1).
-    Memoised per (ctx, d); like irreducibles, every r reads those of r = 1."""
-    if ctx.r != 1:
-        return places(make_context(ctx.p, ctx.n, 1), d)
+    Memoised per (ctx, d), like irreducibles."""
     finite = tuple(Place(f, ctx) for f in irreducibles(ctx, d))
     return (INFINITY, *finite) if d == 1 else finite
 
